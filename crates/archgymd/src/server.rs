@@ -5,7 +5,7 @@
 //! fleet of worker threads. Clients speak the line-delimited JSON
 //! protocol from [`protocol`](crate::protocol); accepted jobs are
 //! persisted *before* they are admitted, and every search runs through
-//! [`SearchLoop::run_resumable_pooled`] with its journal inside the
+//! [`SearchLoop::run_env_with`] with its journal inside the
 //! state directory — so a daemon killed mid-job (even with SIGKILL)
 //! re-admits the job on restart and the journal replay finishes it
 //! bit-identically to an uninterrupted run.
@@ -40,12 +40,14 @@ use crate::store::{JobOutcome, JobStore, PersistedJob};
 use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
 use archgym_core::agent::HyperMap;
 use archgym_core::codec::{parse_json, Json};
+use archgym_core::env::CloneEnvironment;
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::jobs::{
     Admission, JobId, JobKind, JobSpec, JobState, QuotaPolicy, Scheduler, Watchdog,
 };
 use archgym_core::race::{Race, RaceLane};
-use archgym_core::search::{RunConfig, RunResult, SearchLoop};
+use archgym_core::screen::Screener;
+use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::storeio::{real_io, Durability, StoreIo};
 use archgym_core::sweep::Sweep;
 use archgym_core::telemetry::Recorder;
@@ -694,6 +696,11 @@ fn cancellable(
     }
 }
 
+/// The job's environment, built from the spec's env and objective.
+fn job_env(spec: &JobSpec) -> Result<Box<dyn CloneEnvironment>> {
+    make_env(&spec.env, Some(&spec.objective))
+}
+
 fn run_one(
     inner: &Arc<Inner>,
     handle: &Arc<JobHandle>,
@@ -701,30 +708,25 @@ fn run_one(
     journal: PathBuf,
 ) -> Result<RunResult> {
     let spec = &handle.spec;
-    let env = make_env(&spec.env, Some(&spec.objective))?;
+    let env = job_env(spec)?;
     let kind = AgentKind::parse(agent_name)?;
     let mut agent = cancellable(
         inner,
         handle,
         build_agent(kind, env.space(), &Default::default(), spec.seed)?,
     );
-    match &spec.proxy {
-        // Screened jobs run through the proxy layer; the screener's
-        // decisions are journaled, so daemon restarts resume them
-        // bit-identically like plain jobs.
-        Some(policy) => {
-            let mut screener = archgym_proxy::OnlineProxy::with_defaults(*policy, spec.seed)?;
-            streaming_driver(inner, spec, handle).run_screened_resumable_pooled(
-                &mut agent,
-                env,
-                &mut screener,
-                journal,
-            )
-        }
-        None => {
-            streaming_driver(inner, spec, handle).run_resumable_pooled(&mut agent, env, journal)
-        }
-    }
+    // Screened jobs run through the proxy layer; the screener's
+    // decisions are journaled, so daemon restarts resume them
+    // bit-identically like plain jobs.
+    let mut screener = spec
+        .proxy
+        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, spec.seed))
+        .transpose()?;
+    let io = RunIo {
+        journal: Some(&journal),
+        screener: screener.as_mut().map(|s| s as &mut dyn Screener),
+    };
+    streaming_driver(inner, spec, handle).run_env_with(&mut agent, env, io)
 }
 
 fn run_search(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
@@ -767,7 +769,7 @@ const RACE_DEFAULT_CAP: usize = 4;
 /// sink like every other streaming event.
 fn run_race(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
     let spec = &handle.spec;
-    let env = make_env(&spec.env, Some(&spec.objective))?;
+    let env = job_env(spec)?;
     let eta = if spec.race_eta == 0 {
         RACE_DEFAULT_ETA
     } else {
@@ -823,7 +825,7 @@ fn run_race(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>,
 /// them from scratch instead of journaling every grid cell.
 fn run_sweep(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
     let spec = &handle.spec;
-    let proto = make_env(&spec.env, Some(&spec.objective))?;
+    let proto = job_env(spec)?;
     let space = proto.space().clone();
     let kind = AgentKind::parse(&spec.agent)?;
     // Same default cap as `archgym-cli sweep --grid`.
@@ -874,7 +876,7 @@ fn validate_spec(spec: &JobSpec) -> Result<()> {
     spec.validate()?;
     // Dry-run the factories so a bad env/agent is a typed reject at
     // submit time, not a failed job later.
-    make_env(&spec.env, Some(&spec.objective))?;
+    job_env(spec)?;
     match spec.kind {
         JobKind::Compare | JobKind::Race => {
             for agent in &spec.agents {

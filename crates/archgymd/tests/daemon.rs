@@ -50,13 +50,20 @@ impl Daemon {
 
     fn stop(&mut self) {
         if let Some(thread) = self.thread.take() {
-            let _ = request_one(
-                &self.addr,
-                &Request::Shutdown {
-                    drain: false,
-                    deadline_ms: 0,
-                },
-            );
+            let shutdown = Request::Shutdown {
+                drain: false,
+                deadline_ms: 0,
+            };
+            // Under a connection cap, a just-closed connection can hold
+            // its slot until its handler thread exits, so the shutdown
+            // may be answered `busy`: retry until it lands (bounded, in
+            // case the daemon already died).
+            for _ in 0..500 {
+                if let Ok(Response::Stopping) = request_one(&self.addr, &shutdown) {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
             thread.join().expect("daemon thread");
         }
     }

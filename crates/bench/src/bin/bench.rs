@@ -5,7 +5,7 @@
 //! bench delta --baseline=PATH --current=PATH
 //! ```
 //!
-//! `perf` times simulate-only (indexed and linear-scan schedulers),
+//! `perf` times simulate-only (SoA and linear-scan reference engines),
 //! batched-run (serial vs pooled), telemetry (recorder off vs on),
 //! sweep-serial, sweep-parallel, cached-sweep, and daemon-load
 //! scenarios, then **appends** the report to the history array in

@@ -22,7 +22,7 @@ use archgym_core::error::Result;
 use archgym_core::executor::Executor;
 use archgym_core::race::{Race, RaceLane};
 use archgym_core::screen::ScreenPolicy;
-use archgym_core::search::{RunConfig, RunResult, SearchLoop};
+use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::seeded_rng;
 use archgym_core::space::Action;
 use archgym_core::sweep::{Sweep, SweepResult};
@@ -78,8 +78,8 @@ pub struct PerfReport {
     pub jobs: usize,
     /// Every timed scenario, in execution order.
     pub scenarios: Vec<ScenarioResult>,
-    /// Throughput ratio of the per-bank indexed scheduler over the
-    /// retired linear-scan engine on the wide-buffer workload.
+    /// Throughput ratio of the default DRAM engine (SoA) over the
+    /// linear-scan reference engine on the wide-buffer workload.
     pub scheduler_index_speedup: f64,
     /// Wall-clock speedup of the jobs=4 pooled batched run over the
     /// same run evaluated serially (≈1 on a single-core machine).
@@ -324,8 +324,8 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         per_second: wide_per_sec,
     });
 
-    // Same workload through the retired O(buffer)-per-decision linear
-    // scan, so the per-bank index's algorithmic win stays measured.
+    // Same workload through the O(buffer)-per-decision linear-scan
+    // reference, so the SoA engine's algorithmic win stays measured.
     let reps: u64 = if quick { 10 } else { 100 };
     let (per_rep, checksum) = timed_batches(5, reps / 5, || {
         wide_controller
@@ -714,7 +714,11 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         let config = RunConfig::with_budget(screened_budget)
             .batch(0)
             .record(false);
-        Ok(SearchLoop::new(config).run_screened_pooled(&mut agent, batched_env(), &mut screener))
+        SearchLoop::new(config).run_env_with(
+            &mut agent,
+            batched_env(),
+            RunIo::screened(&mut screener),
+        )
     });
     let screened = screened?;
     assert_eq!(
@@ -958,7 +962,7 @@ pub fn print(report: &PerfReport) {
         );
     }
     println!(
-        "per-bank indexed scheduler vs linear scan (wide): {:.2}x",
+        "SoA engine vs linear-scan reference (wide): {:.2}x",
         report.scheduler_index_speedup
     );
     println!(
@@ -1038,11 +1042,11 @@ mod tests {
         );
         assert!(report.scenarios.iter().all(|s| s.per_second > 0.0));
         assert!(report.cores >= 1);
-        // The indexed scheduler must not lose to the linear scan it
-        // replaced (timer noise allowance only).
+        // The SoA engine must not lose to the linear-scan reference
+        // (timer noise allowance only).
         assert!(
             report.scheduler_index_speedup > 0.9,
-            "indexed scheduler only {:.2}x of linear scan",
+            "SoA engine only {:.2}x of linear scan",
             report.scheduler_index_speedup
         );
         // With fan-out clamped to real hardware parallelism, a pooled

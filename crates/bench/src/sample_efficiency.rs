@@ -17,7 +17,7 @@ use archgym_core::agent::HyperMap;
 use archgym_core::env::Environment;
 use archgym_core::error::Result;
 use archgym_core::screen::ScreenPolicy;
-use archgym_core::search::{RunConfig, SearchLoop};
+use archgym_core::search::{RunConfig, RunIo, SearchLoop};
 use archgym_dram::{DramEnv, DramWorkload, Objective};
 
 /// One agent's samples-to-target distribution over its hyper sweep.
@@ -217,11 +217,11 @@ where
     for &seed in seeds {
         let mut agent = build_agent(kind, &space, &HyperMap::new(), seed)?;
         let mut screener = archgym_proxy::OnlineProxy::new(policy, forest, seed)?;
-        let run = SearchLoop::new(config.clone()).run_screened_pooled(
+        let run = SearchLoop::new(config.clone()).run_env_with(
             &mut agent,
             make_env(),
-            &mut screener,
-        );
+            RunIo::screened(&mut screener),
+        )?;
         screened.push(ProxySeedPoint {
             seed,
             best: run.best_reward,

@@ -4,18 +4,19 @@
 use crate::args::Args;
 use crate::spec::{known_envs, make_env};
 use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
-use archgym_core::env::Environment;
+use archgym_core::env::{CloneEnvironment, Environment};
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::fault::{FaultPlan, FaultStats, FaultyEnv};
 use archgym_core::race::{lane_journal, Race, RaceLane};
-use archgym_core::screen::ScreenPolicy;
-use archgym_core::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
+use archgym_core::screen::{ScreenPolicy, Screener};
+use archgym_core::search::{RetryPolicy, RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::seeded_rng;
 use archgym_core::stats::summarize;
 use archgym_core::telemetry::Recorder;
 use archgym_core::trajectory::Dataset;
 use std::fmt::Write as _;
 use std::fs::File;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Dispatch a parsed command line.
@@ -367,10 +368,9 @@ fn search(args: &Args) -> Result<String> {
     let plan = fault_plan(args, seed)?;
     let journal = journal_path(args)?;
     let telemetry = telemetry_sink(args)?;
-    let mut screener = match screen_policy(args)? {
-        Some(policy) => Some(archgym_proxy::OnlineProxy::with_defaults(policy, seed)?),
-        None => None,
-    };
+    let mut screener = screen_policy(args)?
+        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
+        .transpose()?;
     let mut agent = build_agent(kind, env.space(), &Default::default(), seed)?;
     let config = RunConfig::with_budget(budget)
         .batch(batch)
@@ -380,33 +380,21 @@ fn search(args: &Args) -> Result<String> {
     if let Some(rec) = &telemetry {
         driver = driver.with_telemetry(rec.clone());
     }
-    let (result, injected) = match plan {
+    // Fault injection wraps the environment; clones share fault
+    // counters, so the kept handle sees the run's.
+    let (run_env, injected): (Box<dyn CloneEnvironment>, _) = match plan {
         Some(plan) => {
             let faulty = FaultyEnv::new(env.clone(), plan);
-            // Clones share fault counters, so this handle sees the run's.
-            let stats_handle = faulty.clone();
-            let result = match (&journal, screener.as_mut()) {
-                (Some(path), Some(s)) => {
-                    driver.run_screened_resumable_pooled(&mut agent, faulty, s, path)?
-                }
-                (Some(path), None) => driver.run_resumable_pooled(&mut agent, faulty, path)?,
-                (None, Some(s)) => driver.run_screened_pooled(&mut agent, faulty, s),
-                (None, None) => driver.run_pooled(&mut agent, faulty),
-            };
-            (result, Some(stats_handle.stats()))
+            (Box::new(faulty.clone()), Some(faulty))
         }
-        None => {
-            let result = match (&journal, screener.as_mut()) {
-                (Some(path), Some(s)) => {
-                    driver.run_screened_resumable_pooled(&mut agent, env.clone(), s, path)?
-                }
-                (Some(path), None) => driver.run_resumable_pooled(&mut agent, env.clone(), path)?,
-                (None, Some(s)) => driver.run_screened_pooled(&mut agent, env.clone(), s),
-                (None, None) => driver.run_pooled(&mut agent, env.clone()),
-            };
-            (result, None)
-        }
+        None => (env.clone(), None),
     };
+    let io = RunIo {
+        journal: journal.as_deref().map(Path::new),
+        screener: screener.as_mut().map(|s| s as &mut dyn Screener),
+    };
+    let result = driver.run_env_with(&mut agent, run_env, io)?;
+    let injected = injected.map(|faulty| faulty.stats());
 
     let mut out = String::new();
     let _ = writeln!(
@@ -671,13 +659,14 @@ fn compare(args: &Args) -> Result<String> {
         }
         // Under `--proxy` every roster entry gets its own fresh screener
         // (same policy, same seed) so the race stays apples-to-apples.
-        let result = match policy {
-            Some(policy) => {
-                let mut screener = archgym_proxy::OnlineProxy::with_defaults(policy, seed)?;
-                driver.run_screened_pooled(&mut agent, env.clone(), &mut screener)
-            }
-            None => driver.run_pooled(&mut agent, env.clone()),
+        let mut screener = policy
+            .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
+            .transpose()?;
+        let io = RunIo {
+            journal: None,
+            screener: screener.as_mut().map(|s| s as &mut dyn Screener),
         };
+        let result = driver.run_env_with(&mut agent, env.clone(), io)?;
         if let Some(report) = rec.as_ref().and_then(Recorder::report) {
             reports.push((kind.name().to_owned(), report));
         }

@@ -1,5 +1,5 @@
 //! Crash-safe run journal — write-ahead logging for [`SearchLoop`]
-//! (see [`crate::search::SearchLoop::run_resumable`]).
+//! (see [`crate::search::SearchLoop::run_with`]).
 //!
 //! A journal is an append-only JSONL file: a header record naming the
 //! run configuration, then for each evaluated batch a `batch` record

@@ -48,7 +48,7 @@ use crate::env::Environment;
 use crate::error::{ArchGymError, Result};
 use crate::executor::Executor;
 use crate::screen::Screener;
-use crate::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
+use crate::search::{RetryPolicy, RunConfig, RunIo, RunResult, SearchLoop};
 use crate::space::Action;
 use crate::storeio::{real_io, Durability, StoreIo};
 use crate::sweep::halving_keep;
@@ -695,24 +695,15 @@ impl Race {
             .with_telemetry(self.telemetry.clone())
             .with_journal_io(Arc::clone(&self.journal_io))
             .with_durability(self.durability);
-        let env = lane.env.clone();
-        let result = match (&self.journal_prefix, &mut lane.screener) {
-            (Some(prefix), Some(screener)) => driver.run_screened_resumable_pooled(
-                &mut lane.agent,
-                env,
-                &mut **screener,
-                lane_journal(prefix, lane.id, rung),
-            )?,
-            (Some(prefix), None) => driver.run_resumable_pooled(
-                &mut lane.agent,
-                env,
-                lane_journal(prefix, lane.id, rung),
-            )?,
-            (None, Some(screener)) => {
-                driver.run_screened_pooled(&mut lane.agent, env, &mut **screener)
-            }
-            (None, None) => driver.run_pooled(&mut lane.agent, env),
+        let journal = self
+            .journal_prefix
+            .as_deref()
+            .map(|prefix| lane_journal(prefix, lane.id, rung));
+        let io = RunIo {
+            journal: journal.as_deref(),
+            screener: lane.screener.as_deref_mut().map(|s| s as &mut dyn Screener),
         };
+        let result = driver.run_env_with(&mut lane.agent, lane.env.clone(), io)?;
         lane.samples_used += result.samples_used;
         if result.samples_used > 0 && result.best_reward > lane.best_reward {
             lane.best_reward = result.best_reward;
@@ -772,12 +763,15 @@ impl Race {
             .with_telemetry(self.telemetry.clone())
             .with_journal_io(Arc::clone(&self.journal_io))
             .with_durability(self.durability);
-        let result = match &self.journal_prefix {
-            Some(prefix) => {
-                driver.run_resumable_pooled(&mut ensemble, env.clone(), ensemble_journal(prefix))?
-            }
-            None => driver.run_pooled(&mut ensemble, env.clone()),
-        };
+        let journal = self.journal_prefix.as_deref().map(ensemble_journal);
+        let result = driver.run_env_with(
+            &mut ensemble,
+            env.clone(),
+            RunIo {
+                journal: journal.as_deref(),
+                screener: None,
+            },
+        )?;
         let outcome = EnsembleOutcome {
             members: live.to_vec(),
             weights,

@@ -9,8 +9,8 @@
 //! errors, timeouts, NaN/Inf-corrupted results, worker panics) are
 //! retried per the run's [`RetryPolicy`], and a design point that
 //! exhausts its retries degrades to the paper's infeasible-penalty
-//! semantics instead of aborting the run. [`SearchLoop::run_resumable`]
-//! additionally journals every transition to disk
+//! semantics instead of aborting the run. Given a [`RunIo::journal`],
+//! [`SearchLoop::run_with`] additionally journals every transition to disk
 //! ([`RunJournal`](crate::journal::RunJournal)) so a killed run resumes
 //! bit-identically from where it stopped.
 
@@ -34,6 +34,8 @@ use std::time::Instant;
 /// Fallback proposal batch size when neither the config nor the agent
 /// pins one down.
 const DEFAULT_BATCH: usize = 16;
+
+const JOURNAL_LESS: &str = "journal-less runs cannot fail";
 
 /// How the search loop handles failed evaluations: how often to retry a
 /// failed design point, how long to back off between retry rounds, and
@@ -98,7 +100,7 @@ pub struct RunConfig {
     /// long runs where only the best design matters.
     pub record: bool,
     /// Worker threads for in-run batch evaluation via
-    /// [`SearchLoop::run_pooled`]: `1` (default) evaluates serially on
+    /// [`SearchLoop::run_env_with`]: `1` (default) evaluates serially on
     /// the caller's thread, `0` uses every available hardware thread,
     /// `n > 1` fans batches across `n` environment replicas. Results
     /// are bit-identical at any setting.
@@ -148,6 +150,36 @@ impl RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig::with_budget(1_000)
+    }
+}
+
+/// The optional inputs of one [`SearchLoop::run_with`] call. The
+/// default — neither field set — is a plain in-memory run.
+#[derive(Default)]
+pub struct RunIo<'a> {
+    /// Journal the run to this path, resuming from any journal of the
+    /// same run already there.
+    pub journal: Option<&'a Path>,
+    /// Screen proposals through this online proxy before they reach
+    /// the true evaluator.
+    pub screener: Option<&'a mut dyn Screener>,
+}
+
+impl<'a> RunIo<'a> {
+    /// Journaled to `path`, unscreened.
+    pub fn journaled(path: &'a Path) -> Self {
+        RunIo {
+            journal: Some(path),
+            screener: None,
+        }
+    }
+
+    /// Screened through `screener`, not journaled.
+    pub fn screened(screener: &'a mut dyn Screener) -> Self {
+        RunIo {
+            journal: None,
+            screener: Some(screener),
+        }
     }
 }
 
@@ -327,7 +359,7 @@ impl SearchLoop {
         self
     }
 
-    /// Route the resumable entry points' journal/snapshot file I/O
+    /// Route journaled runs' journal/snapshot file I/O
     /// through `io`, builder-style. The default is the real filesystem;
     /// tests install a [`FaultyIo`](crate::storeio::FaultyIo) here to
     /// exercise crash/corruption paths deterministically.
@@ -355,102 +387,39 @@ impl SearchLoop {
         &self.telemetry
     }
 
-    /// Run `agent` against `eval` until the sample budget is exhausted
-    /// or the agent stops proposing. Returns the run report.
+    /// [`SearchLoop::run_with`] on an environment taken by value,
+    /// honoring the config's [`jobs`](RunConfig::jobs) knob: `jobs == 1`
+    /// evaluates serially, anything else fans batches across an
+    /// [`EnvPool`] of cloned replicas. The report is bit-identical at
+    /// any job count.
     ///
-    /// `eval` is any [`BatchEvaluator`] — a plain [`Environment`]
-    /// (evaluated serially, via the blanket impl) or an [`EnvPool`]
-    /// (evaluated in parallel). Both yield bit-identical reports.
-    /// Failed evaluations are retried and degraded per the config's
-    /// [`RetryPolicy`]; this entry point never fails.
+    /// # Errors
+    ///
+    /// See [`SearchLoop::run_with`].
+    pub fn run_env_with<A, E>(&self, agent: &mut A, env: E, io: RunIo<'_>) -> Result<RunResult>
+    where
+        A: Agent + ?Sized,
+        E: Environment + Clone + Send,
+    {
+        if self.config.jobs == 1 {
+            let mut env = env;
+            self.run_with(agent, &mut env, io)
+        } else {
+            self.run_with(agent, &mut EnvPool::new(env, self.config.jobs), io)
+        }
+    }
+
+    /// [`SearchLoop::run_with`] without journal or screener.
     pub fn run<A, E>(&self, agent: &mut A, eval: &mut E) -> RunResult
     where
         A: Agent + ?Sized,
         E: BatchEvaluator + ?Sized,
     {
-        self.drive(agent, eval, None, None)
-            .expect("journal-less runs cannot fail")
+        self.run_with(agent, eval, RunIo::default())
+            .expect(JOURNAL_LESS)
     }
 
-    /// Run `agent` against `env`, honoring the config's
-    /// [`jobs`](RunConfig::jobs) knob: `jobs == 1` evaluates serially,
-    /// anything else fans batches across an [`EnvPool`] of cloned
-    /// replicas. Takes the environment by value (the pool needs to own
-    /// its replicas); the report is bit-identical at any job count.
-    pub fn run_pooled<A, E>(&self, agent: &mut A, env: E) -> RunResult
-    where
-        A: Agent + ?Sized,
-        E: Environment + Clone + Send,
-    {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run(agent, &mut env)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run(agent, &mut pool)
-        }
-    }
-
-    /// Like [`SearchLoop::run`], but journaled to `path` and resumable:
-    /// every proposed batch is logged *before* evaluation and every
-    /// settled result after it, so a crashed or killed run restarts
-    /// from its last completed evaluation instead of from scratch.
-    ///
-    /// If `path` holds a journal from an earlier (interrupted) run of
-    /// the *same* configuration, that prefix is replayed — the agent
-    /// re-proposes deterministically, journaled results are fed back to
-    /// it without touching the simulator, and only the un-journaled
-    /// tail is evaluated live. The final report is bit-identical (best
-    /// action, trajectory, dataset) to an uninterrupted run. A journal
-    /// written by a different env/agent/budget/batch errors rather than
-    /// silently mixing runs.
-    pub fn run_resumable<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: BatchEvaluator + ?Sized,
-    {
-        let mut journal = RunJournal::open_with(
-            path,
-            std::sync::Arc::clone(&self.journal_io),
-            self.durability,
-        )?;
-        self.drive(agent, eval, Some(&mut journal), None)
-    }
-
-    /// [`SearchLoop::run_resumable`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob, mirroring
-    /// [`SearchLoop::run_pooled`].
-    pub fn run_resumable_pooled<A, E>(
-        &self,
-        agent: &mut A,
-        env: E,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: Environment + Clone + Send,
-    {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run_resumable(agent, &mut env, path)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_resumable(agent, &mut pool, path)
-        }
-    }
-
-    /// Like [`SearchLoop::run`], but with an online proxy screen: once
-    /// `screener` has warmed up on the run's own settled samples, each
-    /// proposal batch is over-sampled, ranked through the proxy, and
-    /// only the admitted slice (top-k by predicted reward plus an
-    /// uncertainty exploration slice) reaches the true evaluator. The
-    /// screened run is deterministic per seed and bit-identical across
-    /// serial/pooled evaluation, like every other entry point.
+    /// [`SearchLoop::run_with`] with a screener and no journal.
     pub fn run_screened<A, E>(
         &self,
         agent: &mut A,
@@ -461,85 +430,36 @@ impl SearchLoop {
         A: Agent + ?Sized,
         E: BatchEvaluator + ?Sized,
     {
-        self.drive(agent, eval, None, Some(screener))
-            .expect("journal-less runs cannot fail")
+        self.run_with(agent, eval, RunIo::screened(screener))
+            .expect(JOURNAL_LESS)
     }
 
-    /// [`SearchLoop::run_screened`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob, mirroring
-    /// [`SearchLoop::run_pooled`].
-    pub fn run_screened_pooled<A, E>(
-        &self,
-        agent: &mut A,
-        env: E,
-        screener: &mut dyn Screener,
-    ) -> RunResult
+    /// [`SearchLoop::run_env_with`] without journal or screener.
+    pub fn run_pooled<A, E>(&self, agent: &mut A, env: E) -> RunResult
     where
         A: Agent + ?Sized,
         E: Environment + Clone + Send,
     {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run_screened(agent, &mut env, screener)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_screened(agent, &mut pool, screener)
-        }
+        self.run_env_with(agent, env, RunIo::default())
+            .expect(JOURNAL_LESS)
     }
 
-    /// [`SearchLoop::run_screened`] journaled to `path` and resumable:
-    /// admission decisions are journaled as `screen` records alongside
-    /// the batches they govern, so a killed screened run resumes
-    /// bit-identically at every crash prefix.
+    /// [`SearchLoop::run_env_with`] journaled to `path`, unscreened.
     ///
     /// # Errors
     ///
-    /// Returns [`ArchGymError::Journal`] on journal I/O failures or
-    /// when the journal belongs to a different run (including a
-    /// different screening decision trace).
-    pub fn run_screened_resumable<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        screener: &mut dyn Screener,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: BatchEvaluator + ?Sized,
-    {
-        let mut journal = RunJournal::open_with(
-            path,
-            std::sync::Arc::clone(&self.journal_io),
-            self.durability,
-        )?;
-        self.drive(agent, eval, Some(&mut journal), Some(screener))
-    }
-
-    /// [`SearchLoop::run_screened_resumable`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob.
-    ///
-    /// # Errors
-    ///
-    /// See [`SearchLoop::run_screened_resumable`].
-    pub fn run_screened_resumable_pooled<A, E>(
+    /// See [`SearchLoop::run_with`].
+    pub fn run_resumable_pooled<A, E>(
         &self,
         agent: &mut A,
         env: E,
-        screener: &mut dyn Screener,
         path: impl AsRef<Path>,
     ) -> Result<RunResult>
     where
         A: Agent + ?Sized,
         E: Environment + Clone + Send,
     {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run_screened_resumable(agent, &mut env, screener, path)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_screened_resumable(agent, &mut pool, screener, path)
-        }
+        self.run_env_with(agent, env, RunIo::journaled(path.as_ref()))
     }
 
     /// Evaluate one proposed batch to completion: evaluate all pending
@@ -659,23 +579,53 @@ impl SearchLoop {
             .collect()
     }
 
-    /// The unified driver behind every entry point: with a journal,
-    /// previously logged batches are replayed (verifying the agent's
-    /// deterministic re-proposals — and any proxy admission decisions —
-    /// against the log) before live evaluation continues; with a
-    /// screener, warmed-up batches are over-sampled and only the
-    /// admitted candidate slice reaches the true evaluator.
-    fn drive<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        mut journal: Option<&mut RunJournal>,
-        mut screener: Option<&mut dyn Screener>,
-    ) -> Result<RunResult>
+    /// Run `agent` against `eval` until the sample budget is exhausted
+    /// or the agent stops proposing. This is the single search entry
+    /// point; every other method forwards here.
+    ///
+    /// `eval` is any [`BatchEvaluator`] — a plain [`Environment`]
+    /// (evaluated serially, via the blanket impl) or an [`EnvPool`]
+    /// (evaluated in parallel). Both yield bit-identical reports.
+    /// Failed evaluations are retried and degraded per the config's
+    /// [`RetryPolicy`].
+    ///
+    /// With [`RunIo::journal`], the run is journaled and resumable:
+    /// every proposed batch is logged *before* evaluation and every
+    /// settled result after it. If the path holds a journal from an
+    /// earlier (interrupted) run of the *same* configuration, that
+    /// prefix is replayed — the agent re-proposes deterministically,
+    /// journaled results are fed back without touching the simulator,
+    /// and only the un-journaled tail is evaluated live — so the report
+    /// is bit-identical to an uninterrupted run.
+    ///
+    /// With [`RunIo::screener`], once the screener has warmed up on the
+    /// run's own settled samples, each proposal batch is over-sampled,
+    /// ranked through the proxy, and only the admitted slice (top-k by
+    /// predicted reward plus an uncertainty exploration slice) reaches
+    /// the true evaluator. Admission decisions are journaled as
+    /// `screen` records, so screened runs resume bit-identically too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchGymError::Journal`] on journal I/O failures or
+    /// when the journal belongs to a different run (different
+    /// env/agent/budget/batch, or a diverging agent or screening
+    /// decision trace). Journal-less runs never fail.
+    pub fn run_with<A, E>(&self, agent: &mut A, eval: &mut E, io: RunIo<'_>) -> Result<RunResult>
     where
         A: Agent + ?Sized,
         E: BatchEvaluator + ?Sized,
     {
+        let mut journal_file = match io.journal {
+            Some(path) => Some(RunJournal::open_with(
+                path,
+                std::sync::Arc::clone(&self.journal_io),
+                self.durability,
+            )?),
+            None => None,
+        };
+        let mut journal = journal_file.as_mut();
+        let mut screener = io.screener;
         let start = Instant::now();
         let policy = self.config.retry;
         // Install the telemetry handle on every layer reachable from
@@ -1367,7 +1317,8 @@ mod tests {
             let mut agent = RandomWalker::new(env.space().clone(), 3);
             let mut screen = MockScreen::new(ScreenPolicy::default().warmup(32));
             let pooled = SearchLoop::new(RunConfig::with_budget(80).jobs(jobs))
-                .run_screened_pooled(&mut agent, env, &mut screen);
+                .run_env_with(&mut agent, env, RunIo::screened(&mut screen))
+                .unwrap();
             assert_eq!(dewalled(pooled), dewalled(reference.clone()), "jobs={jobs}");
         }
     }
@@ -1407,7 +1358,14 @@ mod tests {
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(policy);
             SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(
+                    &mut agent,
+                    &mut env,
+                    RunIo {
+                        journal: Some(&path),
+                        screener: Some(&mut screen),
+                    },
+                )
                 .unwrap();
         }
         let full = std::fs::read_to_string(&path).unwrap();
@@ -1422,7 +1380,14 @@ mod tests {
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(policy);
             let resumed = SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(
+                    &mut agent,
+                    &mut env,
+                    RunIo {
+                        journal: Some(&path),
+                        screener: Some(&mut screen),
+                    },
+                )
                 .unwrap();
             assert_eq!(
                 dewalled(resumed),
@@ -1443,7 +1408,14 @@ mod tests {
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(ScreenPolicy::default().warmup(16));
             SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(
+                    &mut agent,
+                    &mut env,
+                    RunIo {
+                        journal: Some(&path),
+                        screener: Some(&mut screen),
+                    },
+                )
                 .unwrap();
         }
         let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
@@ -1451,7 +1423,7 @@ mod tests {
         // The oversampled proposals cannot replay under a plain run, so
         // the resume fails loudly instead of silently diverging.
         let err = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
         cleanup_journal(&path);
@@ -1598,7 +1570,7 @@ mod tests {
         let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let journaled = SearchLoop::new(RunConfig::with_budget(50))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap();
         assert_eq!(dewalled(journaled), dewalled(plain));
         cleanup_journal(&path);
@@ -1612,13 +1584,13 @@ mod tests {
             let mut env = CountingEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]));
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(config.clone())
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, &mut env, RunIo::journaled(&path))
                 .unwrap()
         };
         let mut env = CountingEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]));
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let replayed = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap();
         assert_eq!(env.samples(), 0, "full replay must not re-evaluate");
         assert_eq!(dewalled(replayed), dewalled(first));
@@ -1637,7 +1609,7 @@ mod tests {
             let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(48))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, &mut env, RunIo::journaled(&path))
                 .unwrap();
         }
         // Simulate a crash: keep only a prefix of the journal, cutting
@@ -1653,7 +1625,7 @@ mod tests {
         let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let resumed = SearchLoop::new(RunConfig::with_budget(48))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap();
         assert_eq!(dewalled(resumed), dewalled(reference));
         cleanup_journal(&path);
@@ -1666,13 +1638,13 @@ mod tests {
             let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(32))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, &mut env, RunIo::journaled(&path))
                 .unwrap();
         }
         let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let err = SearchLoop::new(RunConfig::with_budget(64))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap_err();
         assert!(matches!(err, ArchGymError::Journal(_)));
         assert!(err.to_string().contains("different run"), "{err}");
@@ -1686,14 +1658,14 @@ mod tests {
             let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(32))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, &mut env, RunIo::journaled(&path))
                 .unwrap();
         }
         // Same configuration, different agent seed → different proposals.
         let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 6);
         let err = SearchLoop::new(RunConfig::with_budget(32))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
         cleanup_journal(&path);
@@ -1722,7 +1694,7 @@ mod tests {
             let mut env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(config.clone())
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, &mut env, RunIo::journaled(&path))
                 .unwrap();
         }
         let full = std::fs::read_to_string(&path).unwrap();
@@ -1734,7 +1706,7 @@ mod tests {
         let mut env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let resumed = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, &mut env, RunIo::journaled(&path))
             .unwrap();
         assert_eq!(resumed.best_reward, reference.best_reward);
         assert_eq!(resumed.best_action, reference.best_action);

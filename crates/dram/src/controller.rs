@@ -267,12 +267,12 @@ impl MemoryController {
 
     /// The engine [`MemoryController::simulate`] dispatches to: the SoA
     /// engine whenever the configuration shape fits its bitmask limits,
-    /// otherwise the always-capable indexed engine.
+    /// otherwise the always-capable reference engine.
     pub fn default_engine(&self) -> EngineKind {
         if EngineKind::Soa.supports(&self.ctx()) {
             EngineKind::Soa
         } else {
-            EngineKind::Indexed
+            EngineKind::Reference
         }
     }
 
@@ -852,6 +852,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shapes_beyond_the_soa_limits_fall_back_to_the_reference_engine() {
+        // No bundled env space reaches these shapes: > 32 buffer slots,
+        // or DDR4's 16 banks × 8 ranks = 128 > 64 bank lanes. Dispatch
+        // must stay total and exact there. The largest shape that still
+        // fits (64 banks, 32 slots) must keep the SoA engine.
+        let tr = trace(DramWorkload::Cloud2, 26);
+        let oversized = [
+            MemoryController::new(with(|c| c.request_buffer_size = 48)),
+            MemoryController::new(ControllerConfig::default())
+                .timing(DeviceTiming::ddr4_2400())
+                .topology(Topology::new(1, 8)),
+        ];
+        for controller in &oversized {
+            assert_eq!(controller.default_engine(), EngineKind::Reference);
+            let oracle = controller.simulate_linear_scan(&tr);
+            assert_eq!(controller.simulate(&tr), oracle);
+            assert_eq!(controller.simulate_with(EngineKind::Soa, &tr), oracle);
+        }
+        let widest = MemoryController::new(with(|c| c.request_buffer_size = 32))
+            .topology(Topology::new(1, 8));
+        assert_eq!(widest.default_engine(), EngineKind::Soa);
+        assert_eq!(widest.simulate(&tr), widest.simulate_linear_scan(&tr));
     }
 
     #[test]

@@ -1,28 +1,21 @@
-//! Pluggable DRAM timing engines behind the [`TimingEngine`] trait.
+//! The DRAM timing engines behind one [`EngineKind`] dispatch.
 //!
 //! The memory controller's transaction-level simulation is the hottest
 //! path in the repository — every search, sweep, compare and daemon job
-//! bottoms out in it — so it exists in three implementations that must
-//! produce **bit-identical** results:
+//! bottoms out in it — so it exists as one fast engine plus the oracle
+//! it is tested against. Both must produce **bit-identical** results:
 //!
 //! * [`EngineKind::Reference`] — the naive linear-scan oracle: every
 //!   scheduling decision rescans the flat request buffer. Slow, obviously
-//!   correct, and the baseline every other engine is tested against.
-//! * [`EngineKind::Indexed`] — per-bank indexed queues over a slab with a
-//!   fused visibility/class/arbiter walk (PR 3's engine).
+//!   correct, and the baseline the fast engine is tested against.
 //! * [`EngineKind::Soa`] — the data-oriented engine: flat
 //!   structure-of-arrays bank state, a pooled bitmask request arena
 //!   scanned with `trailing_zeros`, and a monotone [`EventWheel`] for
 //!   outstanding completions. The default whenever the configuration
 //!   shape allows it (≤ [`soa::MAX_BANKS`] banks, ≤ [`soa::MAX_SLOTS`]
-//!   buffer entries).
-//!
-//! The split mirrors an executor-backend design (one trait, several
-//! increasingly specialized backends), so a SIMD lane or GPU backend is a
-//! later drop-in: implement [`TimingEngine`], add an [`EngineKind`], and
-//! the equivalence suite does the rest.
+//!   buffer entries); larger shapes fall back to the reference engine.
+//!   Every bundled env space fits those limits.
 
-mod indexed;
 mod reference;
 pub(crate) mod soa;
 mod wheel;
@@ -39,31 +32,28 @@ use crate::trace::MemoryRequest;
 pub enum EngineKind {
     /// Linear-scan oracle (slow, the correctness baseline).
     Reference,
-    /// Per-bank indexed queues over a slab (PR 3).
-    Indexed,
-    /// Structure-of-arrays bitmask engine (fastest; shape-limited).
+    /// Structure-of-arrays bitmask engine (fast; shape-limited).
     Soa,
 }
 
 impl EngineKind {
     /// All engines, slowest first.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Reference, EngineKind::Indexed, EngineKind::Soa];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Reference, EngineKind::Soa];
 
     /// Stable display name (used by bench scenario labels).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Indexed => "indexed",
             EngineKind::Soa => "soa",
         }
     }
 
     /// Whether this engine supports the given controller shape. The
-    /// dispatcher falls back to [`EngineKind::Indexed`] (always capable)
-    /// when the preferred engine cannot run a configuration.
+    /// dispatcher falls back to [`EngineKind::Reference`] (always
+    /// capable) when the preferred engine cannot run a configuration.
     pub fn supports(self, ctx: &EngineCtx<'_>) -> bool {
         match self {
-            EngineKind::Reference | EngineKind::Indexed => true,
+            EngineKind::Reference => true,
             EngineKind::Soa => {
                 ctx.mapping.banks() <= soa::MAX_BANKS
                     && ctx.config.request_buffer_size <= soa::MAX_SLOTS
@@ -71,18 +61,16 @@ impl EngineKind {
         }
     }
 
-    /// Run this engine over `trace`, falling back to the indexed engine
-    /// when the shape is unsupported (so dispatch is total). The SoA
-    /// arena stores arrival ids as `u32`, so gigantic traces also fall
-    /// back.
+    /// Run this engine over `trace`, falling back to the reference
+    /// engine when the shape is unsupported (so dispatch is total). The
+    /// SoA arena stores arrival ids as `u32`, so gigantic traces also
+    /// fall back.
     pub fn run(self, ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
         match self {
-            EngineKind::Reference => reference::run(ctx, trace),
-            EngineKind::Indexed => indexed::run(ctx, trace),
             EngineKind::Soa if self.supports(ctx) && trace.len() <= u32::MAX as usize => {
                 soa::run(ctx, trace)
             }
-            EngineKind::Soa => indexed::run(ctx, trace),
+            EngineKind::Reference | EngineKind::Soa => reference::run(ctx, trace),
         }
     }
 }
@@ -118,29 +106,8 @@ pub struct RawRun {
     pub row_conflicts: u64,
 }
 
-/// A transaction-level DRAM timing engine. Implementations must be
-/// bit-identical to [`EngineKind::Reference`] over every supported
-/// configuration — the equivalence tests and proptests in
-/// `controller.rs` enforce this, and CI re-runs them in release mode
-/// with 512 cases.
-pub trait TimingEngine {
-    /// Stable display name.
-    fn name(&self) -> &'static str;
-    /// Simulate `trace` to completion.
-    fn run(&self, ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun;
-}
-
-impl TimingEngine for EngineKind {
-    fn name(&self) -> &'static str {
-        EngineKind::name(*self)
-    }
-    fn run(&self, ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
-        EngineKind::run(*self, ctx, trace)
-    }
-}
-
-/// One buffered request, as the scalar (array-of-structs) engines store
-/// it. The SoA engine splits these fields across parallel arrays.
+/// One buffered request, as the reference (array-of-structs) engine
+/// stores it. The SoA engine splits these fields across parallel arrays.
 #[derive(Debug, Clone)]
 pub(crate) struct Pending {
     pub id: usize,
@@ -149,7 +116,7 @@ pub(crate) struct Pending {
     pub is_write: bool,
 }
 
-/// Per-bank timing state for the scalar engines.
+/// Per-bank timing state for the reference engine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Bank {
     pub open_row: Option<u64>,

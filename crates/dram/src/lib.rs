@@ -13,9 +13,9 @@
 //!   schedulers, page policies, arbiter, response queue, refresh policies —
 //!   exactly the ten parameters of the paper's Fig. 3(a) — plus the
 //!   channel/rank [`Topology`] axes of the extended space.
-//! * [`engine`] — the pluggable timing engines behind the controller:
-//!   a linear-scan reference oracle, the per-bank indexed engine and the
-//!   data-oriented structure-of-arrays engine, all bit-identical.
+//! * [`engine`] — the timing engines behind the controller: the
+//!   data-oriented structure-of-arrays engine and the linear-scan
+//!   reference oracle it is bit-identical to.
 //! * [`power`] — activate/read/write/refresh energy and background power
 //!   accounting.
 //! * [`mod@env`] — [`DramEnv`], the ArchGym [`Environment`] exposing
@@ -49,7 +49,7 @@ pub use controller::{
     SchedulerBuffer, SimStats,
 };
 pub use device::{AddressMapping, BankState, DeviceTiming, Topology};
-pub use engine::{EngineKind, EventWheel, TimingEngine};
+pub use engine::{EngineKind, EventWheel};
 pub use env::{decode_topology, dram_space, dram_space_extended, DramEnv, Objective};
 pub use trace::{
     characterize, read_trace, write_trace, DramWorkload, MemoryRequest, TraceConfig, TraceStats,

@@ -7,7 +7,7 @@ use archgym_core::agent::Agent;
 use archgym_core::env::Environment;
 use archgym_core::fault::{FaultPlan, FaultyEnv};
 use archgym_core::journal::RunJournal;
-use archgym_core::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
+use archgym_core::search::{RetryPolicy, RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::space::ParamSpace;
 use archgym_dram::{DramEnv, DramWorkload, Objective};
 use std::fs;
@@ -63,7 +63,7 @@ fn resuming_from_every_crash_prefix_is_bit_identical() {
     let env = dram();
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut dram(), &path)
+        .run_with(&mut *reference_agent, &mut dram(), RunIo::journaled(&path))
         .unwrap();
     let full = fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = full.lines().collect();
@@ -79,7 +79,7 @@ fn resuming_from_every_crash_prefix_is_bit_identical() {
         fs::write(&partial, lines[..cut].join("\n") + "\n").unwrap();
         let mut resumed_agent = agent(env.space());
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut dram(), &partial)
+            .run_with(&mut *resumed_agent, &mut dram(), RunIo::journaled(&partial))
             .unwrap();
         assert_identical(&reference, &resumed, &format!("cut after line {cut}"));
         cleanup(&partial);
@@ -94,7 +94,7 @@ fn resuming_a_mid_line_truncation_is_bit_identical() {
     let env = dram();
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut dram(), &path)
+        .run_with(&mut *reference_agent, &mut dram(), RunIo::journaled(&path))
         .unwrap();
     let full = fs::read(&path).unwrap();
 
@@ -104,7 +104,7 @@ fn resuming_a_mid_line_truncation_is_bit_identical() {
         fs::write(&partial, &full[..cut]).unwrap();
         let mut resumed_agent = agent(env.space());
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut dram(), &partial)
+            .run_with(&mut *resumed_agent, &mut dram(), RunIo::journaled(&partial))
             .unwrap();
         assert_identical(&reference, &resumed, &format!("torn at byte {cut}"));
         cleanup(&partial);
@@ -125,7 +125,11 @@ fn resume_survives_injected_faults() {
     let env = FaultyEnv::new(dram(), plan);
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut env.clone(), &path)
+        .run_with(
+            &mut *reference_agent,
+            &mut env.clone(),
+            RunIo::journaled(&path),
+        )
         .unwrap();
     assert!(reference.eval_failures > 0, "faults must fire");
     assert_eq!(reference.degraded_samples, 0, "scenario must not degrade");
@@ -139,7 +143,11 @@ fn resume_survives_injected_faults() {
         let mut resumed_agent = agent(env.space());
         let mut resumed_env = FaultyEnv::new(dram(), plan);
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut resumed_env, &partial)
+            .run_with(
+                &mut *resumed_agent,
+                &mut resumed_env,
+                RunIo::journaled(&partial),
+            )
             .unwrap();
         assert_identical(&reference, &resumed, &format!("faulty cut at {cut}"));
         cleanup(&partial);
@@ -153,12 +161,12 @@ fn a_journal_from_a_different_run_is_rejected() {
     let env = dram();
     let mut a = agent(env.space());
     SearchLoop::new(config(32))
-        .run_resumable(&mut *a, &mut dram(), &path)
+        .run_with(&mut *a, &mut dram(), RunIo::journaled(&path))
         .unwrap();
     // Same journal, different budget: refuse rather than silently mix.
     let mut b = agent(env.space());
     let err = SearchLoop::new(config(64))
-        .run_resumable(&mut *b, &mut dram(), &path)
+        .run_with(&mut *b, &mut dram(), RunIo::journaled(&path))
         .unwrap_err();
     assert!(
         err.to_string().contains("different run"),
@@ -174,13 +182,13 @@ fn a_finished_journal_replays_without_re_evaluating() {
     let env = dram();
     let mut a = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *a, &mut dram(), &path)
+        .run_with(&mut *a, &mut dram(), RunIo::journaled(&path))
         .unwrap();
     // Replaying the complete journal touches the simulator zero times.
     let mut b = agent(env.space());
     let mut counter = archgym_core::env::CountingEnv::new(dram());
     let replayed = SearchLoop::new(config(budget))
-        .run_resumable(&mut *b, &mut counter, &path)
+        .run_with(&mut *b, &mut counter, RunIo::journaled(&path))
         .unwrap();
     assert_identical(&reference, &replayed, "full replay");
     assert_eq!(counter.samples(), 0, "replay must not re-evaluate");

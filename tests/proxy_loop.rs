@@ -17,7 +17,7 @@ use archgym_core::agent::RandomWalker;
 use archgym_core::env::Environment;
 use archgym_core::journal::RunJournal;
 use archgym_core::screen::ScreenPolicy;
-use archgym_core::search::{RunConfig, RunResult, SearchLoop};
+use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::toy::PeakEnv;
 use archgym_dram::{DramEnv, DramWorkload, Objective};
 use archgym_proxy::OnlineProxy;
@@ -103,11 +103,9 @@ fn screened_dram_run(jobs: usize) -> RunResult {
     let mut agent = build_agent(AgentKind::Ga, env.space(), &Default::default(), 7).unwrap();
     let policy = ScreenPolicy::default().warmup(32).revalidate_every(4);
     let mut screener = OnlineProxy::with_defaults(policy, 7).unwrap();
-    SearchLoop::new(RunConfig::with_budget(128).jobs(jobs)).run_screened_pooled(
-        &mut *agent,
-        env,
-        &mut screener,
-    )
+    SearchLoop::new(RunConfig::with_budget(128).jobs(jobs))
+        .run_env_with(&mut *agent, env, RunIo::screened(&mut screener))
+        .unwrap()
 }
 
 #[test]
@@ -133,7 +131,14 @@ fn screened_resumable_run(path: &Path) -> RunResult {
     let policy = ScreenPolicy::default().warmup(24).revalidate_every(3);
     let mut screener = OnlineProxy::with_defaults(policy, 9).unwrap();
     SearchLoop::new(RunConfig::with_budget(96))
-        .run_screened_resumable_pooled(&mut *agent, env, &mut screener, path)
+        .run_env_with(
+            &mut *agent,
+            env,
+            RunIo {
+                journal: Some(path),
+                screener: Some(&mut screener),
+            },
+        )
         .unwrap()
 }
 
