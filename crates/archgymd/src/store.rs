@@ -6,7 +6,6 @@
 //! ```text
 //! <state_dir>/job-3.job        accepted submission (tenant, name, spec)
 //! <state_dir>/job-3.jsonl      write-ahead run journal (search jobs)
-//! <state_dir>/job-3.jsonl.snap latest journal snapshot
 //! <state_dir>/job-3-<agent>.jsonl   per-agent journals (compare jobs)
 //! <state_dir>/job-3.done       terminal outcome (state, best reward)
 //! ```

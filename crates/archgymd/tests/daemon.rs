@@ -401,7 +401,6 @@ fn restart_resumes_interrupted_jobs_bit_identically() {
     // Torn tail: half a record, as if the write was cut mid-line.
     truncated.push_str(&lines[keep][..lines[keep].len() / 2]);
     std::fs::write(&journal_path, truncated).expect("truncate journal");
-    let _ = std::fs::remove_file(dir.join(format!("{job}.jsonl.snap")));
 
     // Restart over the same state dir: the job comes back queued, runs,
     // and finishes with the exact same reward.
@@ -474,7 +473,7 @@ fn restart_resumes_screened_jobs_bit_identically() {
     daemon.stop();
 
     // Forge the crash exactly like the unscreened resume test: drop the
-    // outcome, keep half the journal plus a torn tail, drop the snapshot.
+    // outcome, keep half the journal plus a torn tail.
     std::fs::remove_file(dir.join(format!("{job}.done"))).expect("remove outcome");
     let journal_path = dir.join(format!("{job}.jsonl"));
     let journal = std::fs::read_to_string(&journal_path).expect("read journal");
@@ -489,7 +488,6 @@ fn restart_resumes_screened_jobs_bit_identically() {
     truncated.push('\n');
     truncated.push_str(&lines[keep][..lines[keep].len() / 2]);
     std::fs::write(&journal_path, truncated).expect("truncate journal");
-    let _ = std::fs::remove_file(dir.join(format!("{job}.jsonl.snap")));
 
     let mut daemon = Daemon::boot(&dir, 1, QuotaPolicy::default());
     let (state, resumed, samples, _) = watch_to_done(&daemon.addr, job);

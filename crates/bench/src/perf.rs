@@ -645,7 +645,7 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
 
     // --- proxy: the online surrogate screening layer ------------------
     // Its three costs, isolated then end-to-end: fitting the screening
-    // forest from run-sized training data, flat-forest batch prediction
+    // forest from run-sized training data, batch prediction
     // over an oversampled candidate set (the per-batch screening cost),
     // and a whole screened search. New names self-bootstrap under the
     // gate: the first recorded run becomes the baseline.
@@ -680,7 +680,6 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     });
 
     let forest = archgym_proxy::RandomForest::fit(&xs, &ys, &fit_config, 42)?;
-    let flat = archgym_proxy::FlatForest::from_forest(&forest);
     let candidate_n: usize = if quick { 128 } else { 256 };
     let candidates: Vec<Action> = (0..candidate_n)
         .map(|_| batched_space.sample(&mut proxy_rng))
@@ -688,7 +687,7 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     let (mut means, mut vars, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
     let predict_reps: u64 = if quick { 100 } else { 1_000 };
     let (per_rep, checksum) = timed_batches(10, predict_reps / 10, || {
-        flat.predict_action_stats(&candidates, &mut means, &mut vars, &mut scratch);
+        forest.predict_action_stats(&candidates, &mut means, &mut vars, &mut scratch);
         means[0]
     });
     assert!(checksum.is_finite());

@@ -1439,6 +1439,29 @@ mod tests {
     }
 
     #[test]
+    fn proxy_rejects_ragged_and_zero_width_datasets() {
+        let dir = std::env::temp_dir().join("archgym-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let line = |action: &str| {
+            format!(
+                "{{\"env\":\"dram/random\",\"agent\":\"ga\",\"action\":{action},\
+                 \"observation\":[1.0,2.0],\"reward\":1.0,\"feasible\":true}}\n"
+            )
+        };
+        let ragged: String = (0..24)
+            .map(|i| line(if i % 2 == 0 { "[1,2]" } else { "[3]" }))
+            .collect();
+        let empty: String = (0..24).map(|_| line("[]")).collect();
+        for (name, body) in [("ragged.jsonl", ragged), ("zero-width.jsonl", empty)] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            let err = run_line(&["proxy", "--dataset", path.to_str().unwrap()]).unwrap_err();
+            assert!(matches!(err, ArchGymError::Dataset(_)), "{name}: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
     fn helpful_errors() {
         assert!(run_line(&["destroy"]).is_err());
         assert!(run_line(&["search", "--agent", "ga"]).is_err()); // missing env
@@ -1768,7 +1791,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.jsonl");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(dir.join("run.jsonl.snap"));
         let path = path.to_str().unwrap();
         let line = |extra: &[&str]| {
             let mut cmd = vec![
@@ -1803,6 +1825,5 @@ mod tests {
         let resumed = line(&["--journal", path, "--resume", "true"]).unwrap();
         assert_eq!(strip(&plain), strip(&resumed));
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(dir.join("run.jsonl.snap"));
     }
 }

@@ -4,10 +4,8 @@
 //! A journal is an append-only JSONL file: a header record naming the
 //! run configuration, then for each evaluated batch a `batch` record
 //! (the proposed actions, written *before* evaluation — write-ahead)
-//! followed by one `step` record per settled evaluation. Alongside the
-//! log, a compact snapshot (`<journal>.snap`) is refreshed after every
-//! batch via the atomic tmp+rename idiom, so a reader can always find a
-//! consistent best-so-far without replaying the log.
+//! followed by one `step` record per settled evaluation. The log is the
+//! only state: a resumed run replays it to rebuild the best-so-far.
 //!
 //! Every line is checksum-framed (`<8-hex-crc32>|<json>`, see
 //! [`crate::storeio`]) and verified on replay, so corruption anywhere
@@ -23,10 +21,9 @@
 //! an undamaged run.
 //!
 //! All file operations go through the [`StoreIo`] seam, so the chaos
-//! suite can inject deterministic write/rename/fsync faults; the
-//! fsync policy is a [`Durability`] knob (`none` / `batch` / `always`)
-//! applied at write-ahead batch boundaries and before every
-//! tmp+rename.
+//! suite can inject deterministic write/fsync faults; the fsync policy
+//! is a [`Durability`] knob (`none` / `batch` / `always`) applied at
+//! write-ahead batch boundaries.
 //!
 //! The records are encoded with the hand-rolled JSON codec in
 //! [`crate::codec`] rather than serde: the journal must keep working in
@@ -261,80 +258,6 @@ impl JournalRecord {
     }
 }
 
-/// The periodic best-so-far snapshot written next to the log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// Samples settled so far.
-    pub samples: u64,
-    /// Best reward seen so far.
-    pub best_reward: f64,
-    /// Action achieving the best reward.
-    pub best_action: Vec<usize>,
-    /// Observation of the best action.
-    pub best_observation: Vec<f64>,
-    /// Retry rounds consumed so far.
-    pub eval_retries: u64,
-    /// Failed evaluation outcomes so far.
-    pub eval_failures: u64,
-    /// Samples degraded to the penalty so far.
-    pub degraded_samples: u64,
-}
-
-impl Snapshot {
-    fn to_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"samples\":{},\"best_reward\":", self.samples);
-        push_json_f64(&mut out, self.best_reward);
-        out.push_str(",\"best_action\":[");
-        for (i, v) in self.best_action.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push_str("],\"best_observation\":[");
-        for (i, v) in self.best_observation.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_f64(&mut out, *v);
-        }
-        let _ = write!(
-            out,
-            "],\"eval_retries\":{},\"eval_failures\":{},\"degraded_samples\":{}}}",
-            self.eval_retries, self.eval_failures, self.degraded_samples
-        );
-        out
-    }
-
-    fn from_line(line: &str) -> Result<Self> {
-        Self::decode(line).map_err(bad)
-    }
-
-    fn decode(line: &str) -> std::result::Result<Self, String> {
-        let value = parse_json(line)?;
-        Ok(Snapshot {
-            samples: value.field("samples")?.as_u64()?,
-            best_reward: value.field("best_reward")?.as_f64()?,
-            best_action: value
-                .field("best_action")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_usize)
-                .collect::<std::result::Result<Vec<_>, String>>()?,
-            best_observation: value
-                .field("best_observation")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_f64)
-                .collect::<std::result::Result<Vec<_>, String>>()?,
-            eval_retries: value.field("eval_retries")?.as_u64()?,
-            eval_failures: value.field("eval_failures")?.as_u64()?,
-            degraded_samples: value.field("degraded_samples")?.as_u64()?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // RunJournal
 // ---------------------------------------------------------------------------
@@ -344,7 +267,6 @@ impl Snapshot {
 /// proceeds.
 pub struct RunJournal {
     path: PathBuf,
-    io: Arc<dyn StoreIo>,
     durability: Durability,
     file: Box<dyn AppendFile>,
     records: Vec<JournalRecord>,
@@ -510,7 +432,6 @@ impl RunJournal {
 
         Ok(RunJournal {
             path,
-            io,
             durability,
             file,
             records,
@@ -595,71 +516,6 @@ impl RunJournal {
         }
         Ok(())
     }
-
-    /// The snapshot path paired with a journal path.
-    pub fn snapshot_path(path: &Path) -> PathBuf {
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(".snap");
-        path.with_file_name(name)
-    }
-
-    /// Atomically replace the best-so-far snapshot (tmp + rename). The
-    /// tmp file is fsynced before the rename under any durability level
-    /// other than [`Durability::None`].
-    pub fn write_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        let snap_path = Self::snapshot_path(&self.path);
-        let mut tmp_name = snap_path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp_path = snap_path.with_file_name(tmp_name);
-        let mut line = frame_line(&snapshot.to_line());
-        line.push('\n');
-        let sync = self.durability != Durability::None;
-        self.io
-            .write_file(&tmp_path, line.as_bytes(), sync)
-            .map_err(|e| bad(format!("cannot write snapshot: {e}")))?;
-        self.io
-            .rename(&tmp_path, &snap_path)
-            .map_err(|e| bad(format!("cannot publish snapshot: {e}")))
-    }
-
-    /// Read the snapshot paired with `path`, if one exists — see
-    /// [`RunJournal::read_snapshot_with`].
-    pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<Snapshot>> {
-        Self::read_snapshot_with(path, &real_io())
-    }
-
-    /// Read the snapshot paired with `path` through `io`, if one
-    /// exists. The snapshot is derived data (the journal is the source
-    /// of truth), so a snapshot that fails its checksum is quarantined
-    /// to `<snapshot>.corrupt` and reported as absent rather than
-    /// failing the open.
-    pub fn read_snapshot_with(
-        path: impl AsRef<Path>,
-        io: &Arc<dyn StoreIo>,
-    ) -> Result<Option<Snapshot>> {
-        let snap_path = Self::snapshot_path(path.as_ref());
-        if !io.exists(&snap_path) {
-            return Ok(None);
-        }
-        let text = io
-            .read_to_string(&snap_path)
-            .map_err(|e| bad(format!("cannot read snapshot: {e}")))?;
-        match unframe_line(text.trim()).map_err(|e| e.to_string()) {
-            Ok(payload) => Snapshot::from_line(payload).map(Some),
-            Err(err) => {
-                io.rename(&snap_path, &corrupt_path(&snap_path))
-                    .map_err(|e| {
-                        bad(format!("corrupt snapshot ({err}); quarantine failed: {e}"))
-                    })?;
-                eprintln!(
-                    "archgym: snapshot {} failed verification ({err}); quarantined to {}",
-                    snap_path.display(),
-                    corrupt_path(&snap_path).display()
-                );
-                Ok(None)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -679,7 +535,6 @@ mod tests {
             std::process::id()
         ));
         let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(RunJournal::snapshot_path(&path));
         path
     }
 
@@ -883,67 +738,6 @@ mod tests {
         assert_eq!(io.stats().total(), 0);
         let _ = fs::remove_file(&path);
         let _ = fs::remove_file(&path2);
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_quarantined_and_reads_as_none() {
-        let path = temp_path("badsnap");
-        let mut journal = RunJournal::open(&path).unwrap();
-        journal.append(&header()).unwrap();
-        let snapshot = Snapshot {
-            samples: 8,
-            best_reward: 0.5,
-            best_action: vec![1],
-            best_observation: vec![0.25],
-            eval_retries: 0,
-            eval_failures: 0,
-            degraded_samples: 0,
-        };
-        journal.write_snapshot(&snapshot).unwrap();
-        let snap_path = RunJournal::snapshot_path(&path);
-        let mut bytes = fs::read(&snap_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        fs::write(&snap_path, &bytes).unwrap();
-        assert_eq!(RunJournal::read_snapshot(&path).unwrap(), None);
-        assert!(corrupt_path(&snap_path).exists());
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_file(corrupt_path(&snap_path));
-    }
-
-    #[test]
-    fn snapshots_are_atomic_and_round_trip() {
-        let path = temp_path("snap");
-        let mut journal = RunJournal::open(&path).unwrap();
-        journal.append(&header()).unwrap();
-        let snapshot = Snapshot {
-            samples: 40,
-            best_reward: 0.1 + 0.2,
-            best_action: vec![3, 1, 4],
-            best_observation: vec![1.5, f64::INFINITY],
-            eval_retries: 7,
-            eval_failures: 9,
-            degraded_samples: 1,
-        };
-        journal.write_snapshot(&snapshot).unwrap();
-        // No tmp file left behind; the published snapshot round-trips.
-        let snap_path = RunJournal::snapshot_path(&path);
-        let mut tmp_name = snap_path.file_name().unwrap().to_os_string();
-        tmp_name.push(".tmp");
-        assert!(!snap_path.with_file_name(tmp_name).exists());
-        let back = RunJournal::read_snapshot(&path).unwrap().unwrap();
-        assert_eq!(back.samples, snapshot.samples);
-        assert_eq!(back.best_reward, snapshot.best_reward);
-        assert_eq!(back.best_action, snapshot.best_action);
-        assert_eq!(back.best_observation, snapshot.best_observation);
-        fs::remove_file(&path).unwrap();
-        fs::remove_file(snap_path).unwrap();
-    }
-
-    #[test]
-    fn missing_snapshot_reads_as_none() {
-        let path = temp_path("nosnap");
-        assert_eq!(RunJournal::read_snapshot(&path).unwrap(), None);
     }
 
     mod properties {

@@ -112,7 +112,7 @@ pub use error::{ArchGymError, Result};
 pub use executor::Executor;
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyEnv};
 pub use jobs::{Admission, JobId, JobKind, JobSpec, JobState, QuotaPolicy, Scheduler, Watchdog};
-pub use journal::{JournalHeader, JournalRecord, JournalStep, RunJournal, Snapshot};
+pub use journal::{JournalHeader, JournalRecord, JournalStep, RunJournal};
 pub use pool::{BatchEvaluator, EnvPool};
 pub use race::{
     rank_lanes, rung_schedule, EnsembleAgent, EnsembleOutcome, LaneOutcome, Race, RaceLane,

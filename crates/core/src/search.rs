@@ -18,9 +18,7 @@ use crate::agent::Agent;
 use crate::codec::Json;
 use crate::env::{Environment, Observation, StepResult};
 use crate::error::{ArchGymError, Result};
-use crate::journal::{
-    JournalHeader, JournalRecord, JournalStep, RunJournal, Snapshot, JOURNAL_VERSION,
-};
+use crate::journal::{JournalHeader, JournalRecord, JournalStep, RunJournal, JOURNAL_VERSION};
 use crate::pool::{BatchEvaluator, EnvPool};
 use crate::screen::{select_admitted, Screener};
 use crate::space::Action;
@@ -359,8 +357,8 @@ impl SearchLoop {
         self
     }
 
-    /// Route journaled runs' journal/snapshot file I/O
-    /// through `io`, builder-style. The default is the real filesystem;
+    /// Route journaled runs' journal file I/O through `io`,
+    /// builder-style. The default is the real filesystem;
     /// tests install a [`FaultyIo`](crate::storeio::FaultyIo) here to
     /// exercise crash/corruption paths deterministically.
     pub fn with_journal_io(mut self, io: std::sync::Arc<dyn crate::storeio::StoreIo>) -> Self {
@@ -987,21 +985,6 @@ impl SearchLoop {
                 }
             }
             agent.observe(&results);
-
-            if let Some(j) = journal.as_deref_mut() {
-                j.write_snapshot(&Snapshot {
-                    samples: samples_used,
-                    best_reward,
-                    best_action: best_action
-                        .as_ref()
-                        .map(|a| a.as_slice().to_vec())
-                        .unwrap_or_default(),
-                    best_observation: best_observation.clone(),
-                    eval_retries,
-                    eval_failures,
-                    degraded_samples,
-                })?;
-            }
         }
 
         if !replay.is_empty() {
@@ -1544,13 +1527,11 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("archgym-search-{tag}-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(RunJournal::snapshot_path(&path));
         path
     }
 
     fn cleanup_journal(path: &std::path::Path) {
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(RunJournal::snapshot_path(path));
     }
 
     /// Strip wall-clock (the only nondeterministic field) for equality.

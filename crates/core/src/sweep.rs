@@ -343,11 +343,8 @@ impl HalvingResult {
 pub struct SuccessiveHalving {
     initial_budget: u64,
     eta: usize,
-    total: Option<u64>,
-    batch: usize,
     seed: u64,
     jobs: usize,
-    batch_jobs: usize,
     cache: Option<Arc<EvalCache>>,
 }
 
@@ -364,38 +361,10 @@ impl SuccessiveHalving {
         SuccessiveHalving {
             initial_budget,
             eta,
-            total: None,
-            batch: 16,
             seed: 0,
             jobs: 1,
-            batch_jobs: 1,
             cache: None,
         }
-    }
-
-    /// Pin the tune to an exact *total* sample budget, builder-style.
-    /// Per-round budgets are then derived from the racing layer's
-    /// [`rung_schedule`](crate::race::rung_schedule) instead of the
-    /// classic `initial_budget * eta^round` progression: the schedule
-    /// splits `total` over the elimination levels and — crucially —
-    /// routes any division remainder into the final winner-only round,
-    /// where the classic integer split silently dropped it. The tune
-    /// then consumes exactly `total` samples (whenever no agent stops
-    /// proposing early).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total == 0`.
-    pub fn total_budget(mut self, total: u64) -> Self {
-        assert!(total > 0, "total budget must be positive");
-        self.total = Some(total);
-        self
-    }
-
-    /// Override the proposal batch size, builder-style.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Override the per-run seed, builder-style.
@@ -409,15 +378,6 @@ impl SuccessiveHalving {
     /// default) runs serially.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Evaluate each *run's* proposal batches over `batch_jobs` workers
-    /// (the [`RunConfig::jobs`] knob of the per-round runs),
-    /// builder-style. Useful in the late rounds, where few candidates
-    /// remain and across-candidate parallelism alone leaves cores idle.
-    pub fn batch_jobs(mut self, batch_jobs: usize) -> Self {
-        self.batch_jobs = batch_jobs;
         self
     }
 
@@ -457,13 +417,6 @@ impl SuccessiveHalving {
         let executor = Executor::new(self.jobs);
         let grid_size = candidates.len() as u64;
         let mut budget = self.initial_budget;
-        // Exact-total mode: per-round budgets come from the racing
-        // layer's rung schedule, which routes the division remainder to
-        // the final winner-only round instead of dropping it.
-        let schedule = self
-            .total
-            .map(|total| crate::race::rung_schedule(candidates.len(), self.eta, total));
-        let mut round_idx = 0usize;
         let mut rounds = Vec::new();
         let mut total_samples = 0u64;
         let mut env_name = String::new();
@@ -472,14 +425,7 @@ impl SuccessiveHalving {
         // current budget and keeps the top 1/eta; the loop exits by
         // yielding the final round's best run directly.
         let (winner_hyper, winner_result) = loop {
-            let round_budget = match &schedule {
-                Some(s) => s[round_idx].slice,
-                None => budget,
-            };
-            let round_config = RunConfig::with_budget(round_budget)
-                .batch(self.batch)
-                .record(false)
-                .jobs(self.batch_jobs);
+            let round_config = RunConfig::with_budget(budget).record(false);
             let outcomes = executor.map(&candidates, |hyper| -> Result<(String, RunResult)> {
                 let env = CachedEnv::with_cache(make_env(), self.cache.clone());
                 let name = env.name().to_owned();
@@ -500,31 +446,18 @@ impl SuccessiveHalving {
                     .expect("NaN reward")
             });
             rounds.push(HalvingRound {
-                budget: round_budget,
+                budget,
                 survivors: scored
                     .iter()
                     .map(|(h, r)| (h.clone(), r.best_reward))
                     .collect(),
             });
-            match &schedule {
-                // Exact-total mode runs the solo winner round (which
-                // holds the remainder) before exiting.
-                Some(_) => {
-                    if scored.len() == 1 {
-                        break scored.remove(0);
-                    }
-                    scored.truncate(halving_keep(scored.len(), self.eta));
-                }
-                None => {
-                    scored.truncate(halving_keep(scored.len(), self.eta));
-                    if scored.len() <= 1 {
-                        break scored.remove(0);
-                    }
-                    budget *= self.eta as u64;
-                }
+            scored.truncate(halving_keep(scored.len(), self.eta));
+            if scored.len() <= 1 {
+                break scored.remove(0);
             }
+            budget *= self.eta as u64;
             candidates = scored.into_iter().map(|(h, _)| h).collect();
-            round_idx += 1;
         };
         let final_budget = rounds.last().map_or(0, |r| r.budget);
 
@@ -729,7 +662,7 @@ mod tests {
     fn cached_halving_matches_uncached() {
         let grid = HyperGrid::new().axis("dummy", [1i64, 2, 3, 4]);
         let run = |cache: Option<Arc<EvalCache>>| {
-            let mut tuner = SuccessiveHalving::new(8, 2).batch(4).jobs(2);
+            let mut tuner = SuccessiveHalving::new(8, 2).jobs(2);
             if let Some(cache) = cache {
                 tuner = tuner.cache(cache);
             }
@@ -934,7 +867,7 @@ mod tests {
         // A grid where the "dummy" hyperparameter is actually the seed,
         // so assignments genuinely differ in quality.
         let grid = HyperGrid::new().axis("dummy", [1i64, 2, 3, 4, 5, 6, 7, 8]);
-        let tuner = SuccessiveHalving::new(8, 2).batch(4);
+        let tuner = SuccessiveHalving::new(8, 2);
         let result = tuner
             .run(
                 "rw",
@@ -972,7 +905,6 @@ mod tests {
         let grid = HyperGrid::new().axis("dummy", [1i64, 2, 3, 4, 5, 6]);
         let run_at = |jobs: usize| {
             SuccessiveHalving::new(8, 2)
-                .batch(4)
                 .jobs(jobs)
                 .run(
                     "rw",
@@ -1045,39 +977,6 @@ mod tests {
     #[should_panic(expected = "eta must be at least 2")]
     fn successive_halving_panics_on_eta_one() {
         let _ = SuccessiveHalving::new(4, 1);
-    }
-
-    #[test]
-    fn total_budget_mode_spends_exactly_the_total_remainder_included() {
-        // 5 candidates, eta 2 → 3 elimination levels (5, 3, 2, 1 with
-        // div_ceil... schedule: 5→3→2→1, 4 levels). 1003 divides into
-        // none of them evenly; the classic per-round integer split
-        // would drop the remainder, the exact schedule must not.
-        let grid = HyperGrid::new().axis("restart", [0i64, 1, 2, 3, 4]);
-        let total = 1003;
-        let result = SuccessiveHalving::new(1, 2)
-            .total_budget(total)
-            .batch(8)
-            .run(
-                "rw",
-                &grid,
-                || PeakEnv::new(&[6, 6], vec![2, 4]),
-                |_h, s| {
-                    Ok(RandomWalker::new(
-                        PeakEnv::new(&[6, 6], vec![2, 4]).space().clone(),
-                        s,
-                    ))
-                },
-            )
-            .unwrap();
-        assert_eq!(result.total_samples, total, "remainder budget was dropped");
-        // The final round is the solo winner holding the remainder, so
-        // it is at least as large as every earlier per-candidate slice.
-        let budgets: Vec<u64> = result.rounds.iter().map(|r| r.budget).collect();
-        assert_eq!(result.rounds.last().unwrap().survivors.len(), 1);
-        for pair in budgets.windows(2) {
-            assert!(pair[1] >= pair[0], "round budgets must be monotone");
-        }
     }
 
     #[test]

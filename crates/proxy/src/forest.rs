@@ -2,6 +2,8 @@
 
 use crate::tree::{RegressionTree, TreeConfig};
 use archgym_core::error::{ArchGymError, Result};
+use archgym_core::executor::Executor;
+use archgym_core::space::Action;
 use archgym_core::stats::rmse;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -30,7 +32,8 @@ impl Default for ForestConfig {
     }
 }
 
-/// A bagged random-forest regressor.
+/// A bagged random-forest regressor. Every prediction walks the flat
+/// node lanes each [`RegressionTree`] was grown into.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
@@ -42,8 +45,9 @@ impl RandomForest {
     ///
     /// # Errors
     ///
-    /// Returns [`ArchGymError::Dataset`] for empty or mismatched data or
-    /// degenerate hyperparameters.
+    /// Returns [`ArchGymError::Dataset`] for empty or mismatched data,
+    /// ragged or zero-width feature rows, or degenerate hyperparameters;
+    /// nothing is grown in those cases.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &ForestConfig, seed: u64) -> Result<Self> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(ArchGymError::Dataset(format!(
@@ -61,6 +65,10 @@ impl RandomForest {
             ));
         }
         let n_features = xs[0].len();
+        if n_features == 0 {
+            return Err(ArchGymError::Dataset("feature rows have zero width".into()));
+        }
+        check_width(xs, n_features)?;
         let features_per_split =
             ((n_features as f64 * config.feature_frac).ceil() as usize).clamp(1, n_features);
         let tree_cfg = TreeConfig {
@@ -71,44 +79,14 @@ impl RandomForest {
         // Each tree gets its own deterministic sub-seed, so training is
         // bit-identical whether it runs on one thread or many.
         let n = xs.len();
-        let fit_one = |tree_idx: usize| -> RegressionTree {
+        let tree_ids: Vec<usize> = (0..config.n_trees).collect();
+        let trees = Executor::new(0).map(&tree_ids, |&tree_idx| {
             let mut rng = archgym_core::seeded_rng(
                 seed ^ (tree_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let mut bx = Vec::with_capacity(n);
-            let mut by = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                bx.push(xs[i].clone());
-                by.push(ys[i]);
-            }
-            RegressionTree::fit_with(&bx, &by, &tree_cfg, &mut rng)
-        };
-        let workers = std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1)
-            .min(config.n_trees);
-        let trees: Vec<RegressionTree> = if workers <= 1 {
-            (0..config.n_trees).map(fit_one).collect()
-        } else {
-            let mut slots: Vec<Option<RegressionTree>> = Vec::new();
-            slots.resize_with(config.n_trees, || None);
-            let chunk = config.n_trees.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (c, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                    let fit_one = &fit_one;
-                    scope.spawn(move || {
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = Some(fit_one(c * chunk + off));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("worker filled every slot"))
-                .collect()
-        };
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            RegressionTree::fit_with(xs, ys, &rows, &tree_cfg, &mut rng)
+        });
         Ok(RandomForest { trees })
     }
 
@@ -119,18 +97,7 @@ impl RandomForest {
 
     /// Predict a batch.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_batch_into(xs, &mut out);
-        out
-    }
-
-    /// Predict a batch into a caller-owned buffer. The buffer is cleared
-    /// and refilled, so a caller in a hot loop pays zero allocation once
-    /// the buffer has reached the batch size.
-    pub fn predict_batch_into(&self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(xs.len());
-        out.extend(xs.iter().map(|x| self.predict(x)));
+        xs.iter().map(|x| self.predict(x)).collect()
     }
 
     /// Predict one row with its ensemble disagreement: the mean over
@@ -150,22 +117,35 @@ impl RandomForest {
         (mean, (sum_sq / n - mean * mean).max(0.0))
     }
 
-    /// Batch [`predict_stats`](Self::predict_stats) into caller-owned
-    /// buffers (cleared and refilled; zero steady-state allocation).
-    pub fn predict_stats_into(&self, xs: &[Vec<f64>], means: &mut Vec<f64>, vars: &mut Vec<f64>) {
+    /// Batch mean/variance over [`Action`]s into caller-owned buffers,
+    /// using `scratch` to hold the feature row — zero allocation once
+    /// all three buffers have warmed to size.
+    ///
+    /// Each action's indices become the feature row (`index as f64`),
+    /// matching how the online proxy trains.
+    pub fn predict_action_stats(
+        &self,
+        candidates: &[Action],
+        means: &mut Vec<f64>,
+        vars: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
+    ) {
         means.clear();
         vars.clear();
-        means.reserve(xs.len());
-        vars.reserve(xs.len());
-        for x in xs {
-            let (mean, var) = self.predict_stats(x);
+        means.reserve(candidates.len());
+        vars.reserve(candidates.len());
+        for action in candidates {
+            scratch.clear();
+            scratch.extend(action.as_slice().iter().map(|&i| i as f64));
+            let (mean, var) = self.predict_stats(scratch);
             means.push(mean);
             vars.push(var);
         }
     }
 
-    pub(crate) fn trees(&self) -> &[RegressionTree] {
-        &self.trees
+    /// Feature width every prediction expects.
+    pub(crate) fn n_features(&self) -> usize {
+        self.trees[0].n_features()
     }
 
     /// Number of trees.
@@ -184,7 +164,8 @@ impl RandomForest {
     ///
     /// # Errors
     ///
-    /// Propagates fit errors; errors if any split is empty.
+    /// Propagates fit errors; errors if any split is empty or a
+    /// validation row's width differs from the training rows'.
     pub fn fit_best(
         train: (&[Vec<f64>], &[f64]),
         valid: (&[Vec<f64>], &[f64]),
@@ -194,6 +175,7 @@ impl RandomForest {
         if valid.0.is_empty() {
             return Err(ArchGymError::Dataset("empty validation split".into()));
         }
+        check_width(valid.0, train.0.first().map_or(0, Vec::len))?;
         let mut rng = archgym_core::seeded_rng(seed);
         let mut best: Option<(RandomForest, ForestConfig, f64)> = None;
         for trial in 0..budget.max(1) {
@@ -210,6 +192,18 @@ impl RandomForest {
             }
         }
         Ok(best.expect("budget >= 1"))
+    }
+}
+
+/// Fails with [`ArchGymError::Dataset`] unless every row of `xs` has
+/// `width` features.
+pub(crate) fn check_width(xs: &[Vec<f64>], width: usize) -> Result<()> {
+    match xs.iter().find(|x| x.len() != width) {
+        Some(x) => Err(ArchGymError::Dataset(format!(
+            "feature row has width {}, expected {width}",
+            x.len()
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -294,14 +288,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_into_matches_the_allocating_batch() {
-        let (xs, ys) = friedman_like(120, 13);
-        let forest =
-            RandomForest::fit(&xs[..100], &ys[..100], &ForestConfig::default(), 3).unwrap();
-        let allocated = forest.predict_batch(&xs[100..]);
-        let mut reused = vec![f64::NAN; 3]; // dirty, wrong-sized scratch
-        forest.predict_batch_into(&xs[100..], &mut reused);
-        assert_eq!(allocated, reused);
+    fn fit_rejects_ragged_and_zero_width_rows() {
+        let config = ForestConfig::default();
+        let ragged = vec![vec![1.0, 2.0], vec![3.0]];
+        let err = RandomForest::fit(&ragged, &[1.0, 2.0], &config, 0).unwrap_err();
+        assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
+        let empty_rows = vec![Vec::new(), Vec::new()];
+        let err = RandomForest::fit(&empty_rows, &[1.0, 2.0], &config, 0).unwrap_err();
+        assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
+        // A validation row narrower than the training rows is caught
+        // before any prediction walks off the end of it.
+        let (xs, ys) = friedman_like(40, 3);
+        let narrow = vec![vec![0.5; 3]];
+        let err = RandomForest::fit_best((&xs, &ys), (&narrow, &[1.0]), 1, 0).unwrap_err();
+        assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
     }
 
     #[test]
@@ -309,13 +309,8 @@ mod tests {
         let (xs, ys) = friedman_like(150, 17);
         let forest =
             RandomForest::fit(&xs[..120], &ys[..120], &ForestConfig::default(), 5).unwrap();
-        let mut means = Vec::new();
-        let mut vars = Vec::new();
-        forest.predict_stats_into(&xs[120..], &mut means, &mut vars);
-        for (x, (&mean, &var)) in xs[120..].iter().zip(means.iter().zip(&vars)) {
-            let (m, v) = forest.predict_stats(x);
-            assert_eq!(mean, m);
-            assert_eq!(var, v);
+        for x in &xs[120..] {
+            let (mean, var) = forest.predict_stats(x);
             assert!(var >= 0.0);
             // Same accumulation order as predict(): bit-identical mean.
             assert_eq!(mean, forest.predict(x));
@@ -324,6 +319,30 @@ mod tests {
         // the training centroid — the exploration signal.
         let (_, var_out) = forest.predict_stats(&[50.0, -50.0, 50.0, -50.0]);
         assert!(var_out > 0.0, "out-of-hull variance {var_out}");
+    }
+
+    #[test]
+    fn action_stats_reuse_buffers_without_allocating_per_sample() {
+        let (xs, ys) = friedman_like(120, 27);
+        let forest = RandomForest::fit(&xs, &ys, &ForestConfig::default(), 13).unwrap();
+        let candidates: Vec<Action> = (0..32)
+            .map(|i| Action::new(vec![i % 8, (i * 3) % 8, (i * 5) % 8, (i * 7) % 8]))
+            .collect();
+        let mut means = Vec::new();
+        let mut vars = Vec::new();
+        let mut scratch = Vec::new();
+        forest.predict_action_stats(&candidates, &mut means, &mut vars, &mut scratch);
+        assert_eq!(means.len(), 32);
+        assert_eq!(vars.len(), 32);
+        let cap = (means.capacity(), vars.capacity(), scratch.capacity());
+        // Second pass with warmed buffers: capacities must not grow.
+        forest.predict_action_stats(&candidates, &mut means, &mut vars, &mut scratch);
+        assert_eq!(cap, (means.capacity(), vars.capacity(), scratch.capacity()));
+        // And the rows must match a hand-built feature evaluation.
+        for (action, &mean) in candidates.iter().zip(&means) {
+            let row: Vec<f64> = action.as_slice().iter().map(|&i| i as f64).collect();
+            assert_eq!(mean.to_bits(), forest.predict(&row).to_bits());
+        }
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! and a ~2,000× speedup over the cycle-accurate simulator; the Fig. 10
 //! experiments show diversity is worth up to 42× in RMSE.
 //!
-//! * [`tree`] — CART regression trees (variance-reduction splits).
-//! * [`forest`] — bagged forests with per-split feature subsampling and a
+//! * [`tree`] — CART regression trees (variance-reduction splits), grown
+//!   straight into contiguous node lanes.
+//! * [`forest`] — bagged forests with per-split feature subsampling, a
 //!   random hyperparameter search (the paper tunes its forests the same
-//!   way).
-//! * [`flat`] — forests compiled to contiguous node lanes for
-//!   allocation-free batch inference.
+//!   way) and allocation-free batch inference.
 //! * [`online`] — the in-loop screener ([`OnlineProxy`]) that trains from
 //!   a run's own settled samples and prunes proposal batches.
 //! * [`pipeline`] — dataset → proxy training/evaluation utilities.
@@ -34,7 +33,6 @@
 //! assert!((pred - 30.0).abs() < 6.0);
 //! ```
 
-pub mod flat;
 pub mod forest;
 pub mod offline;
 pub mod online;
@@ -42,7 +40,6 @@ pub mod pipeline;
 pub mod proxy_env;
 pub mod tree;
 
-pub use flat::FlatForest;
 pub use forest::{ForestConfig, RandomForest};
 pub use offline::OfflineOptimizer;
 pub use online::{online_forest_config, OnlineProxy};

@@ -4,9 +4,9 @@
 //! This is the concrete [`Screener`] behind `SearchLoop`'s proxy layer
 //! (the paper's Part 3 surrogate, moved *into* the loop). It trains a
 //! [`RandomForest`] on the (action indices → reward) pairs the search
-//! has already paid true simulations for, flattens it to a
-//! [`FlatForest`] for allocation-free batch inference, and retrains on
-//! a deterministic cadence as more samples settle.
+//! has already paid true simulations for, predicts from it without
+//! allocating per batch, and retrains on a deterministic cadence as more
+//! samples settle.
 //!
 //! Life-cycle:
 //!
@@ -30,7 +30,6 @@
 //! and the call sequence, which is what lets journaled screened runs
 //! replay bit-identically.
 
-use crate::flat::FlatForest;
 use crate::forest::{ForestConfig, RandomForest};
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::screen::{ScreenPolicy, Screener};
@@ -65,8 +64,8 @@ pub struct OnlineProxy {
     /// Training rows: one action's indices as `f64`s per row.
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
-    /// Flattened model for inference; `None` until the first fit.
-    flat: Option<FlatForest>,
+    /// The fitted model; `None` until the first fit.
+    forest: Option<RandomForest>,
     fits: u64,
     samples_seen: u64,
     samples_at_fit: u64,
@@ -90,7 +89,7 @@ impl OnlineProxy {
             seed,
             xs: Vec::new(),
             ys: Vec::new(),
-            flat: None,
+            forest: None,
             fits: 0,
             samples_seen: 0,
             samples_at_fit: 0,
@@ -121,12 +120,12 @@ impl OnlineProxy {
         self.disabled
     }
 
-    /// Train on everything observed and flatten for inference.
+    /// Train on everything observed.
     fn fit(&mut self) {
         let fit_seed = self.seed ^ self.fits;
         let forest = RandomForest::fit(&self.xs, &self.ys, &self.config, fit_seed)
             .expect("online proxy fits only on non-empty data");
-        self.flat = Some(FlatForest::from_forest(&forest));
+        self.forest = Some(forest);
         self.fits += 1;
         self.samples_at_fit = self.samples_seen;
         self.recorder.incr(Counter::ProxyRefits);
@@ -158,7 +157,7 @@ impl Screener for OnlineProxy {
         if self.disabled {
             return;
         }
-        let due = match self.flat {
+        let due = match self.forest {
             None => self.samples_seen >= self.policy.warmup,
             Some(_) => self.samples_seen - self.samples_at_fit >= self.policy.refit_every,
         };
@@ -168,12 +167,12 @@ impl Screener for OnlineProxy {
     }
 
     fn is_ready(&self) -> bool {
-        !self.disabled && self.flat.is_some()
+        !self.disabled && self.forest.is_some()
     }
 
     fn predict(&mut self, candidates: &[Action], means: &mut Vec<f64>, vars: &mut Vec<f64>) {
-        match &self.flat {
-            Some(flat) => flat.predict_action_stats(candidates, means, vars, &mut self.scratch),
+        match &self.forest {
+            Some(forest) => forest.predict_action_stats(candidates, means, vars, &mut self.scratch),
             None => {
                 // Defensive: the driver only predicts when ready.
                 means.clear();
@@ -199,7 +198,7 @@ impl Screener for OnlineProxy {
             self.drift_strikes += 1;
             if self.drift_strikes >= MAX_DRIFT_STRIKES {
                 self.disabled = true;
-                self.flat = None;
+                self.forest = None;
             } else {
                 self.fit();
             }

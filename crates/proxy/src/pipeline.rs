@@ -5,7 +5,7 @@
 //! agents ("diverse") — training one random forest per target metric,
 //! and reporting RMSE / correlation against held-out simulator truth.
 
-use crate::forest::{ForestConfig, RandomForest};
+use crate::forest::{check_width, ForestConfig, RandomForest};
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::stats::{pearson, rmse};
 use archgym_core::trajectory::Dataset;
@@ -38,6 +38,7 @@ impl ProxyModel {
     /// Returns [`ArchGymError::Dataset`] on empty or malformed data.
     pub fn report(&self, test: &Dataset) -> Result<ProxyReport> {
         let (xs, ys) = test.features_targets(self.metric)?;
+        check_width(&xs, self.forest.n_features())?;
         let preds: Vec<f64> = xs.iter().map(|x| self.forest.predict(x)).collect();
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         let err = rmse(&preds, &ys);
@@ -260,6 +261,16 @@ mod tests {
         let pool = synthetic_pool();
         let mut rng = seeded_rng(5);
         assert!(DatasetTiers::build(&pool, "bo", &[8], &mut rng).is_err());
+    }
+
+    #[test]
+    fn report_rejects_a_test_set_of_the_wrong_width() {
+        let proxy = train_proxy(&synthetic_pool(), 0, 2, 1).unwrap();
+        let mut narrow = Dataset::new();
+        let result = StepResult::terminal(Observation::new(vec![1.0]), 0.0);
+        narrow.push(Transition::new("toy", "rw", Action::new(vec![3]), &result));
+        let err = proxy.report(&narrow).unwrap_err();
+        assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
     }
 
     #[test]

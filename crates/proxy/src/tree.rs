@@ -1,22 +1,18 @@
 //! CART regression trees with variance-reduction splits.
+//!
+//! A tree keeps its nodes in four parallel lanes (feature index,
+//! threshold, left and right child offsets) in pre-order: parent, left
+//! subtree, right subtree. Growth pushes each node straight into the
+//! lanes, so a prediction walks exactly what the fit wrote. Leaves store
+//! [`LEAF`] in the feature lane and reuse the threshold lane for their
+//! value, keeping each node at 20 bytes.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// A binary regression-tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
-}
+/// Feature-lane sentinel marking a leaf node.
+const LEAF: u32 = u32::MAX;
 
 /// A CART regression tree.
 ///
@@ -25,7 +21,14 @@ enum Node {
 /// `min_samples_leaf`, or when a node is pure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegressionTree {
-    root: Node,
+    /// Split feature index, or [`LEAF`] for leaves.
+    feature: Vec<u32>,
+    /// Split threshold; doubles as the leaf value for leaves.
+    threshold: Vec<f64>,
+    /// Offset of the `<=` child (unused for leaves).
+    left: Vec<u32>,
+    /// Offset of the `>` child (unused for leaves).
+    right: Vec<u32>,
     n_features: usize,
 }
 
@@ -45,31 +48,41 @@ impl RegressionTree {
     ///
     /// Panics if `xs` is empty, lengths mismatch, or rows are ragged.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], max_depth: usize, min_samples_leaf: usize) -> Self {
+        assert!(!xs.is_empty(), "cannot fit on an empty dataset");
+        assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
+        assert!(
+            xs.iter().all(|x| x.len() == xs[0].len()),
+            "ragged feature rows"
+        );
         let cfg = TreeConfig {
             max_depth,
             min_samples_leaf: min_samples_leaf.max(1),
             features_per_split: None,
         };
         let mut rng = archgym_core::seeded_rng(0);
-        Self::fit_with(xs, ys, &cfg, &mut rng)
+        let rows: Vec<usize> = (0..xs.len()).collect();
+        Self::fit_with(xs, ys, &rows, &cfg, &mut rng)
     }
 
+    /// Grow a tree on the rows `rows` of `xs`/`ys` (repeats allowed, as a
+    /// bootstrap resample draws them). The caller has checked that the
+    /// data is non-empty and rectangular.
     pub(crate) fn fit_with<R: Rng + ?Sized>(
         xs: &[Vec<f64>],
         ys: &[f64],
+        rows: &[usize],
         cfg: &TreeConfig,
         rng: &mut R,
     ) -> Self {
-        assert!(!xs.is_empty(), "cannot fit on an empty dataset");
-        assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
-        let n_features = xs[0].len();
-        assert!(
-            xs.iter().all(|x| x.len() == n_features),
-            "ragged feature rows"
-        );
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        let root = grow(xs, ys, &indices, 0, cfg, rng);
-        RegressionTree { root, n_features }
+        let mut tree = RegressionTree {
+            feature: Vec::new(),
+            threshold: Vec::new(),
+            left: Vec::new(),
+            right: Vec::new(),
+            n_features: xs[0].len(),
+        };
+        tree.grow(xs, ys, rows, 0, cfg, rng);
+        tree
     }
 
     /// Predict the target for one feature row.
@@ -77,91 +90,13 @@ impl RegressionTree {
     /// # Panics
     ///
     /// Panics if `x` has the wrong number of features.
+    #[inline]
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.n_features, "feature width mismatch");
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if x[*feature] <= *threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Number of leaves (diagnostic).
-    pub fn leaf_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
-    }
-
-    /// Maximum depth actually grown (diagnostic).
-    pub fn depth(&self) -> usize {
-        fn depth(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
-            }
-        }
-        depth(&self.root)
-    }
-
-    /// Append this tree's nodes to the flat SoA lanes and return the
-    /// root's offset. Leaves store [`FLAT_LEAF`] in the feature lane and
-    /// reuse the threshold lane for the leaf value, so traversal touches
-    /// only two cache lines per level.
-    pub(crate) fn flatten_into(&self, lanes: &mut FlatLanes) -> u32 {
-        flatten(&self.root, lanes)
-    }
-
-    pub(crate) fn n_features(&self) -> usize {
-        self.n_features
-    }
-}
-
-/// Feature-lane sentinel marking a leaf node in flattened storage.
-pub(crate) const FLAT_LEAF: u32 = u32::MAX;
-
-/// Parallel node lanes shared by all trees of a flattened forest.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FlatLanes {
-    /// Split feature index, or [`FLAT_LEAF`] for leaves.
-    pub feature: Vec<u32>,
-    /// Split threshold; doubles as the leaf value for leaves.
-    pub threshold: Vec<f64>,
-    /// Offset of the `<=` child (unused for leaves).
-    pub left: Vec<u32>,
-    /// Offset of the `>` child (unused for leaves).
-    pub right: Vec<u32>,
-}
-
-impl FlatLanes {
-    pub(crate) fn len(&self) -> usize {
-        self.feature.len()
-    }
-
-    /// Walk one tree from `root` for feature row `x`.
-    #[inline]
-    pub(crate) fn eval(&self, root: u32, x: &[f64]) -> f64 {
-        let mut at = root as usize;
+        let mut at = 0;
         loop {
             let feature = self.feature[at];
-            if feature == FLAT_LEAF {
+            if feature == LEAF {
                 return self.threshold[at];
             }
             at = if x[feature as usize] <= self.threshold[at] {
@@ -171,38 +106,69 @@ impl FlatLanes {
             };
         }
     }
-}
 
-fn flatten(node: &Node, lanes: &mut FlatLanes) -> u32 {
-    let at = u32::try_from(lanes.len()).expect("flat forest exceeds u32 node offsets");
-    match node {
-        Node::Leaf { value } => {
-            lanes.feature.push(FLAT_LEAF);
-            lanes.threshold.push(*value);
-            lanes.left.push(0);
-            lanes.right.push(0);
-        }
-        Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        } => {
-            lanes
-                .feature
-                .push(u32::try_from(*feature).expect("feature index exceeds u32"));
-            lanes.threshold.push(*threshold);
-            // Reserve the child slots, then patch them once the
-            // subtrees have claimed their offsets.
-            lanes.left.push(0);
-            lanes.right.push(0);
-            let left_at = flatten(left, lanes);
-            let right_at = flatten(right, lanes);
-            lanes.left[at as usize] = left_at;
-            lanes.right[at as usize] = right_at;
-        }
+    /// Number of leaves (diagnostic).
+    pub fn leaf_count(&self) -> usize {
+        self.feature.iter().filter(|&&f| f == LEAF).count()
     }
-    at
+
+    /// Maximum depth actually grown (diagnostic).
+    pub fn depth(&self) -> usize {
+        fn depth(tree: &RegressionTree, at: usize) -> usize {
+            if tree.feature[at] == LEAF {
+                return 0;
+            }
+            let left = depth(tree, tree.left[at] as usize);
+            1 + left.max(depth(tree, tree.right[at] as usize))
+        }
+        depth(self, 0)
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Append one node and return its offset.
+    fn push(&mut self, feature: u32, threshold: f64) -> usize {
+        let at = self.feature.len();
+        self.feature.push(feature);
+        self.threshold.push(threshold);
+        self.left.push(0);
+        self.right.push(0);
+        at
+    }
+
+    /// Grow the subtree over `indices` in pre-order: the node itself,
+    /// then its left subtree, then its right, patching the child offsets
+    /// once each subtree has claimed its slot.
+    fn grow<R: Rng + ?Sized>(
+        &mut self,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        indices: &[usize],
+        depth: usize,
+        cfg: &TreeConfig,
+        rng: &mut R,
+    ) {
+        let Some((feature, threshold)) = best_split(xs, ys, indices, depth, cfg, rng) else {
+            self.push(LEAF, mean_of(ys, indices));
+            return;
+        };
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+            indices.iter().partition(|&&i| xs[i][feature] <= threshold);
+        let at = self.push(
+            u32::try_from(feature).expect("feature index exceeds u32"),
+            threshold,
+        );
+        self.left[at] = self.next_offset();
+        self.grow(xs, ys, &left_idx, depth + 1, cfg, rng);
+        self.right[at] = self.next_offset();
+        self.grow(xs, ys, &right_idx, depth + 1, cfg, rng);
+    }
+
+    fn next_offset(&self) -> u32 {
+        u32::try_from(self.feature.len()).expect("tree exceeds u32 node offsets")
+    }
 }
 
 fn mean_of(ys: &[f64], indices: &[usize]) -> f64 {
@@ -214,23 +180,23 @@ fn sse_of(ys: &[f64], indices: &[usize]) -> f64 {
     indices.iter().map(|&i| (ys[i] - m).powi(2)).sum()
 }
 
-fn grow<R: Rng + ?Sized>(
+/// The `(feature, threshold)` split of `indices` that most reduces the
+/// children's summed squared error, or `None` when the node should be a
+/// leaf (depth or size limit, pure node, or no split that helps).
+fn best_split<R: Rng + ?Sized>(
     xs: &[Vec<f64>],
     ys: &[f64],
     indices: &[usize],
     depth: usize,
     cfg: &TreeConfig,
     rng: &mut R,
-) -> Node {
-    let leaf = || Node::Leaf {
-        value: mean_of(ys, indices),
-    };
+) -> Option<(usize, f64)> {
     if depth >= cfg.max_depth || indices.len() < 2 * cfg.min_samples_leaf {
-        return leaf();
+        return None;
     }
     let parent_sse = sse_of(ys, indices);
     if parent_sse <= 1e-12 {
-        return leaf(); // pure node
+        return None; // pure node
     }
 
     let n_features = xs[0].len();
@@ -265,17 +231,8 @@ fn grow<R: Rng + ?Sized>(
     }
 
     match best {
-        Some((feature, threshold, sse)) if sse < parent_sse => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-                indices.iter().partition(|&&i| xs[i][feature] <= threshold);
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(grow(xs, ys, &left_idx, depth + 1, cfg, rng)),
-                right: Box::new(grow(xs, ys, &right_idx, depth + 1, cfg, rng)),
-            }
-        }
-        _ => leaf(),
+        Some((feature, threshold, sse)) if sse < parent_sse => Some((feature, threshold)),
+        _ => None,
     }
 }
 

@@ -6,7 +6,6 @@ use archgym_agents::factory::{build_agent, AgentKind};
 use archgym_core::agent::Agent;
 use archgym_core::env::Environment;
 use archgym_core::fault::{FaultPlan, FaultyEnv};
-use archgym_core::journal::RunJournal;
 use archgym_core::search::{RetryPolicy, RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::space::ParamSpace;
 use archgym_dram::{DramEnv, DramWorkload, Objective};
@@ -27,20 +26,18 @@ fn agent(space: &ParamSpace) -> Box<dyn Agent> {
     build_agent(AgentKind::Ga, space, &Default::default(), 11).unwrap()
 }
 
-/// A unique, clean path in the shared temp dir (no leftover journal or
-/// snapshot from an earlier test run).
+/// A unique, clean path in the shared temp dir (no leftover journal
+/// from an earlier test run).
 fn fresh_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("archgym-journal-resume-tests");
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(&path));
     path
 }
 
 fn cleanup(path: &Path) {
     let _ = fs::remove_file(path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(path));
 }
 
 /// The value fields every resumed run must reproduce exactly.

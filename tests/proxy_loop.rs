@@ -8,14 +8,15 @@
 //!    was not left alone.
 //! 2. **Proxy-on runs are reproducible**: the same seed produces the
 //!    same screened run serially, pooled at any job count, and across
-//!    repeats.
+//!    repeats, and that run matches a pinned fingerprint captured
+//!    before the forest moved to flat node lanes, so a change to split
+//!    choice, RNG draws or prediction order shows.
 //! 3. **Screened runs resume bit-identically** after a crash at any
 //!    journal prefix, including torn tails.
 
 use archgym_agents::factory::{build_agent, AgentKind};
 use archgym_core::agent::RandomWalker;
 use archgym_core::env::Environment;
-use archgym_core::journal::RunJournal;
 use archgym_core::screen::ScreenPolicy;
 use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::toy::PeakEnv;
@@ -37,13 +38,11 @@ fn fresh_path(name: &str) -> PathBuf {
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(&path));
     path
 }
 
 fn cleanup(path: &Path) {
     let _ = fs::remove_file(path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(path));
 }
 
 fn assert_identical(reference: &RunResult, candidate: &RunResult, label: &str) {
@@ -121,6 +120,16 @@ fn screened_runs_are_reproducible_serial_and_pooled() {
         let pooled = screened_dram_run(jobs);
         assert_identical(&serial, &pooled, &format!("pooled jobs={jobs}"));
     }
+}
+
+#[test]
+fn screened_dram_run_matches_the_pinned_fingerprint() {
+    let result = screened_dram_run(1);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        665448964544412151,
+        "dram/ga+proxy reward history drifted from the pinned capture"
+    );
 }
 
 // --- 3. screened resume after a crash ---------------------------------

@@ -190,9 +190,7 @@ fn race_consumes_exactly_the_budget_and_freezes_eliminated_lanes() {
 
 /// Delete or truncate race journals to simulate a crash: the final
 /// rung's files vanish entirely (crash before those runs settled) and
-/// one earlier journal loses its last record (crash mid-write; its
-/// derived snapshot is dropped with it, as the journal is the source
-/// of truth).
+/// one earlier journal loses its last record (crash mid-write).
 fn crash_journals(dir: &Path, prefix_name: &str) {
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .unwrap()
@@ -213,9 +211,6 @@ fn crash_journals(dir: &Path, prefix_name: &str) {
         let name = path.file_name().unwrap().to_str().unwrap();
         if name.ends_with(&last_rung) {
             std::fs::remove_file(path).unwrap();
-            let mut snap = path.clone().into_os_string();
-            snap.push(".snap");
-            let _ = std::fs::remove_file(snap);
         }
     }
     // Truncate the tail record off the first surviving journal.
@@ -235,9 +230,6 @@ fn crash_journals(dir: &Path, prefix_name: &str) {
     let mut kept = lines[..lines.len() - 1].join("\n");
     kept.push('\n');
     std::fs::write(victim, kept).unwrap();
-    let mut snap = victim.clone().into_os_string();
-    snap.push(".snap");
-    let _ = std::fs::remove_file(snap);
 }
 
 #[test]

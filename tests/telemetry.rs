@@ -9,7 +9,6 @@ use archgym_core::agent::Agent;
 use archgym_core::cache::{CachedEnv, EvalCache};
 use archgym_core::env::Environment;
 use archgym_core::fault::{FaultPlan, FaultyEnv};
-use archgym_core::journal::RunJournal;
 use archgym_core::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
 use archgym_core::space::ParamSpace;
 use archgym_core::telemetry::{Counter, Recorder, RunReport};
@@ -193,13 +192,11 @@ fn fresh_path(name: &str) -> PathBuf {
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(&path));
     path
 }
 
 fn cleanup(path: &Path) {
     let _ = fs::remove_file(path);
-    let _ = fs::remove_file(RunJournal::snapshot_path(path));
 }
 
 #[test]
