@@ -10,9 +10,9 @@
 //! Reconnect pacing is seeded exponential backoff (deterministic given
 //! the seed, full-jitter via the splitmix64 finalizer).
 
-use crate::protocol::{JobStatus, Request, Response, MAX_LINE_BYTES};
+use crate::protocol::{write_frame, JobStatus, Request, Response, MAX_LINE_BYTES};
 use archgym_core::error::{ArchGymError, Result};
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Read as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -67,7 +67,7 @@ impl Client {
 
     /// Send one request frame.
     pub fn send(&mut self, request: &Request) -> Result<()> {
-        writeln!(self.writer, "{}", request.to_line())?;
+        write_frame(&mut self.writer, &request.to_line())?;
         Ok(())
     }
 

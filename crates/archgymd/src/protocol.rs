@@ -16,6 +16,7 @@ use archgym_core::codec::{parse_json, push_json_f64, push_json_str, Json};
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::jobs::{JobId, JobSpec, JobState};
 use std::fmt::Write as _;
+use std::io;
 
 /// Protocol revision, reported by `ping`/`pong`.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -23,6 +24,20 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Hard cap on one frame line (bytes, newline included). Longer lines
 /// get a typed `oversized-frame` error and the connection is closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Append `line` to `buf` as one terminated wire frame.
+pub(crate) fn push_frame(buf: &mut String, line: &str) {
+    buf.push_str(line);
+    buf.push('\n');
+}
+
+/// Write `line` as one wire frame: a single `write_all` of
+/// `line + "\n"`, so the terminator never trails in its own segment.
+pub fn write_frame(out: &mut impl io::Write, line: &str) -> io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    push_frame(&mut buf, line);
+    out.write_all(buf.as_bytes())
+}
 
 fn bad(msg: String) -> ArchGymError {
     ArchGymError::InvalidConfig(msg)
@@ -502,6 +517,39 @@ impl Response {
 mod tests {
     use super::*;
     use archgym_core::jobs::JobKind;
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl io::Write for CountingWrite {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_line_and_newline() {
+        let mut out = CountingWrite::default();
+        let lines = [Request::Ping.to_line(), Response::Stopping.to_line()];
+        for (n, line) in lines.iter().enumerate() {
+            write_frame(&mut out, line).unwrap();
+            assert_eq!(out.writes, n + 1, "frame {n} took more than one write");
+        }
+        assert_eq!(
+            out.bytes,
+            format!("{}\n{}\n", lines[0], lines[1]).into_bytes()
+        );
+    }
 
     fn spec() -> JobSpec {
         let mut spec = JobSpec::search("dram/stream", "ga", 2000, 3);

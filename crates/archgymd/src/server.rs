@@ -34,7 +34,10 @@
 //! while a job runs. All mutexes recover from poisoning (a panicking
 //! peer thread must not wedge the daemon).
 
-use crate::protocol::{ErrorCode, JobStatus, Request, Response, MAX_LINE_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{
+    push_frame, write_frame, ErrorCode, JobStatus, Request, Response, MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
+};
 use crate::spec::make_env;
 use crate::store::{JobOutcome, JobStore, PersistedJob};
 use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
@@ -121,7 +124,8 @@ struct JobHandle {
     spec: JobSpec,
     // Lock order: events → progress → watchers. `events` doubles as the
     // barrier that makes watch registration race-free against finish().
-    events: Mutex<Vec<String>>,
+    /// The event backlog as wire bytes: every frame already terminated.
+    events: Mutex<String>,
     progress: Mutex<JobProgress>,
     watchers: Mutex<Vec<TcpStream>>,
     cancel: AtomicBool,
@@ -143,7 +147,7 @@ impl JobHandle {
             id: job.id,
             tenant: job.tenant.clone(),
             spec: job.spec.clone(),
-            events: Mutex::new(Vec::new()),
+            events: Mutex::new(String::new()),
             progress: Mutex::new(JobProgress {
                 state,
                 best_reward: None,
@@ -210,7 +214,8 @@ impl JobHandle {
         }
         .to_line();
         let mut events = lock(&self.events);
-        events.push(frame.clone());
+        let start = events.len();
+        push_frame(&mut events, &frame);
         {
             let mut progress = lock(&self.progress);
             if let Ok(samples) = data.field("samples_used").and_then(Json::as_u64) {
@@ -220,8 +225,10 @@ impl JobHandle {
                 progress.best_reward = Some(best);
             }
         }
+        // Terminated once in the backlog; every watcher gets those bytes.
+        let framed = &events.as_bytes()[start..];
         let mut watchers = lock(&self.watchers);
-        watchers.retain_mut(|w| writeln!(w, "{frame}").is_ok());
+        watchers.retain_mut(|w| w.write_all(framed).is_ok());
     }
 
     /// Record a terminal outcome and close every watch stream with a
@@ -245,7 +252,7 @@ impl JobHandle {
         .to_line();
         let mut watchers = lock(&self.watchers);
         for mut w in watchers.drain(..) {
-            let _ = writeln!(w, "{frame}");
+            let _ = write_frame(&mut w, &frame);
         }
     }
 }
@@ -464,7 +471,7 @@ impl Server {
                     message: format!("too many connections ({max_conns})"),
                     retry_after_ms: Some(self.inner.config.quota.retry_after_ms),
                 };
-                let _ = writeln!(out, "{}", busy.to_line());
+                let _ = write_frame(&mut out, &busy.to_line());
                 continue;
             }
             let inner = Arc::clone(&self.inner);
@@ -696,9 +703,11 @@ fn cancellable(
     }
 }
 
-/// The job's environment, built from the spec's env and objective.
+/// The job's environment, built from the spec's env and objective; an
+/// empty objective selects the family's default, as in the library.
 fn job_env(spec: &JobSpec) -> Result<Box<dyn CloneEnvironment>> {
-    make_env(&spec.env, Some(&spec.objective))
+    let objective = Some(spec.objective.as_str()).filter(|o| !o.is_empty());
+    make_env(&spec.env, objective)
 }
 
 fn run_one(
@@ -1001,35 +1010,32 @@ fn list_jobs(inner: &Arc<Inner>) -> Response {
 }
 
 fn send(out: &mut TcpStream, response: &Response) -> bool {
-    writeln!(out, "{}", response.to_line()).is_ok()
+    write_frame(out, &response.to_line()).is_ok()
 }
 
-/// Attach `out` to the job's event stream: replay the backlog, then
-/// either close with a `done` frame (terminal job) or register as a
-/// live watcher. Returns `true` when the socket was handed over.
-fn watch(handle: &Arc<JobHandle>, mut out: TcpStream) -> bool {
-    let _events_guard = {
-        let events = lock(&handle.events);
-        for line in events.iter() {
-            if writeln!(out, "{line}").is_err() {
-                return true; // client went away; nothing to keep
-            }
-        }
-        events
-    };
+/// Attach `out` to the job's event stream: replay the backlog in one
+/// write, closed by the `done` frame when the job is terminal, or else
+/// register `out` as a live watcher.
+fn watch(handle: &Arc<JobHandle>, mut out: TcpStream) {
+    // The events lock is held until registration, so no event or
+    // `done` frame can slip between the replay and the live stream.
+    let events = lock(&handle.events);
     let progress = lock(&handle.progress).clone();
-    if progress.state.is_terminal() {
-        let frame = Response::Done {
-            job: handle.id,
-            state: progress.state,
-            best_reward: progress.best_reward,
-            samples: progress.samples,
-        };
-        let _ = writeln!(out, "{}", frame.to_line());
-        return false;
+    if !progress.state.is_terminal() {
+        if out.write_all(events.as_bytes()).is_ok() {
+            lock(&handle.watchers).push(out);
+        }
+        return;
     }
-    lock(&handle.watchers).push(out);
-    true
+    let mut replay = events.clone();
+    let done = Response::Done {
+        job: handle.id,
+        state: progress.state,
+        best_reward: progress.best_reward,
+        samples: progress.samples,
+    };
+    push_frame(&mut replay, &done.to_line());
+    let _ = out.write_all(replay.as_bytes());
 }
 
 /// Drain: close admission, then wait (bounded by the drain deadline)
@@ -1125,11 +1131,9 @@ fn handle_conn(inner: &Arc<Inner>, local: SocketAddr, stream: TcpStream) {
             },
             Request::Watch { job } => match lookup(inner, job) {
                 Some(handle) => {
-                    if watch(&handle, out) {
-                        // The write half now belongs to the watcher
-                        // list; this connection is stream-only.
-                        return;
-                    }
+                    // The write half now belongs to the watch stream;
+                    // this connection is stream-only.
+                    watch(&handle, out);
                     return;
                 }
                 None => error(ErrorCode::UnknownJob, format!("no job {job}")),

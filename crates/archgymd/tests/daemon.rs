@@ -11,13 +11,17 @@
 //!   of a finished job and deleting its outcome record — exactly the
 //!   state a SIGKILL'd daemon leaves behind.
 
+use archgym_agents::factory::{build_agent, AgentKind};
 use archgym_core::jobs::{JobId, JobKind, JobSpec, JobState, QuotaPolicy};
+use archgym_core::search::{RunConfig, RunIo, SearchLoop};
 use archgymd::client::{request_one, Client};
 use archgymd::protocol::{ErrorCode, Request, Response, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use archgymd::server::{DaemonConfig, Server};
+use archgymd::spec::make_env;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 struct Daemon {
     addr: String,
@@ -177,6 +181,66 @@ fn job_runs_to_completion_with_streamed_events() {
     };
     assert_eq!(jobs.len(), 1);
     assert_eq!(jobs[0].job, job);
+    daemon.stop();
+}
+
+#[test]
+fn ping_round_trips_on_one_connection_do_not_wait_out_delayed_acks() {
+    // A frame written as two segments (line, then newline) stalls on
+    // Nagle + delayed ACK: ~40 ms per end per round trip on a reused
+    // connection, so 100 pings would take seconds instead of
+    // milliseconds.
+    let mut daemon = Daemon::boot(&state_dir("ping"), 1, QuotaPolicy::default());
+    let mut client = Client::connect(&daemon.addr).expect("connect");
+    let start = Instant::now();
+    for _ in 0..100 {
+        match client.round_trip(&Request::Ping).expect("ping round-trip") {
+            Response::Pong { version } => assert_eq!(version, PROTOCOL_VERSION),
+            other => panic!("expected pong, got {other:?}"),
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "100 ping round trips took {elapsed:?}"
+    );
+    drop(client);
+    daemon.stop();
+}
+
+#[test]
+fn objective_less_searches_run_the_family_default_on_every_family() {
+    const BUDGET: u64 = 96;
+    const SEED: u64 = 4;
+    let mut daemon = Daemon::boot(&state_dir("default-objective"), 2, QuotaPolicy::default());
+    for env in [
+        "dram/stream",
+        "timeloop/resnet50",
+        "farsi/edge-detection",
+        "maestro/resnet18/stage2",
+    ] {
+        let reference = {
+            let env = make_env(env, None).unwrap();
+            let mut agent =
+                build_agent(AgentKind::Ga, env.space(), &Default::default(), SEED).unwrap();
+            SearchLoop::new(RunConfig::with_budget(BUDGET).batch(0))
+                .run_env_with(&mut agent, env, RunIo::default())
+                .unwrap()
+        };
+        let spec = JobSpec::search(env, "ga", BUDGET, SEED);
+        assert!(spec.objective.is_empty());
+        let Response::Accepted { job, .. } = submit(&daemon.addr, "ci", None, spec) else {
+            panic!("{env}: objective-less submit not accepted")
+        };
+        let (state, best, samples, _) = watch_to_done(&daemon.addr, job);
+        assert_eq!(state, JobState::Done, "{env}");
+        assert_eq!(samples, reference.samples_used, "{env}");
+        assert_eq!(
+            best.map(f64::to_bits),
+            Some(reference.best_reward.to_bits()),
+            "{env}: daemon default objective differs from the library's"
+        );
+    }
     daemon.stop();
 }
 

@@ -4,7 +4,8 @@
 //! the in-process CLI (`archgym_cli::run` on a `search` command line) and
 //! an in-process `archgymd` job over TCP. All three must report the same
 //! best reward, bit for bit, and the same number of samples — screened or
-//! not, on a DRAM and a non-DRAM family.
+//! not, on a DRAM and a non-DRAM family, and with no objective given,
+//! where every surface must fall back to the same family default.
 
 use archgym_agents::factory::{build_agent, AgentKind};
 use archgym_cli::spec::make_env;
@@ -23,12 +24,13 @@ use std::path::PathBuf;
 const BUDGET: u64 = 200;
 const SEED: u64 = 11;
 
-/// One search spec: env, objective, and whether `--proxy` screens it.
-/// The agent is `ga`, the batch its own (`--batch 0`).
+/// One search spec: env, objective (`None` = the family default), and
+/// whether `--proxy` screens it. The agent is `ga`, the batch its own
+/// (`--batch 0`).
 #[derive(Clone, Copy)]
 struct Spec {
     env: &'static str,
-    objective: &'static str,
+    objective: Option<&'static str>,
     proxy: bool,
 }
 
@@ -43,7 +45,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn library(spec: Spec) -> Outcome {
-    let env = make_env(spec.env, Some(spec.objective)).unwrap();
+    let env = make_env(spec.env, spec.objective).unwrap();
     let mut agent = build_agent(AgentKind::Ga, env.space(), &Default::default(), SEED).unwrap();
     let mut screener = spec
         .proxy
@@ -66,8 +68,6 @@ fn cli(spec: Spec) -> Outcome {
         "search".to_owned(),
         "--env".into(),
         spec.env.into(),
-        "--objective".into(),
-        spec.objective.into(),
         "--agent".into(),
         "ga".into(),
         "--budget".into(),
@@ -79,6 +79,9 @@ fn cli(spec: Spec) -> Outcome {
         "--metrics".into(),
         metrics.display().to_string(),
     ];
+    if let Some(objective) = spec.objective {
+        argv.extend(["--objective".into(), objective.into()]);
+    }
     if spec.proxy {
         argv.extend(["--proxy".into(), "true".into()]);
     }
@@ -103,7 +106,8 @@ fn daemon(spec: Spec) -> Outcome {
     let thread = std::thread::spawn(move || server.run().unwrap());
 
     let mut job_spec = JobSpec::search(spec.env, "ga", BUDGET, SEED);
-    job_spec.objective = spec.objective.into();
+    // An empty objective on the wire means the family default.
+    job_spec.objective = spec.objective.unwrap_or_default().into();
     job_spec.proxy = spec.proxy.then(ScreenPolicy::default);
     let request = Request::Submit {
         tenant: "ci".into(),
@@ -131,8 +135,9 @@ fn daemon(spec: Spec) -> Outcome {
 #[test]
 fn library_cli_and_daemon_agree_bit_for_bit() {
     for (env, objective) in [
-        ("dram/stream", "power:1.0"),
-        ("timeloop/resnet50", "latency:15"),
+        ("dram/stream", Some("power:1.0")),
+        ("timeloop/resnet50", Some("latency:15")),
+        ("farsi/edge-detection", None),
     ] {
         for proxy in [false, true] {
             let spec = Spec {

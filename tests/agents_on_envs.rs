@@ -127,3 +127,38 @@ fn counting_wrapper_normalizes_sample_budgets_across_agents() {
         assert_eq!(env.samples(), 64, "{kind:?} budget accounting broken");
     }
 }
+
+/// FNV-style fold of a reward history, so drift in any single reward
+/// bit shows (the same fold `tests/proxy_loop.rs` pins).
+fn fingerprint(history: &[f64]) -> u64 {
+    history.iter().map(|r| r.to_bits()).fold(0u64, |acc, x| {
+        acc.wrapping_mul(0x100000001B3).wrapping_add(x)
+    })
+}
+
+#[test]
+fn tabular_ppo_on_farsi_matches_the_pinned_fingerprint() {
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    let mut agent = build_agent(AgentKind::Ppo, env.space(), &HyperMap::new(), 7).unwrap();
+    let result = SearchLoop::new(RunConfig::with_budget(128).batch(0)).run(&mut agent, &mut env);
+    assert_eq!(result.reward_history.len(), 128);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        8607867529481130510,
+        "farsi/ppo (tabular) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn mlp_ppo_on_a_peak_matches_the_pinned_fingerprint() {
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8], vec![5, 2, 6]);
+    let hyper = HyperMap::new().with("policy", "mlp");
+    let mut agent = build_agent(AgentKind::Ppo, env.space(), &hyper, 7).unwrap();
+    let result = SearchLoop::new(RunConfig::with_budget(256).batch(0)).run(&mut agent, &mut env);
+    assert_eq!(result.reward_history.len(), 256);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        5796509289044806508,
+        "peak/ppo (mlp) reward history drifted from the pinned capture"
+    );
+}
