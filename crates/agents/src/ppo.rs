@@ -16,7 +16,7 @@
 //!
 //! [`Reinforce`]: crate::rl::Reinforce
 
-use crate::nn::{entropy, sample_categorical, softmax, Mlp};
+use crate::nn::CategoricalPolicy;
 use archgym_core::agent::{Agent, HyperMap};
 use archgym_core::env::StepResult;
 use archgym_core::error::Result;
@@ -25,12 +25,6 @@ use archgym_core::space::{Action, ParamSpace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::collections::VecDeque;
-
-#[derive(Debug)]
-enum Policy {
-    Tabular(Vec<Vec<f64>>),
-    Mlp(Mlp),
-}
 
 #[derive(Debug, Clone)]
 struct Sample {
@@ -42,9 +36,8 @@ struct Sample {
 /// PPO agent with a clipped surrogate objective.
 #[derive(Debug)]
 pub struct Ppo {
-    cards: Vec<usize>,
     rng: StdRng,
-    policy: Policy,
+    policy: CategoricalPolicy,
     lr: f64,
     clip: f64,
     epochs: usize,
@@ -90,15 +83,13 @@ impl Ppo {
         );
         let cards = space.cardinalities();
         let mut rng = seeded_rng(seed);
-        let total: usize = cards.iter().sum();
         let policy = if use_mlp {
-            Policy::Mlp(Mlp::new(&[cards.len() + 1, hidden, total], &mut rng))
+            CategoricalPolicy::mlp(&cards, hidden, &mut rng)
         } else {
-            Policy::Tabular(cards.iter().map(|&c| vec![0.0; c]).collect())
+            CategoricalPolicy::tabular(&cards)
         };
         let context = vec![0.5; cards.len()];
         Ppo {
-            cards,
             rng,
             policy,
             lr,
@@ -154,38 +145,10 @@ impl Ppo {
         ))
     }
 
-    fn distributions(&mut self) -> Vec<Vec<f64>> {
-        match &mut self.policy {
-            Policy::Tabular(logits) => logits.iter().map(|z| softmax(z)).collect(),
-            Policy::Mlp(mlp) => {
-                let x = {
-                    let mut x = self.context.clone();
-                    x.push(1.0);
-                    x
-                };
-                let flat = mlp.forward(&x);
-                let mut out = Vec::with_capacity(self.cards.len());
-                let mut offset = 0;
-                for &c in &self.cards {
-                    out.push(softmax(&flat[offset..offset + c]));
-                    offset += c;
-                }
-                out
-            }
-        }
-    }
-
-    fn log_prob(dists: &[Vec<f64>], genes: &[usize]) -> f64 {
-        dists
-            .iter()
-            .zip(genes)
-            .map(|(p, &g)| p[g].max(1e-12).ln())
-            .sum()
-    }
-
     /// Current per-dimension policy distributions (diagnostic).
     pub fn policy_distributions(&mut self) -> Vec<Vec<f64>> {
-        self.distributions()
+        self.policy.evaluate(&self.context);
+        self.policy.distributions()
     }
 
     fn standardize(&self, reward: f64) -> f64 {
@@ -205,8 +168,8 @@ impl Ppo {
             for &i in &order {
                 let sample = &buffer[i];
                 let advantage = advantages[i];
-                let dists = self.distributions();
-                let logp_new = Self::log_prob(&dists, &sample.genes);
+                self.policy.evaluate(&self.context);
+                let logp_new = self.policy.log_prob(&sample.genes);
                 let ratio = (logp_new - sample.logp_old).exp();
                 // Clipped surrogate: zero gradient when the ratio has
                 // left the trust region in the advantage's direction.
@@ -216,44 +179,8 @@ impl Ppo {
                     ratio >= 1.0 - self.clip
                 };
                 let scale = if inside { ratio * advantage } else { 0.0 };
-                match &mut self.policy {
-                    Policy::Tabular(logits) => {
-                        for (d, probs) in dists.iter().enumerate() {
-                            let h = entropy(probs);
-                            let chosen = sample.genes[d];
-                            for (v, &p) in probs.iter().enumerate() {
-                                let grad_logp = f64::from(v == chosen) - p;
-                                let grad_h = -p * (p.max(1e-12).ln() + h);
-                                logits[d][v] +=
-                                    self.lr * (scale * grad_logp + self.entropy_coef * grad_h);
-                            }
-                        }
-                    }
-                    Policy::Mlp(mlp) => {
-                        let x = {
-                            let mut x = self.context.clone();
-                            x.push(1.0);
-                            x
-                        };
-                        let _ = mlp.forward(&x);
-                        let total: usize = self.cards.iter().sum();
-                        let mut dlogits = vec![0.0; total];
-                        let mut offset = 0;
-                        for (d, probs) in dists.iter().enumerate() {
-                            let h = entropy(probs);
-                            let chosen = sample.genes[d];
-                            for (v, &p) in probs.iter().enumerate() {
-                                let grad_logp = f64::from(v == chosen) - p;
-                                let grad_h = -p * (p.max(1e-12).ln() + h);
-                                dlogits[offset + v] =
-                                    scale * grad_logp + self.entropy_coef * grad_h;
-                            }
-                            offset += probs.len();
-                        }
-                        mlp.backward(&dlogits);
-                        mlp.step(self.lr);
-                    }
-                }
+                self.policy
+                    .ascend(&sample.genes, scale, self.lr, self.entropy_coef);
             }
         }
         // Value (baseline) regression toward the batch's standardized
@@ -273,15 +200,14 @@ impl Agent for Ppo {
     }
 
     fn propose(&mut self, max_batch: usize) -> Vec<Action> {
+        // The policy only changes in `update`: one evaluation serves the
+        // whole batch.
+        self.policy.evaluate(&self.context);
         let n = max_batch.max(1);
         let mut batch = Vec::with_capacity(n);
         for _ in 0..n {
-            let dists = self.distributions();
-            let genes: Vec<usize> = dists
-                .iter()
-                .map(|p| sample_categorical(p, &mut self.rng))
-                .collect();
-            let logp = Self::log_prob(&dists, &genes);
+            let genes = self.policy.sample(&mut self.rng);
+            let logp = self.policy.log_prob(&genes);
             self.pending_logp.push_back((genes.clone(), logp));
             batch.push(Action::new(genes));
         }
@@ -306,8 +232,8 @@ impl Agent for Ppo {
             let logp_old = match self.pending_logp.pop_front() {
                 Some((genes, logp)) if genes == action.as_slice() => logp,
                 _ => {
-                    let dists = self.distributions();
-                    Self::log_prob(&dists, action.as_slice())
+                    self.policy.evaluate(&self.context);
+                    self.policy.log_prob(action.as_slice())
                 }
             };
             self.buffer.push(Sample {
@@ -402,7 +328,7 @@ mod tests {
             max_p < 0.999,
             "policy saturated despite clipping: {probs:?}"
         );
-        assert!(entropy(&probs) > 0.01);
+        assert!(ppo.policy.entropy(0) > 0.01);
     }
 
     #[test]
@@ -423,7 +349,7 @@ mod tests {
         assert_eq!(ppo.clip, 0.3);
         assert_eq!(ppo.epochs, 2);
         assert_eq!(ppo.horizon, 32);
-        assert!(matches!(ppo.policy, Policy::Mlp(_)));
+        assert!(ppo.policy.is_mlp());
         assert!(Ppo::from_hyper(s, &HyperMap::new().with("policy", "sac"), 0).is_err());
     }
 

@@ -15,7 +15,7 @@
 //! entropy bonus keeps exploration alive (Q3); its coefficient, the
 //! learning rate and the network width are the lottery's sweep axes.
 
-use crate::nn::{entropy, sample_categorical, softmax, Mlp};
+use crate::nn::CategoricalPolicy;
 use archgym_core::agent::{Agent, HyperMap};
 use archgym_core::env::StepResult;
 use archgym_core::error::{ArchGymError, Result};
@@ -52,12 +52,6 @@ impl PolicyKind {
     }
 }
 
-#[derive(Debug)]
-enum Policy {
-    Tabular(Vec<Vec<f64>>),
-    Mlp(Mlp),
-}
-
 /// Online mean/variance tracker (Welford) for reward standardization.
 #[derive(Debug, Clone, Default)]
 struct RunningStats {
@@ -87,9 +81,8 @@ impl RunningStats {
 #[derive(Debug)]
 pub struct Reinforce {
     space: ParamSpace,
-    cards: Vec<usize>,
     rng: StdRng,
-    policy: Policy,
+    policy: CategoricalPolicy,
     kind: PolicyKind,
     lr: f64,
     entropy_coef: f64,
@@ -112,17 +105,13 @@ impl Reinforce {
         );
         let cards = space.cardinalities();
         let mut rng = seeded_rng(seed);
-        let total_logits: usize = cards.iter().sum();
         let policy = match kind {
-            PolicyKind::Tabular => Policy::Tabular(cards.iter().map(|&c| vec![0.0; c]).collect()),
-            PolicyKind::Mlp { hidden } => {
-                Policy::Mlp(Mlp::new(&[cards.len() + 1, hidden, total_logits], &mut rng))
-            }
+            PolicyKind::Tabular => CategoricalPolicy::tabular(&cards),
+            PolicyKind::Mlp { hidden } => CategoricalPolicy::mlp(&cards, hidden, &mut rng),
         };
         let context = vec![0.5; cards.len()];
         Reinforce {
             space,
-            cards,
             rng,
             policy,
             kind,
@@ -162,28 +151,6 @@ impl Reinforce {
     pub fn kind(&self) -> PolicyKind {
         self.kind
     }
-
-    /// Per-dimension probability vectors under the current policy.
-    fn distributions(&mut self) -> Vec<Vec<f64>> {
-        match &mut self.policy {
-            Policy::Tabular(logits) => logits.iter().map(|z| softmax(z)).collect(),
-            Policy::Mlp(mlp) => {
-                let x: Vec<f64> = {
-                    let mut x = self.context.clone();
-                    x.push(1.0);
-                    x
-                };
-                let flat = mlp.forward(&x);
-                let mut out = Vec::with_capacity(self.cards.len());
-                let mut offset = 0;
-                for &c in &self.cards {
-                    out.push(softmax(&flat[offset..offset + c]));
-                    offset += c;
-                }
-                out
-            }
-        }
-    }
 }
 
 impl Agent for Reinforce {
@@ -192,17 +159,12 @@ impl Agent for Reinforce {
     }
 
     fn propose(&mut self, max_batch: usize) -> Vec<Action> {
-        let n = max_batch.max(1);
-        let mut batch = Vec::with_capacity(n);
-        for _ in 0..n {
-            let dists = self.distributions();
-            let genes: Vec<usize> = dists
-                .iter()
-                .map(|p| sample_categorical(p, &mut self.rng))
-                .collect();
-            batch.push(Action::new(genes));
-        }
-        batch
+        // The policy only changes in `observe`: one evaluation serves
+        // the whole batch.
+        self.policy.evaluate(&self.context);
+        (0..max_batch.max(1))
+            .map(|_| Action::new(self.policy.sample(&mut self.rng)))
+            .collect()
     }
 
     fn observe(&mut self, results: &[(Action, StepResult)]) {
@@ -217,46 +179,9 @@ impl Agent for Reinforce {
                 self.best_reward = result.reward;
                 self.context = self.space.normalize(action);
             }
-            let dists = self.distributions();
-            match &mut self.policy {
-                Policy::Tabular(logits) => {
-                    for (d, probs) in dists.iter().enumerate() {
-                        let h = entropy(probs);
-                        let chosen = action.index(d);
-                        for (v, &p) in probs.iter().enumerate() {
-                            let grad_logp = f64::from(v == chosen) - p;
-                            let grad_h = -p * (p.max(1e-12).ln() + h);
-                            logits[d][v] +=
-                                self.lr * (advantage * grad_logp + self.entropy_coef * grad_h);
-                        }
-                    }
-                }
-                Policy::Mlp(mlp) => {
-                    let x: Vec<f64> = {
-                        let mut x = self.context.clone();
-                        x.push(1.0);
-                        x
-                    };
-                    // Re-run forward so the caches match this input.
-                    let _ = mlp.forward(&x);
-                    let total: usize = self.cards.iter().sum();
-                    let mut dlogits = vec![0.0; total];
-                    let mut offset = 0;
-                    for (d, probs) in dists.iter().enumerate() {
-                        let h = entropy(probs);
-                        let chosen = action.index(d);
-                        for (v, &p) in probs.iter().enumerate() {
-                            let grad_logp = f64::from(v == chosen) - p;
-                            let grad_h = -p * (p.max(1e-12).ln() + h);
-                            dlogits[offset + v] =
-                                advantage * grad_logp + self.entropy_coef * grad_h;
-                        }
-                        offset += probs.len();
-                    }
-                    mlp.backward(&dlogits);
-                    mlp.step(self.lr);
-                }
-            }
+            self.policy.evaluate(&self.context);
+            self.policy
+                .ascend(action.as_slice(), advantage, self.lr, self.entropy_coef);
         }
     }
 }
@@ -267,6 +192,12 @@ mod tests {
     use archgym_core::env::{Environment, Observation};
     use archgym_core::search::{RunConfig, SearchLoop};
     use archgym_core::toy::PeakEnv;
+
+    /// Head 0's probabilities and entropy under the current policy.
+    fn head0(rl: &mut Reinforce) -> (Vec<f64>, f64) {
+        rl.policy.evaluate(&rl.context);
+        (rl.policy.head(0).to_vec(), rl.policy.entropy(0))
+    }
 
     fn space(cards: &[usize]) -> ParamSpace {
         let mut b = ParamSpace::builder();
@@ -312,7 +243,7 @@ mod tests {
                 .collect();
             rl.observe(&results);
         }
-        let probs = rl.distributions().remove(0);
+        let (probs, _) = head0(&mut rl);
         assert!(probs[3] > 0.7, "policy failed to concentrate: {probs:?}");
     }
 
@@ -331,7 +262,7 @@ mod tests {
                 .collect();
             rl.observe(&results);
         }
-        let probs = rl.distributions().remove(0);
+        let (probs, _) = head0(&mut rl);
         assert!(probs[2] > 0.5, "MLP policy probs: {probs:?}");
     }
 
@@ -365,7 +296,7 @@ mod tests {
                     .collect();
                 rl.observe(&results);
             }
-            entropy(&rl.distributions()[0])
+            head0(&mut rl).1
         };
         assert!(train(0.5) > train(0.0), "entropy bonus had no effect");
     }
@@ -386,7 +317,7 @@ mod tests {
                     .collect();
                 rl.observe(&results);
             }
-            entropy(&rl.distributions()[0])
+            head0(&mut rl).1
         };
         let fast = final_entropy(0.3);
         let slow = final_entropy(0.005);

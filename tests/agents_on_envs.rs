@@ -162,3 +162,30 @@ fn mlp_ppo_on_a_peak_matches_the_pinned_fingerprint() {
         "peak/ppo (mlp) reward history drifted from the pinned capture"
     );
 }
+
+#[test]
+fn tabular_rl_on_farsi_matches_the_pinned_fingerprint() {
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    let mut agent = build_agent(AgentKind::Rl, env.space(), &HyperMap::new(), 7).unwrap();
+    let result = SearchLoop::new(RunConfig::with_budget(128).batch(0)).run(&mut agent, &mut env);
+    assert_eq!(result.reward_history.len(), 128);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        18096839820587609976,
+        "farsi/rl (tabular) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn mlp_rl_on_a_peak_matches_the_pinned_fingerprint() {
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8], vec![5, 2, 6]);
+    let hyper = HyperMap::new().with("policy", "mlp");
+    let mut agent = build_agent(AgentKind::Rl, env.space(), &hyper, 7).unwrap();
+    let result = SearchLoop::new(RunConfig::with_budget(256).batch(0)).run(&mut agent, &mut env);
+    assert_eq!(result.reward_history.len(), 256);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        8620470902076377580,
+        "peak/rl (mlp) reward history drifted from the pinned capture"
+    );
+}
