@@ -189,3 +189,68 @@ fn mlp_rl_on_a_peak_matches_the_pinned_fingerprint() {
         "peak/rl (mlp) reward history drifted from the pinned capture"
     );
 }
+
+/// Reward-history fingerprint of one seed-7, one-at-a-time search.
+fn pinned_run(kind: AgentKind, hyper: &HyperMap, env: &mut dyn Environment, budget: u64) -> u64 {
+    let mut agent = build_agent(kind, env.space(), hyper, 7).unwrap();
+    let result = SearchLoop::new(RunConfig::with_budget(budget).batch(0)).run(&mut agent, env);
+    assert_eq!(result.reward_history.len() as u64, budget);
+    fingerprint(&result.reward_history)
+}
+
+#[test]
+fn ei_bo_on_dram_matches_the_pinned_fingerprint() {
+    let mut env = archgym::dram::DramEnv::new(
+        archgym::dram::DramWorkload::Stream,
+        archgym::dram::Objective::low_power(1.0),
+    );
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &HyperMap::new(), &mut env, 128),
+        3467583948012299193,
+        "dram/bo (ei) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn ucb_bo_on_a_peak_matches_the_pinned_fingerprint() {
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
+    let hyper = HyperMap::new().with("acquisition", "ucb");
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &hyper, &mut env, 256),
+        12055986944930133486,
+        "peak/bo (ucb) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn pi_bo_on_a_peak_matches_the_pinned_fingerprint() {
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
+    let hyper = HyperMap::new().with("acquisition", "pi");
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &hyper, &mut env, 128),
+        13371040933629230989,
+        "peak/bo (pi) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn ei_bo_past_the_history_cap_matches_the_pinned_fingerprint() {
+    // 320 samples cross BO's 192-observation cap, so eviction and the
+    // surrogate rebuild after it are part of the pinned history.
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &HyperMap::new(), &mut env, 320),
+        10862049093824600835,
+        "peak/bo (ei, evicting) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn aco_on_farsi_matches_the_pinned_fingerprint() {
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    assert_eq!(
+        pinned_run(AgentKind::Aco, &HyperMap::new(), &mut env, 128),
+        867863588457605574,
+        "farsi/aco reward history drifted from the pinned capture"
+    );
+}
