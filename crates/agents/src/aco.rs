@@ -29,6 +29,38 @@ pub struct AntColony {
     deposit: f64,
     pheromone: Vec<Vec<f64>>,
     best: Option<(Vec<usize>, f64)>,
+    /// Per-dimension sampling lanes, rebuilt once per `propose` (the
+    /// pheromone only changes in `observe`) and reused across proposals.
+    lanes: Vec<Lane>,
+}
+
+/// One dimension's `τ^α` weights and their total, plus the strongest
+/// pheromone's index once a greedy ant has asked for it.
+#[derive(Debug, Default)]
+struct Lane {
+    weights: Vec<f64>,
+    total: f64,
+    argmax: Option<usize>,
+}
+
+impl Lane {
+    /// Rebuild from `tau`. Evaporation leaves every unvisited value with
+    /// the same bits, so `powf` is computed only where the input bits
+    /// change from the previous value's.
+    fn rebuild(&mut self, tau: &[f64], alpha: f64) {
+        self.weights.clear();
+        let mut memo: Option<(u64, f64)> = None;
+        for &t in tau {
+            let w = match memo {
+                Some((bits, w)) if bits == t.to_bits() => w,
+                _ => t.powf(alpha),
+            };
+            memo = Some((t.to_bits(), w));
+            self.weights.push(w);
+        }
+        self.total = self.weights.iter().sum();
+        self.argmax = None;
+    }
 }
 
 impl AntColony {
@@ -66,6 +98,7 @@ impl AntColony {
             deposit,
             pheromone,
             best: None,
+            lanes: Vec::new(),
         }
     }
 
@@ -100,22 +133,22 @@ impl AntColony {
 
     fn construct(&mut self) -> Vec<usize> {
         let mut genes = Vec::with_capacity(self.cards.len());
-        for d in 0..self.cards.len() {
-            let tau = &self.pheromone[d];
+        for (lane, tau) in self.lanes.iter_mut().zip(&self.pheromone) {
             let v = if self.rng.gen_bool(self.greediness) {
-                // Exploit: strongest pheromone.
-                tau.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN pheromone"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty domain")
+                // Exploit: strongest pheromone (`max_by` keeps the last of
+                // equal maxima).
+                *lane.argmax.get_or_insert_with(|| {
+                    tau.iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN pheromone"))
+                        .map(|(i, _)| i)
+                        .expect("non-empty domain")
+                })
             } else {
                 // Explore: sample ∝ τ^α.
-                let weights: Vec<f64> = tau.iter().map(|&t| t.powf(self.alpha)).collect();
-                let total: f64 = weights.iter().sum();
-                let mut u = self.rng.gen::<f64>() * total;
-                let mut pick = weights.len() - 1;
-                for (i, w) in weights.iter().enumerate() {
+                let mut u = self.rng.gen::<f64>() * lane.total;
+                let mut pick = lane.weights.len() - 1;
+                for (i, w) in lane.weights.iter().enumerate() {
                     u -= w;
                     if u <= 0.0 {
                         pick = i;
@@ -143,6 +176,10 @@ impl Agent for AntColony {
 
     fn propose(&mut self, max_batch: usize) -> Vec<Action> {
         let n = self.num_ants.min(max_batch).max(1);
+        self.lanes.resize_with(self.pheromone.len(), Lane::default);
+        for (lane, tau) in self.lanes.iter_mut().zip(&self.pheromone) {
+            lane.rebuild(tau, self.alpha);
+        }
         (0..n).map(|_| Action::new(self.construct())).collect()
     }
 

@@ -7,8 +7,14 @@
 //! the agent's Q3 knob. The GP history is capped because fitting is cubic
 //! in the number of observations (the cost the paper calls out in
 //! Section 2).
+//!
+//! The surrogate grows with the history instead of being refitted from
+//! scratch: each observation's kernel row is computed once, and the
+//! Cholesky factor of the kernel matrix only gains rows until the history
+//! cap evicts (DESIGN.md, "Bayesian optimization"). Every proposal is bit
+//! for bit the one a from-scratch fit would make.
 
-use crate::linalg::{sq_dist, Cholesky, Matrix};
+use crate::linalg::{sq_dist, GrowingCholesky};
 use archgym_core::agent::{Agent, HyperMap};
 use archgym_core::env::StepResult;
 use archgym_core::error::{ArchGymError, Result};
@@ -17,6 +23,13 @@ use archgym_core::space::{Action, ParamSpace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
+
+/// Jitter values tried before the surrogate is declared unusable: the
+/// noise variance, then ×10 per rung.
+const JITTER_RUNGS: usize = 6;
+
+/// Candidates scored side by side in one forward substitution.
+const LANE: usize = 8;
 
 /// Acquisition functions for [`BayesOpt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +79,8 @@ fn norm_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf)
 }
 
+/// The per-proposal part of the GP fit; the factor lives in the agent.
 struct GpFit {
-    chol: Cholesky,
     alpha: Vec<f64>,
     /// Target standardization constants; predictions stay standardized
     /// inside the agent, but tests de-standardize to check the GP.
@@ -95,6 +108,18 @@ pub struct BayesOpt {
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
     seen: HashSet<Vec<usize>>,
+    /// Kernel matrix over `xs`, packed by rows: row `i` holds
+    /// `k(xs[i], xs[j])` for `j ≤ i`, at offset `i·(i+1)/2`.
+    kernel_rows: Vec<f64>,
+    /// Factor of the leading rows of the kernel matrix plus `jitter·I`.
+    chol: GrowingCholesky,
+    /// The jitter ladder's current value, reached from `noise_var` by
+    /// `rung` multiplications by 10.
+    jitter: f64,
+    /// Rungs that failed on this history; [`JITTER_RUNGS`] means all did.
+    rung: usize,
+    /// Scratch `[row][candidate]` block reused across proposals.
+    lanes: Vec<[f64; LANE]>,
 }
 
 impl BayesOpt {
@@ -135,6 +160,11 @@ impl BayesOpt {
             xs: Vec::new(),
             ys: Vec::new(),
             seen: HashSet::new(),
+            kernel_rows: Vec::new(),
+            chol: GrowingCholesky::new(),
+            jitter: noise_var,
+            rung: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -173,12 +203,40 @@ impl BayesOpt {
     }
 
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.signal_var * (-sq_dist(a, b) / (2.0 * self.length_scale * self.length_scale)).exp()
+        self.kernel_at(sq_dist(a, b))
+    }
+
+    /// The RBF kernel as a function of squared distance.
+    fn kernel_at(&self, sq_dist: f64) -> f64 {
+        self.signal_var * (-sq_dist / (2.0 * self.length_scale * self.length_scale)).exp()
+    }
+
+    /// Grow the factor to the whole history at the current jitter,
+    /// climbing the ladder and refactoring whenever a pivot fails.
+    ///
+    /// A pivot that fails at some jitter fails at the same row of every
+    /// larger history, so the rung reached stays valid until eviction and
+    /// the result equals a from-scratch fit climbing from the bottom.
+    /// Returns `false` once every rung has failed.
+    fn grow_factor(&mut self) -> bool {
+        while self.rung < JITTER_RUNGS {
+            let i = self.chol.rows();
+            if i == self.ys.len() {
+                return true;
+            }
+            let row = &self.kernel_rows[i * (i + 1) / 2..][..=i];
+            if !self.chol.push_row(row, self.jitter) {
+                self.rung += 1;
+                self.jitter *= 10.0;
+                self.chol.clear();
+            }
+        }
+        false
     }
 
     fn fit(&mut self) -> Option<GpFit> {
         let n = self.ys.len();
-        if n == 0 {
+        if n == 0 || !self.grow_factor() {
             return None;
         }
         let y_mean = self.ys.iter().sum::<f64>() / n as f64;
@@ -186,33 +244,63 @@ impl BayesOpt {
         let y_std = y_var.sqrt().max(1e-12);
         let ys_std: Vec<f64> = self.ys.iter().map(|y| (y - y_mean) / y_std).collect();
         let best_std = ys_std.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-
-        let mut jitter = self.noise_var;
-        for _ in 0..6 {
-            let k = Matrix::from_fn(n, n, |i, j| {
-                self.kernel(&self.xs[i], &self.xs[j]) + if i == j { jitter } else { 0.0 }
-            });
-            if let Some(chol) = k.cholesky() {
-                let alpha = chol.solve(&ys_std);
-                return Some(GpFit {
-                    chol,
-                    alpha,
-                    y_mean,
-                    y_std,
-                    best_std,
-                });
-            }
-            jitter *= 10.0;
-        }
-        None
+        Some(GpFit {
+            alpha: self.chol.solve(&ys_std),
+            y_mean,
+            y_std,
+            best_std,
+        })
     }
 
-    fn predict(&self, fit: &GpFit, x: &[f64]) -> (f64, f64) {
-        let k: Vec<f64> = self.xs.iter().map(|xi| self.kernel(xi, x)).collect();
-        let mean = k.iter().zip(&fit.alpha).map(|(a, b)| a * b).sum::<f64>();
-        let v = fit.chol.solve_lower(&k);
-        let var = (self.signal_var - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
-        (mean, var.sqrt())
+    /// Posterior `(mean, std)` at each of `xs`, [`LANE`] candidates per
+    /// block: their cross-kernel laid out `[history row][candidate]`
+    /// and solved in one forward substitution.
+    ///
+    /// Each candidate's sums run in history order from `-0.0`, as
+    /// `Iterator::sum` does, so every result is bit-equal to scoring the
+    /// candidate alone.
+    fn posterior(&mut self, fit: &GpFit, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let mut lanes = std::mem::take(&mut self.lanes);
+        lanes.resize(self.xs.len(), [0.0; LANE]);
+        // The block's coordinates, `[dimension][candidate]`.
+        let mut coords = vec![[0.0; LANE]; self.space.len()];
+        let mut out = Vec::with_capacity(xs.len());
+        for block in xs.chunks(LANE) {
+            for (c, x) in block.iter().enumerate() {
+                for (column, &v) in coords.iter_mut().zip(x) {
+                    column[c] = v;
+                }
+            }
+            let mut mean = [-0.0; LANE];
+            for ((lane, xi), a) in lanes.iter_mut().zip(&self.xs).zip(&fit.alpha) {
+                // `sq_dist` for the whole block: per candidate, the same
+                // terms summed in dimension order from -0.0.
+                let mut d = [-0.0; LANE];
+                for (&x, column) in xi.iter().zip(&coords) {
+                    for c in 0..LANE {
+                        let diff = x - column[c];
+                        d[c] += diff * diff;
+                    }
+                }
+                for c in 0..LANE {
+                    lane[c] = self.kernel_at(d[c]);
+                    mean[c] += lane[c] * a;
+                }
+            }
+            self.chol.solve_lower_lanes(&mut lanes);
+            let mut sq = [-0.0; LANE];
+            for lane in &lanes {
+                for c in 0..LANE {
+                    sq[c] += lane[c] * lane[c];
+                }
+            }
+            for c in 0..block.len() {
+                let var = (self.signal_var - sq[c]).max(1e-12);
+                out.push((mean[c], var.sqrt()));
+            }
+        }
+        self.lanes = lanes;
+        out
     }
 
     fn score(&self, fit: &GpFit, mean: f64, std: f64) -> f64 {
@@ -254,6 +342,39 @@ impl BayesOpt {
         }
         pool
     }
+
+    /// Keep the incumbent best plus the most recent observations, and
+    /// restart the factor and its jitter ladder on the new history.
+    fn evict(&mut self) {
+        let best = self
+            .ys
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN reward"))
+            .map(|(i, _)| i)
+            .expect("non-empty history");
+        let start = self.ys.len() - self.max_history + 1;
+        let keep: Vec<usize> = std::iter::once(best)
+            .chain((start.max(1)..self.ys.len()).filter(|&i| i != best))
+            .collect();
+        // The kernel is symmetric to the bit, so the kept entries carry
+        // over whichever triangle they sat in.
+        let old = std::mem::take(&mut self.kernel_rows);
+        for (i, &a) in keep.iter().enumerate() {
+            for &b in &keep[..=i] {
+                let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+                self.kernel_rows.push(old[hi * (hi + 1) / 2 + lo]);
+            }
+        }
+        self.xs = keep
+            .iter()
+            .map(|&i| std::mem::take(&mut self.xs[i]))
+            .collect();
+        self.ys = keep.iter().map(|&i| self.ys[i]).collect();
+        self.chol.clear();
+        self.jitter = self.noise_var;
+        self.rung = 0;
+    }
 }
 
 impl Agent for BayesOpt {
@@ -271,26 +392,30 @@ impl Agent for BayesOpt {
             // Surrogate is numerically unusable: fall back to random.
             return vec![self.space.sample(&mut self.rng)];
         };
-        let pool = self.candidate_pool();
-        let mut scored: Vec<(f64, Action)> = pool
+        // Seen designs are never proposed and a repeat scores exactly as
+        // its first occurrence, which the stable sort below ranks first;
+        // so only first occurrences of unseen designs need scoring.
+        let mut pool = self.candidate_pool();
+        let mut first = HashSet::with_capacity(pool.len());
+        let fresh: Vec<bool> = pool
+            .iter()
+            .map(|a| !self.seen.contains(a.as_slice()) && first.insert(a.as_slice()))
+            .collect();
+        let mut fresh = fresh.into_iter();
+        pool.retain(|_| fresh.next().expect("one flag per candidate"));
+        let xs: Vec<Vec<f64>> = pool.iter().map(|a| self.space.normalize(a)).collect();
+        let mut scored: Vec<(f64, Action)> = self
+            .posterior(&fit, &xs)
             .into_iter()
-            .map(|a| {
-                let x = self.space.normalize(&a);
-                let (mean, std) = self.predict(&fit, &x);
-                (self.score(&fit, mean, std), a)
-            })
+            .zip(pool)
+            .map(|((mean, std), a)| (self.score(&fit, mean, std), a))
             .collect();
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN acquisition"));
-        let batch = max_batch.clamp(1, 4);
-        let mut out = Vec::with_capacity(batch);
-        for (_, action) in scored {
-            if out.len() >= batch {
-                break;
-            }
-            if !self.seen.contains(action.as_slice()) && !out.contains(&action) {
-                out.push(action);
-            }
-        }
+        let mut out: Vec<Action> = scored
+            .into_iter()
+            .take(max_batch.clamp(1, 4))
+            .map(|(_, a)| a)
+            .collect();
         if out.is_empty() {
             out.push(self.space.sample(&mut self.rng));
         }
@@ -300,29 +425,17 @@ impl Agent for BayesOpt {
     fn observe(&mut self, results: &[(Action, StepResult)]) {
         for (action, result) in results {
             self.seen.insert(action.as_slice().to_vec());
-            self.xs.push(self.space.normalize(action));
+            let x = self.space.normalize(action);
+            for j in 0..self.xs.len() {
+                let k = self.kernel(&x, &self.xs[j]);
+                self.kernel_rows.push(k);
+            }
+            self.kernel_rows.push(self.kernel(&x, &x));
+            self.xs.push(x);
             self.ys.push(result.reward);
         }
-        // Cap the history: keep the incumbent best plus the most recent.
         if self.ys.len() > self.max_history {
-            let best = self
-                .ys
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN reward"))
-                .map(|(i, _)| i)
-                .expect("non-empty history");
-            let start = self.ys.len() - self.max_history + 1;
-            let mut xs = vec![self.xs[best].clone()];
-            let mut ys = vec![self.ys[best]];
-            for i in start.max(1)..self.ys.len() {
-                if i != best {
-                    xs.push(self.xs[i].clone());
-                    ys.push(self.ys[i]);
-                }
-            }
-            self.xs = xs;
-            self.ys = ys;
+            self.evict();
         }
     }
 }
@@ -330,9 +443,234 @@ impl Agent for BayesOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dense::{Cholesky, Matrix};
     use archgym_core::env::{Environment, Observation};
     use archgym_core::search::{RunConfig, SearchLoop};
     use archgym_core::toy::PeakEnv;
+    use proptest::prelude::*;
+
+    /// The fit as it was before the factor grew with the history: the
+    /// whole kernel matrix rebuilt and factored from scratch, climbing the
+    /// jitter ladder from its bottom rung.
+    fn dense_fit(bo: &BayesOpt) -> Option<(Cholesky, GpFit)> {
+        let n = bo.ys.len();
+        if n == 0 {
+            return None;
+        }
+        let y_mean = bo.ys.iter().sum::<f64>() / n as f64;
+        let y_var = bo.ys.iter().map(|y| (y - y_mean).powi(2)).sum::<f64>() / n as f64;
+        let y_std = y_var.sqrt().max(1e-12);
+        let ys_std: Vec<f64> = bo.ys.iter().map(|y| (y - y_mean) / y_std).collect();
+        let best_std = ys_std.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut jitter = bo.noise_var;
+        for _ in 0..6 {
+            let k = Matrix::from_fn(n, n, |i, j| {
+                bo.kernel(&bo.xs[i], &bo.xs[j]) + if i == j { jitter } else { 0.0 }
+            });
+            if let Some(chol) = k.cholesky() {
+                let alpha = chol.solve(&ys_std);
+                let fit = GpFit {
+                    alpha,
+                    y_mean,
+                    y_std,
+                    best_std,
+                };
+                return Some((chol, fit));
+            }
+            jitter *= 10.0;
+        }
+        None
+    }
+
+    /// One candidate's posterior by its own forward substitution.
+    fn dense_predict(bo: &BayesOpt, chol: &Cholesky, fit: &GpFit, x: &[f64]) -> (f64, f64) {
+        let k: Vec<f64> = bo.xs.iter().map(|xi| bo.kernel(xi, x)).collect();
+        let mean = k.iter().zip(&fit.alpha).map(|(a, b)| a * b).sum::<f64>();
+        let v = chol.solve_lower(&k);
+        let var = (bo.signal_var - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
+        (mean, var.sqrt())
+    }
+
+    /// `propose` as it was: dense fit, every pool candidate scored alone,
+    /// duplicates and seen designs skipped only after the sort.
+    fn dense_propose(bo: &mut BayesOpt, max_batch: usize) -> Vec<Action> {
+        if bo.ys.len() < bo.n_init {
+            return bo.propose(max_batch);
+        }
+        let Some((chol, fit)) = dense_fit(bo) else {
+            return vec![bo.space.sample(&mut bo.rng)];
+        };
+        let pool = bo.candidate_pool();
+        let mut scored: Vec<(f64, Action)> = pool
+            .into_iter()
+            .map(|a| {
+                let x = bo.space.normalize(&a);
+                let (mean, std) = dense_predict(bo, &chol, &fit, &x);
+                (bo.score(&fit, mean, std), a)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN acquisition"));
+        let batch = max_batch.clamp(1, 4);
+        let mut out = Vec::with_capacity(batch);
+        for (_, action) in scored {
+            if out.len() >= batch {
+                break;
+            }
+            if !bo.seen.contains(action.as_slice()) && !out.contains(&action) {
+                out.push(action);
+            }
+        }
+        if out.is_empty() {
+            out.push(bo.space.sample(&mut bo.rng));
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Drive a production agent and a twin proposing through the dense
+    /// oracle over the same history, asserting after every observe that
+    /// the grown factor, `alpha`, candidate posteriors and proposed batch
+    /// all equal the oracle's to the bit. Returns how many fits the
+    /// oracle found unusable.
+    #[allow(clippy::too_many_arguments)]
+    fn check_against_dense(
+        cards: &[usize],
+        noise: f64,
+        acquisition: Acquisition,
+        max_history: usize,
+        rounds: usize,
+        max_obs: usize,
+        seed: u64,
+    ) -> usize {
+        let make = || {
+            let mut bo = BayesOpt::new(
+                space(cards),
+                0.25,
+                noise,
+                acquisition,
+                2.0,
+                0.01,
+                2,
+                64,
+                seed,
+            );
+            bo.max_history = max_history;
+            bo
+        };
+        let (mut fast, mut oracle) = (make(), make());
+        let mut rng = archgym_core::seeded_rng(seed ^ 0x5eed);
+        let mut unusable = 0;
+        for _ in 0..rounds {
+            // Observe designs both proposed and drawn at random, repeats
+            // included, with rewards on a coarse grid so that ties occur.
+            let k = rng.gen_range(1..=max_obs);
+            let mut batch = fast.propose(k);
+            prop_assert_eq!(&batch, &dense_propose(&mut oracle, k));
+            while batch.len() < k {
+                batch.push(fast.space.sample(&mut rng));
+            }
+            let results: Vec<(Action, StepResult)> = batch
+                .into_iter()
+                .map(|a| {
+                    let r = f64::from(rng.gen_range(0..8u32)) / 4.0;
+                    (a, StepResult::terminal(Observation::new(vec![r]), r))
+                })
+                .collect();
+            fast.observe(&results);
+            oracle.observe(&results);
+            prop_assert_eq!(bits(&fast.ys), bits(&oracle.ys));
+            let Some((chol, want)) = dense_fit(&oracle) else {
+                unusable += 1;
+                prop_assert!(
+                    fast.fit().is_none(),
+                    "grown factor usable where the dense one is not"
+                );
+                continue;
+            };
+            let got = fast
+                .fit()
+                .expect("grown factor unusable where the dense one is usable");
+            let l = chol.factor();
+            prop_assert_eq!(fast.chol.rows(), l.rows());
+            for i in 0..l.rows() {
+                let dense_row: Vec<f64> = (0..=i).map(|j| l.get(i, j)).collect();
+                prop_assert_eq!(bits(fast.chol.row(i)), bits(&dense_row), "factor row {}", i);
+            }
+            prop_assert_eq!(bits(&got.alpha), bits(&want.alpha));
+            prop_assert_eq!(got.best_std.to_bits(), want.best_std.to_bits());
+            // Candidates repeat on purpose: some blocks hold duplicates.
+            let xs: Vec<Vec<f64>> = (0..rng.gen_range(1..3 * LANE))
+                .map(|_| fast.space.normalize(&fast.space.sample(&mut rng)))
+                .collect();
+            for (x, (mean, std)) in xs.iter().zip(fast.posterior(&got, &xs)) {
+                let (m, s) = dense_predict(&oracle, &chol, &want, x);
+                prop_assert_eq!((mean.to_bits(), std.to_bits()), (m.to_bits(), s.to_bits()));
+            }
+        }
+        unusable
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_random_histories_match_the_dense_oracle(
+            dims in 1usize..5,
+            card in 2usize..12,
+            acq in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let acquisition = [Acquisition::Ei, Acquisition::Ucb, Acquisition::Pi][acq];
+            check_against_dense(&vec![card; dims], 1e-4, acquisition, 192, 24, 4, seed);
+        }
+
+        #[test]
+        fn prop_duplicate_heavy_pools_match_the_dense_oracle(
+            card in 2usize..4,
+            acq in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            // Two or three values per axis: a 64-candidate pool is mostly
+            // repeats, and most of it soon sits in the seen set.
+            let acquisition = [Acquisition::Ei, Acquisition::Ucb, Acquisition::Pi][acq];
+            check_against_dense(&[card, card], 1e-4, acquisition, 192, 12, 4, seed);
+        }
+
+        #[test]
+        fn prop_jitter_escalation_matches_the_dense_oracle(
+            noise_exp in 14i32..19,
+            card in 1usize..3,
+            max_history in 4usize..16,
+            seed in 0u64..1_000_000,
+        ) {
+            // Tiny noise on a few-point space: repeated designs make the
+            // kernel matrix singular, so fits climb the jitter ladder; a
+            // history cap below the run's length evicts mid-climb, which
+            // must restart the ladder from its bottom rung.
+            check_against_dense(&[card, 2], 10f64.powi(-noise_exp), Acquisition::Ei, max_history, 16, 4, seed);
+        }
+
+        #[test]
+        fn prop_evicting_every_observe_matches_the_dense_oracle(
+            max_history in 3usize..12,
+            seed in 0u64..1_000_000,
+        ) {
+            check_against_dense(&[6, 6, 6], 1e-4, Acquisition::Ei, max_history, 24, 4, seed);
+        }
+    }
+
+    #[test]
+    fn exhausted_jitter_ladder_falls_back_to_random_like_the_oracle() {
+        // At 1e-300 every rung leaves 1 + jitter == 1, so a repeated
+        // design is an exactly singular pivot at all six rungs.
+        for seed in 0..8 {
+            let unusable = check_against_dense(&[1, 2], 1e-300, Acquisition::Ei, 192, 8, 4, seed);
+            assert!(unusable > 0, "seed {seed} never exhausted the ladder");
+        }
+    }
 
     fn space(cards: &[usize]) -> ParamSpace {
         let mut b = ParamSpace::builder();
@@ -377,7 +715,7 @@ mod tests {
         let fit = bo.fit().unwrap();
         for i in [0usize, 5, 10] {
             let x = bo.space.normalize(&Action::new(vec![i]));
-            let (mean_std, std) = bo.predict(&fit, &x);
+            let (mean_std, std) = bo.posterior(&fit, &[x])[0];
             let mean = mean_std * fit.y_std + fit.y_mean;
             assert!(
                 (mean - i as f64 / 10.0).abs() < 0.05,

@@ -25,6 +25,7 @@ use archgym_core::screen::ScreenPolicy;
 use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::seeded_rng;
 use archgym_core::space::Action;
+use archgym_core::stats::summarize;
 use archgym_core::sweep::{Sweep, SweepResult};
 use archgym_core::telemetry::{PhaseSummary, Recorder};
 use archgym_dram::controller::{ControllerConfig, MemoryController};
@@ -82,7 +83,8 @@ pub struct PerfReport {
     /// linear-scan reference engine on the wide-buffer workload.
     pub scheduler_index_speedup: f64,
     /// Wall-clock speedup of the jobs=4 pooled batched run over the
-    /// same run evaluated serially (≈1 on a single-core machine).
+    /// same run evaluated serially (≈1 on a single-core machine): the
+    /// ratio of the two sides' medians over interleaved reps.
     pub batched_run_speedup: f64,
     /// Wall-clock speedup of the warm cached sweep over the uncached
     /// serial sweep (the acceptance metric: must exceed 2×).
@@ -407,8 +409,12 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     // One GA run with auto batch (= its population) evaluated serially,
     // then fanned over a 4-replica EnvPool. Results must be
     // bit-identical; the wall-clock ratio is the pool's gain (≈1 on a
-    // single-core machine — `cores` in the report says which).
-    let run_budget: u64 = if quick { 96 } else { 600 };
+    // single-core machine — `cores` in the report says which). Serial
+    // and pooled reps alternate and each side keeps its median, so a
+    // load burst or a cold first rep cannot decide the ratio alone; the
+    // budget keeps each rep tens of milliseconds long, well above timer
+    // and scheduler noise.
+    let run_budget: u64 = if quick { 1_536 } else { 3_072 };
     let batched_env = || DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
     let batched_space = batched_env().space().clone();
     let run_batched = |batch_jobs: usize| -> Result<RunResult> {
@@ -419,22 +425,29 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
             .jobs(batch_jobs);
         Ok(SearchLoop::new(config).run_pooled(&mut agent, batched_env()))
     };
-    let (serial_run_seconds, serial_run) = timed(|| run_batched(1));
-    let serial_run = serial_run?;
+    let (mut serial_times, mut pooled_times) = (Vec::new(), Vec::new());
+    for _ in 0..if quick { 7 } else { 9 } {
+        let (serial_seconds, serial_run) = timed(|| run_batched(1));
+        let serial_run = serial_run?;
+        let (pooled_seconds, pooled_run) = timed(|| run_batched(4));
+        let pooled_run = pooled_run?;
+        assert!(
+            serial_run.best_reward == pooled_run.best_reward
+                && serial_run.best_action == pooled_run.best_action
+                && serial_run.reward_history == pooled_run.reward_history,
+            "batched-run/jobs4 diverged from the serial run"
+        );
+        serial_times.push(serial_seconds);
+        pooled_times.push(pooled_seconds);
+    }
+    let serial_run_seconds = summarize(&serial_times).median;
+    let pooled_run_seconds = summarize(&pooled_times).median;
     scenarios.push(ScenarioResult {
         name: "batched-run/serial".into(),
         work_units: run_budget,
         wall_seconds: serial_run_seconds,
         per_second: run_budget as f64 / serial_run_seconds,
     });
-    let (pooled_run_seconds, pooled_run) = timed(|| run_batched(4));
-    let pooled_run = pooled_run?;
-    assert!(
-        serial_run.best_reward == pooled_run.best_reward
-            && serial_run.best_action == pooled_run.best_action
-            && serial_run.reward_history == pooled_run.reward_history,
-        "batched-run/jobs4 diverged from the serial run"
-    );
     scenarios.push(ScenarioResult {
         name: "batched-run/jobs4".into(),
         work_units: run_budget,
