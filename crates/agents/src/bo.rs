@@ -395,14 +395,12 @@ impl Agent for BayesOpt {
         // Seen designs are never proposed and a repeat scores exactly as
         // its first occurrence, which the stable sort below ranks first;
         // so only first occurrences of unseen designs need scoring.
-        let mut pool = self.candidate_pool();
-        let mut first = HashSet::with_capacity(pool.len());
-        let fresh: Vec<bool> = pool
-            .iter()
-            .map(|a| !self.seen.contains(a.as_slice()) && first.insert(a.as_slice()))
+        let mut first = HashSet::with_capacity(self.candidates);
+        let pool: Vec<Action> = self
+            .candidate_pool()
+            .into_iter()
+            .filter(|a| !self.seen.contains(a.as_slice()) && first.insert(a.clone()))
             .collect();
-        let mut fresh = fresh.into_iter();
-        pool.retain(|_| fresh.next().expect("one flag per candidate"));
         let xs: Vec<Vec<f64>> = pool.iter().map(|a| self.space.normalize(a)).collect();
         let mut scored: Vec<(f64, Action)> = self
             .posterior(&fit, &xs)

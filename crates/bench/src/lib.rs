@@ -11,11 +11,11 @@
 //! | Fig. 5 — lottery across all four simulators | [`fig5::run`] | `--bin fig5` |
 //! | Fig. 6 — GAMMA domain-specific-operator ablation | [`fig6::run`] | `--bin fig6` |
 //! | Fig. 7 — mean normalized reward vs sample budget | [`fig7::run`] | `--bin fig7` |
-//! | Fig. 8 — time-to-completion per agent | [`fig8::run`] | `--bin fig8` (+ criterion bench) |
+//! | Fig. 8 — time-to-completion per agent | [`fig8::run`] | `--bin fig8` |
 //! | Table 4 — low-power DRAM controllers found per agent | [`table4::run`] | `--bin table4` |
 //! | Figs. 9–10 — dataset aggregation & proxy RMSE vs size/diversity | [`fig10::run`] | `--bin fig10` |
 //! | Fig. 11 — predicted-vs-actual correlation | [`fig11::run`] | `--bin fig11` |
-//! | Fig. 12 — proxy speedup & RMSE table | [`fig12::run`] | `--bin fig12` (+ criterion bench) |
+//! | Fig. 12 — proxy speedup & RMSE table | [`fig12::run`] | `--bin fig12` |
 //!
 //! Every harness takes a [`Scale`]: `Smoke` for CI, `Default` for a
 //! laptop-minutes run, `Full` for a faithful (hours-long) sweep. The
