@@ -14,6 +14,7 @@
 //! 3. **Screened runs resume bit-identically** after a crash at any
 //!    journal prefix, including torn tails.
 
+use archgym_accel::{AccelEnv, Objective as AccelObjective};
 use archgym_agents::factory::{build_agent, AgentKind};
 use archgym_core::agent::RandomWalker;
 use archgym_core::env::Environment;
@@ -21,7 +22,10 @@ use archgym_core::screen::ScreenPolicy;
 use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
 use archgym_core::toy::PeakEnv;
 use archgym_dram::{DramEnv, DramWorkload, Objective};
-use archgym_proxy::OnlineProxy;
+use archgym_mapping::{MappingEnv, Objective as MappingObjective};
+use archgym_proxy::{ForestConfig, OnlineProxy, RandomForest};
+use archgym_soc::{SocEnv, SocWorkload};
+use rand::Rng;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -129,6 +133,78 @@ fn screened_dram_run_matches_the_pinned_fingerprint() {
         fingerprint(&result.reward_history),
         665448964544412151,
         "dram/ga+proxy reward history drifted from the pinned capture"
+    );
+}
+
+/// A screened run on `env` with a refit every 16 samples, so the forest
+/// is regrown many times inside a 128-sample budget.
+fn screened_refit_heavy_run<E: Environment + Clone + Send>(kind: AgentKind, env: E) -> RunResult {
+    let mut agent = build_agent(kind, env.space(), &Default::default(), 7).unwrap();
+    let policy = ScreenPolicy::default()
+        .warmup(32)
+        .refit_every(16)
+        .revalidate_every(4);
+    let mut screener = OnlineProxy::with_defaults(policy, 7).unwrap();
+    SearchLoop::new(RunConfig::with_budget(128).batch(0))
+        .run_env_with(&mut *agent, env, RunIo::screened(&mut screener))
+        .unwrap()
+}
+
+#[test]
+fn screened_farsi_run_matches_the_pinned_fingerprint() {
+    // FARSI's 65k-value axis gives nearly every root row its own
+    // threshold: the split search's widest candidate set.
+    let env = SocEnv::new(SocWorkload::EdgeDetection);
+    let result = screened_refit_heavy_run(AgentKind::Ga, env);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        11146396040184615086,
+        "soc/ga+proxy reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn screened_accel_run_matches_the_pinned_fingerprint() {
+    let env = AccelEnv::new(archgym_models::resnet50(), AccelObjective::latency(15.0));
+    let result = screened_refit_heavy_run(AgentKind::Sa, env);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        3068288735324249870,
+        "accel/sa+proxy reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn screened_mapping_run_matches_the_pinned_fingerprint() {
+    let net = archgym_models::resnet18();
+    let env = MappingEnv::for_layer(&net, "stage2", MappingObjective::runtime()).unwrap();
+    let result = screened_refit_heavy_run(AgentKind::Ga, env);
+    assert_eq!(
+        fingerprint(&result.reward_history),
+        5160531880815513166,
+        "mapping/ga+proxy reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn large_offline_forest_matches_the_pinned_fingerprint() {
+    // A Fig. 10-sized fit: 3,000 rows of integer features whose
+    // cardinalities range from a binary flag to a 65k-value axis.
+    let card = [4u64, 16, 65536, 3, 8, 2, 32, 5];
+    let mut rng = archgym_core::seeded_rng(0xF0);
+    let xs: Vec<Vec<f64>> = (0..3000)
+        .map(|_| card.iter().map(|&c| rng.gen_range(0..c) as f64).collect())
+        .collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| 1e3 + 3.0 * (x[2] / 6553.6).sin() + 0.25 * x[1] - (x[4] - 3.0).powi(2))
+        .collect();
+    let forest = RandomForest::fit(&xs, &ys, &ForestConfig::default(), 11).unwrap();
+    let preds: Vec<f64> = xs[..500].iter().map(|x| forest.predict(x)).collect();
+    assert_eq!(
+        fingerprint(&preds),
+        7537820078642139437,
+        "offline forest predictions drifted from the pinned capture"
     );
 }
 
