@@ -1,6 +1,6 @@
 //! Bagged random forests with per-split feature subsampling.
 
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{Lanes, RegressionTree, TreeConfig};
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::executor::Executor;
 use archgym_core::space::Action;
@@ -46,8 +46,8 @@ impl RandomForest {
     /// # Errors
     ///
     /// Returns [`ArchGymError::Dataset`] for empty or mismatched data,
-    /// ragged or zero-width feature rows, or degenerate hyperparameters;
-    /// nothing is grown in those cases.
+    /// ragged or zero-width feature rows, a NaN feature value, or
+    /// degenerate hyperparameters; nothing is grown in those cases.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &ForestConfig, seed: u64) -> Result<Self> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(ArchGymError::Dataset(format!(
@@ -69,6 +69,8 @@ impl RandomForest {
             return Err(ArchGymError::Dataset("feature rows have zero width".into()));
         }
         check_width(xs, n_features)?;
+        let lanes = Lanes::new(xs)
+            .map_err(|row| ArchGymError::Dataset(format!("feature row {row} holds a NaN value")))?;
         let features_per_split =
             ((n_features as f64 * config.feature_frac).ceil() as usize).clamp(1, n_features);
         let tree_cfg = TreeConfig {
@@ -85,7 +87,7 @@ impl RandomForest {
                 seed ^ (tree_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            RegressionTree::fit_with(xs, ys, &rows, &tree_cfg, &mut rng)
+            RegressionTree::fit_with(&lanes, ys, rows, &tree_cfg, &mut rng)
         });
         Ok(RandomForest { trees })
     }
@@ -302,6 +304,18 @@ mod tests {
         let narrow = vec![vec![0.5; 3]];
         let err = RandomForest::fit_best((&xs, &ys), (&narrow, &[1.0]), 1, 0).unwrap_err();
         assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
+    }
+
+    #[test]
+    fn fit_rejects_a_nan_feature_without_growing_a_tree() {
+        let (mut xs, ys) = friedman_like(40, 3);
+        xs[17][2] = f64::NAN;
+        let err = RandomForest::fit(&xs, &ys, &ForestConfig::default(), 0).unwrap_err();
+        assert!(matches!(err, ArchGymError::Dataset(_)), "{err}");
+        assert!(err.to_string().contains("row 17"), "{err}");
+        // Infinite values order fine and stay accepted.
+        xs[17][2] = f64::INFINITY;
+        assert!(RandomForest::fit(&xs, &ys, &ForestConfig::default(), 0).is_ok());
     }
 
     #[test]
