@@ -21,7 +21,7 @@
 //! - **Filter.** Sort the node's rows by the feature once and sweep the
 //!   prefix sums of the targets centred on the parent mean. That gives a
 //!   one-pass estimate of every threshold's score together with a
-//!   rigorous rounding bound ([`Band`]), so each threshold's exact score
+//!   rigorous rounding bound (`Band`), so each threshold's exact score
 //!   lies in a known interval. The smallest upper end over all
 //!   thresholds bounds the winning score from above.
 //! - **Verify.** Walk the thresholds in search order and compute the
@@ -481,12 +481,13 @@ impl Grower<'_> {
 /// differences, each within a factor `(1 + γ₃)`; so it lies within
 /// `O = G·R + 3G²·(mμ² + Qb)` of `SSE` (`m·δ² ≤ 2G²·(mμ² + Qb)`). Both
 /// scores add their two sides with one more rounding each, which
-/// `G·(|E| + 2(R_L + R_R))` covers.
+/// `G·(|E| + 2(R_L + R_R + O_L + O_R))` covers, `E` being the estimate.
 ///
-/// Every bound above is a sum of products of non-negative floats; the
-/// final factor `1 + 2⁻⁴⁰` covers their own rounding and that of
-/// `E ± bound`, and `16n·f64::MIN_POSITIVE` covers gradual underflow.
-/// Any non-finite estimate or bound makes the threshold verify exactly.
+/// Every bound above is a sum of products of non-negative floats: the
+/// final factor `1 + 2⁻⁴⁰` covers their own rounding, one more `G·|E|`
+/// covers rounding `E ± bound`, and `16n·f64::MIN_POSITIVE` covers
+/// gradual underflow. Any non-finite estimate or bound makes the
+/// threshold verify exactly.
 struct Band {
     n: f64,
     mean_sq: f64,
@@ -530,8 +531,8 @@ impl Band {
         let est = est_l + est_r;
         let o_l = g * r_l + 3.0 * g * g * (n_left * self.mean_sq + self.qb);
         let o_r = g * r_r + 3.0 * g * g * ((self.n - n_left) * self.mean_sq + self.qb);
-        let bound = (b_l + b_r + o_l + o_r + g * (est.abs() + 2.0 * (r_l + r_r)) + self.slack)
-            * (1.0 + 2f64.powi(-40));
+        let rounding = g * (2.0 * est.abs() + 2.0 * (r_l + r_r + o_l + o_r));
+        let bound = (b_l + b_r + o_l + o_r + rounding + self.slack) * (1.0 + 2f64.powi(-40));
         let (lower, upper) = (est - bound, est + bound);
         (lower.is_finite() && upper.is_finite()).then_some((lower, upper))
     }
