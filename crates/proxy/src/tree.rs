@@ -357,7 +357,9 @@ impl Grower<'_> {
         if depth >= cfg.max_depth || n < 2 * min_leaf {
             return None;
         }
-        let parent_sse: f64 = rows.iter().map(|&i| (ys[i] - mean).powi(2)).sum();
+        centred.clear();
+        centred.extend(rows.iter().map(|&i| ys[i] - mean));
+        let parent_sse: f64 = centred.iter().map(|z| z.powi(2)).sum();
         if parent_sse <= 1e-12 {
             return None; // pure node
         }
@@ -371,8 +373,6 @@ impl Grower<'_> {
             return None; // a NaN target: no score is below the parent's
         }
 
-        centred.clear();
-        centred.extend(rows.iter().map(|&i| ys[i] - mean));
         let band = Band::new(n, mean, parent_sse, centred.iter().sum());
         let mut upper = f64::INFINITY;
         candidates.clear();
