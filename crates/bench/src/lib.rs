@@ -27,9 +27,10 @@
 //! Beyond the paper's artifacts, [`ablation`] isolates per-knob
 //! sensitivity (one hyperparameter at a time; `--bin ablation`),
 //! [`sample_efficiency`] reports samples-to-target directly
-//! (`--bin sample_efficiency`), and [`perf`] times the workspace's own
-//! hot paths — simulate-only, serial/parallel sweeps, and the
-//! memoizing `EvalCache` — writing `BENCH_perf.json`
+//! (`--bin sample_efficiency`), and [`perf`] times the DRAM engine and
+//! gates four in-run ratios (SoA vs reference engine, pooled vs serial,
+//! telemetry on vs off, cold vs warm `EvalCache`), appending each run to
+//! `BENCH_perf.json`
 //! (`cargo run -p archgym-bench --release --bin bench -- perf`).
 
 pub mod ablation;

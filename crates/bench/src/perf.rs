@@ -1,64 +1,116 @@
-//! `bench perf` — the workspace's performance trajectory.
+//! `bench perf` — the microbenchmarks nothing else in the repo measures,
+//! and the four in-run ratio checks that gate them.
 //!
-//! Times the layers this repo's throughput rests on, bottom to top:
-//! the raw `MemoryController::simulate` inner loop (simulate-only), a
-//! serial agent sweep, the same sweep fanned over worker threads
-//! (sweep-parallel), the same sweep memoized through an
-//! [`EvalCache`] (cached-sweep, cold then warm), and the online proxy
-//! screening layer (`proxy/fit`, `proxy/predict`,
-//! `proxy/screened-search`). The report embeds the
-//! pre-optimization baseline measured before the hot-path rewrite so
-//! every future run shows the trajectory, and is written to
-//! `BENCH_perf.json` by the `bench` binary for CI artifact upload.
+//! The end-to-end layers (daemon, race, sweep, proxy) are measured by
+//! the `perfbench/` package, the benchmark of record; this module times
+//! what lies below them:
 //!
-//! The cached-sweep scenarios double as an end-to-end determinism
-//! check: the run panics if cached results diverge from uncached ones.
+//! * the raw `MemoryController::simulate` inner loop (`simulate-only/*`)
+//!   and the SoA engine's request throughput across four access
+//!   patterns (`dram-engine/*`) — absolute rates, recorded but never
+//!   compared in code: they swing by more than any fixed tolerance
+//!   between runs, even on one host;
+//! * four A/B pairs whose ratio is gated by [`gate`]: the SoA engine vs
+//!   the linear-scan reference, a pooled (jobs 4) run vs the same run
+//!   serially, a live telemetry recorder vs the no-op one, and a cold
+//!   [`EvalCache`] sweep vs the same sweep answered warm.
+//!
+//! Every check times [`REPS`] reps of its two sides — within a rep,
+//! side A then side B, once or in a few short alternating runs per
+//! side — and gates the median of the per-rep ratios A/B, recording the
+//! quartiles as its spread. Both sides must compute the same result in
+//! every run, so each check doubles as a determinism check: the run
+//! panics if they diverge.
 
-use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
+use archgym_agents::factory::{build_agent, default_grid, AgentKind};
 use archgym_core::agent::HyperMap;
 use archgym_core::cache::EvalCache;
 use archgym_core::env::Environment;
 use archgym_core::error::Result;
 use archgym_core::executor::Executor;
-use archgym_core::race::{Race, RaceLane};
-use archgym_core::screen::ScreenPolicy;
-use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
+use archgym_core::search::{RunConfig, RunResult, SearchLoop};
 use archgym_core::seeded_rng;
-use archgym_core::space::Action;
 use archgym_core::stats::summarize;
 use archgym_core::sweep::{Sweep, SweepResult};
 use archgym_core::telemetry::{PhaseSummary, Recorder};
 use archgym_dram::controller::{ControllerConfig, MemoryController};
 use archgym_dram::trace::generate;
 use archgym_dram::{DramEnv, DramWorkload, Objective, TraceConfig};
+use std::cell::RefCell;
+use std::fmt;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pre-optimization throughput of the simulate-only scenarios, measured
-/// on this repo immediately before the PR 2 hot-path rewrite (single
-/// core, release profile). Kept in the report so the speedup is visible
-/// without digging through git history.
-pub const BASELINE_SIMULATE_DEFAULT_PER_SEC: f64 = 13_000.0;
-/// Pre-optimization throughput of the wide simulate-only scenario.
-pub const BASELINE_SIMULATE_WIDE_PER_SEC: f64 = 670.0;
+/// Timed reps per scenario and per side of every ratio check.
+pub const REPS: usize = 11;
 
-/// Ceiling on the live recorder's cost: a run with telemetry enabled
-/// may take at most 5% longer than the identical run with the no-op
-/// recorder. Enforced by [`gate`] in CI.
-pub const TELEMETRY_OVERHEAD_LIMIT: f64 = 1.05;
-
-/// One timed scenario.
+/// One timed scenario: the median of [`REPS`] reps.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Scenario identifier, e.g. `"simulate-only/default"`.
     pub name: String,
-    /// Work units completed (simulations or sweep runs).
+    /// Work units in one rep (simulations, requests or samples).
     pub work_units: u64,
-    /// Wall-clock seconds.
+    /// Median wall-clock seconds of one rep.
     pub wall_seconds: f64,
-    /// Work units per second.
+    /// Work units per second at the median rep.
     pub per_second: f64,
+}
+
+impl ScenarioResult {
+    fn new(name: impl Into<String>, work_units: u64, wall_seconds: f64) -> Self {
+        Self {
+            name: name.into(),
+            work_units,
+            wall_seconds,
+            per_second: work_units as f64 / wall_seconds,
+        }
+    }
+}
+
+/// The side of its bound a ratio must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The median must be at least this.
+    AtLeast(f64),
+    /// The median must be at most this.
+    AtMost(f64),
+}
+
+impl Bound {
+    /// Whether `value` lies within the bound (a NaN never does).
+    pub fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::AtLeast(floor) => value >= floor,
+            Bound::AtMost(ceiling) => value <= ceiling,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(floor) => write!(f, ">= {floor}"),
+            Bound::AtMost(ceiling) => write!(f, "<= {ceiling}"),
+        }
+    }
+}
+
+/// One in-run ratio check: side A's seconds over side B's, per rep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ratio {
+    /// Check identifier, e.g. `"soa-vs-reference"`.
+    pub name: &'static str,
+    /// Median of the per-rep ratios — the gated value.
+    pub median: f64,
+    /// First quartile of the per-rep ratios.
+    pub q1: f64,
+    /// Third quartile of the per-rep ratios.
+    pub q3: f64,
+    /// The bound [`gate`] holds the median to.
+    pub bound: Bound,
 }
 
 /// The full `bench perf` report.
@@ -75,47 +127,35 @@ pub struct PerfReport {
     pub cores: usize,
     /// Whether the quick (CI smoke) workload sizes were used.
     pub quick: bool,
-    /// Worker threads used by the parallel scenario (`0` = all cores).
+    /// Worker threads of the cached sweeps (`0` = all cores).
     pub jobs: usize,
     /// Every timed scenario, in execution order.
     pub scenarios: Vec<ScenarioResult>,
-    /// Throughput ratio of the default DRAM engine (SoA) over the
-    /// linear-scan reference engine on the wide-buffer workload.
-    pub scheduler_index_speedup: f64,
-    /// Wall-clock speedup of the jobs=4 pooled batched run over the
-    /// same run evaluated serially (≈1 on a single-core machine): the
-    /// ratio of the two sides' medians over interleaved reps.
-    pub batched_run_speedup: f64,
-    /// Wall-clock speedup of the warm cached sweep over the uncached
-    /// serial sweep (the acceptance metric: must exceed 2×).
-    pub cached_sweep_speedup: f64,
-    /// Cache hit rate over the cold+warm cached sweeps.
+    /// The four gated ratio checks, in execution order.
+    pub ratios: Vec<Ratio>,
+    /// Cache hit rate over the last rep's cold+warm sweeps.
     pub cache_hit_rate: f64,
-    /// Distinct design points the cache ended up holding.
+    /// Distinct design points the last rep's cache ended up holding.
     pub cache_entries: u64,
-    /// Wall-clock ratio of the telemetry-on run over the telemetry-off
-    /// run (best of several interleaved reps each). Gated at
-    /// [`TELEMETRY_OVERHEAD_LIMIT`].
-    pub telemetry_overhead: f64,
-    /// Per-phase latency summaries from the telemetry-on run, straight
+    /// Per-phase latency summaries from the telemetry-on runs, straight
     /// from the run recorder rather than ad-hoc `Instant` bookkeeping.
     pub phases: Vec<(String, PhaseSummary)>,
 }
 
 impl PerfReport {
-    /// Look up a scenario's throughput by name.
-    pub fn per_second(&self, name: &str) -> Option<f64> {
-        self.scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.per_second)
-    }
-
     /// Serialize the report as JSON.
     ///
     /// Hand-rolled: every field is a number, bool or known-safe string,
     /// and hand-rolling keeps the binary independent of a JSON crate.
     pub fn to_json(&self) -> String {
+        fn array<T>(out: &mut String, key: &str, items: &[T], line: impl Fn(&T) -> String) {
+            let _ = writeln!(out, "  \"{key}\": [");
+            for (i, item) in items.iter().enumerate() {
+                let comma = if i + 1 < items.len() { "," } else { "" };
+                let _ = writeln!(out, "    {}{comma}", line(item));
+            }
+            out.push_str("  ],\n");
+        }
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"bench\": \"perf\",");
         let _ = writeln!(out, "  \"rev\": \"{}\",", self.rev);
@@ -123,78 +163,29 @@ impl PerfReport {
         let _ = writeln!(out, "  \"cores\": {},", self.cores);
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        out.push_str("  \"baseline\": {\n");
-        let _ = writeln!(
-            out,
-            "    \"note\": \"pre-optimization throughput, measured before the hot-path rewrite\","
-        );
-        let _ = writeln!(
-            out,
-            "    \"simulate_default_per_sec\": {BASELINE_SIMULATE_DEFAULT_PER_SEC},"
-        );
-        let _ = writeln!(
-            out,
-            "    \"simulate_wide_per_sec\": {BASELINE_SIMULATE_WIDE_PER_SEC}"
-        );
-        out.push_str("  },\n");
-        out.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            let comma = if i + 1 < self.scenarios.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"work_units\": {}, \"wall_seconds\": {:.6}, \"per_second\": {:.3}}}{comma}",
+        let _ = writeln!(out, "  \"reps\": {REPS},");
+        array(&mut out, "scenarios", &self.scenarios, |s| {
+            format!(
+                "{{\"name\": \"{}\", \"work_units\": {}, \"wall_seconds\": {:.6}, \"per_second\": {:.3}}}",
                 s.name, s.work_units, s.wall_seconds, s.per_second
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"phases\": [\n");
-        for (i, (name, p)) in self.phases.iter().enumerate() {
-            let comma = if i + 1 < self.phases.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{name}\", \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{comma}",
+            )
+        });
+        array(&mut out, "ratios", &self.ratios, |r| {
+            let (side, limit) = match r.bound {
+                Bound::AtLeast(v) => ("at_least", v),
+                Bound::AtMost(v) => ("at_most", v),
+            };
+            format!(
+                "{{\"name\": \"{}\", \"median\": {:.4}, \"q1\": {:.4}, \"q3\": {:.4}, \"{side}\": {limit}}}",
+                r.name, r.median, r.q1, r.q3
+            )
+        });
+        array(&mut out, "phases", &self.phases, |(name, p)| {
+            format!(
+                "{{\"name\": \"{name}\", \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
                 p.count, p.total_ns, p.p50_ns, p.p95_ns, p.p99_ns, p.max_ns
-            );
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"telemetry_overhead\": {:.4},",
-            self.telemetry_overhead
-        );
-        if let Some(current) = self.per_second("simulate-only/default") {
-            let _ = writeln!(
-                out,
-                "  \"simulate_default_speedup_vs_baseline\": {:.3},",
-                current / BASELINE_SIMULATE_DEFAULT_PER_SEC
-            );
-        }
-        if let Some(current) = self.per_second("simulate-only/wide") {
-            let _ = writeln!(
-                out,
-                "  \"simulate_wide_speedup_vs_baseline\": {:.3},",
-                current / BASELINE_SIMULATE_WIDE_PER_SEC
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  \"scheduler_index_speedup\": {:.3},",
-            self.scheduler_index_speedup
-        );
-        let _ = writeln!(
-            out,
-            "  \"batched_run_speedup\": {:.3},",
-            self.batched_run_speedup
-        );
-        let _ = writeln!(
-            out,
-            "  \"cached_sweep_speedup\": {:.3},",
-            self.cached_sweep_speedup
-        );
+            )
+        });
         let _ = writeln!(out, "  \"cache_hit_rate\": {:.4},", self.cache_hit_rate);
         let _ = writeln!(out, "  \"cache_entries\": {}", self.cache_entries);
         out.push_str("}\n");
@@ -208,57 +199,77 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64().max(1e-9), result)
 }
 
-/// Run `batches × reps_per_batch` executions of `f`, timing each batch
-/// separately, and return the best batch's per-rep seconds plus a
-/// checksum accumulated across every execution.
-///
-/// One long timing window folds every noisy-neighbor burst and
-/// scheduler interruption on shared hardware into the mean; the best of
-/// several short batches is the standard robust estimator of the code's
-/// own throughput (the telemetry-overhead scenario has measured
-/// best-of-interleaved-reps for the same reason since it was added).
-/// Every rep still executes, so checksum-based result validation keeps
-/// its full coverage.
-fn timed_batches(batches: u64, reps_per_batch: u64, mut f: impl FnMut() -> f64) -> (f64, f64) {
-    let mut best = f64::MAX;
-    let mut checksum = 0.0f64;
-    for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..reps_per_batch {
-            checksum += f();
-        }
-        let per_rep = start.elapsed().as_secs_f64().max(1e-9) / reps_per_batch as f64;
-        best = best.min(per_rep);
-    }
-    (best, checksum)
+/// Median seconds over [`REPS`] timed runs of `f`.
+fn median_seconds(mut f: impl FnMut()) -> f64 {
+    let seconds: Vec<f64> = (0..REPS).map(|_| timed(&mut f).0).collect();
+    summarize(&seconds).median
 }
 
-/// Results must match point-for-point whether or not the cache served
-/// them — anything else means the cache corrupted the search.
-fn assert_equivalent(reference: &SweepResult, candidate: &SweepResult, label: &str) {
-    assert_eq!(
-        reference.points.len(),
-        candidate.points.len(),
-        "{label}: run count diverged"
-    );
-    for (r, c) in reference.points.iter().zip(&candidate.points) {
-        assert!(
-            r.hyper == c.hyper
-                && r.seed == c.seed
-                && r.result.best_reward == c.result.best_reward
-                && r.result.best_action == c.result.best_action
-                && r.result.samples_used == c.result.samples_used,
-            "{label}: cached sweep diverged from uncached at hyper={} seed={}",
-            r.hyper.summary(),
-            r.seed
-        );
+/// Time [`REPS`] reps of the A/B pair, each rep running `a` then `b`
+/// `runs` times alternately and summing each side's seconds; assert
+/// that both sides computed the `same` result in every run, and
+/// summarize the per-rep ratios of `a`'s seconds over `b`'s. Also
+/// returns each side's median rep seconds, for the scenario rows.
+fn ab<T>(
+    name: &'static str,
+    bound: Bound,
+    runs: u64,
+    mut a: impl FnMut() -> Result<T>,
+    mut b: impl FnMut() -> Result<T>,
+    same: impl Fn(&T, &T) -> bool,
+) -> Result<(Ratio, f64, f64)> {
+    let (mut a_seconds, mut b_seconds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        let (mut ta, mut tb) = (0.0, 0.0);
+        for _ in 0..runs {
+            let (sa, ra) = timed(&mut a);
+            let (sb, rb) = timed(&mut b);
+            assert!(same(&ra?, &rb?), "{name}: the two sides diverged");
+            ta += sa;
+            tb += sb;
+        }
+        a_seconds.push(ta);
+        b_seconds.push(tb);
+        ratios.push(ta / tb);
     }
+    let s = summarize(&ratios);
+    let ratio = Ratio {
+        name,
+        median: s.median,
+        q1: s.q1,
+        q3: s.q3,
+        bound,
+    };
+    Ok((
+        ratio,
+        summarize(&a_seconds).median,
+        summarize(&b_seconds).median,
+    ))
+}
+
+/// Two runs found the same design the same way.
+fn same_run(a: &RunResult, b: &RunResult) -> bool {
+    a.best_reward == b.best_reward
+        && a.best_action == b.best_action
+        && a.reward_history == b.reward_history
+}
+
+/// Two sweeps match point for point — a cache that changed any result
+/// would have corrupted the search.
+fn same_sweep(a: &SweepResult, b: &SweepResult) -> bool {
+    a.points.len() == b.points.len()
+        && a.points.iter().zip(&b.points).all(|(a, b)| {
+            a.hyper == b.hyper
+                && a.seed == b.seed
+                && a.result.samples_used == b.result.samples_used
+                && same_run(&a.result, &b.result)
+        })
 }
 
 /// Run every scenario and assemble the report.
 ///
 /// `quick` selects CI-smoke workload sizes; `jobs` is the worker-thread
-/// count for the parallel scenario (`0` = every available core).
+/// count of the cached sweeps (`0` = every available core).
 ///
 /// # Errors
 ///
@@ -266,32 +277,31 @@ fn assert_equivalent(reference: &SweepResult, candidate: &SweepResult, label: &s
 ///
 /// # Panics
 ///
-/// Panics if the cached sweep's results diverge from the uncached ones.
+/// Panics if the two sides of a ratio check compute different results.
 pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     let mut scenarios = Vec::new();
+    let mut ratios = Vec::new();
 
     // --- simulate-only: the raw controller inner loop -----------------
+    // The controller is built once outside the window: the scenario is
+    // named simulate-only, so only `simulate` is on the clock.
     let default_trace = generate(
         DramWorkload::Cloud2,
         &TraceConfig::default(),
         &mut seeded_rng(0xD7A3),
     );
-    let reps: u64 = if quick { 200 } else { 2_000 };
-    let cfg = ControllerConfig::default();
-    // The controller is built once outside the window: the scenario is
-    // named simulate-only, so only `simulate` is on the clock.
-    let controller = MemoryController::new(cfg.clone());
-    let (per_rep, checksum) = timed_batches(10, reps / 10, || {
-        controller.simulate(&default_trace).avg_latency_ns
+    let controller = MemoryController::new(ControllerConfig::default());
+    let calls: u64 = if quick { 20 } else { 200 };
+    let seconds = median_seconds(|| {
+        for _ in 0..calls {
+            black_box(controller.simulate(&default_trace));
+        }
     });
-    assert!(checksum.is_finite());
-    scenarios.push(ScenarioResult {
-        name: "simulate-only/default".into(),
-        work_units: reps,
-        wall_seconds: per_rep * reps as f64,
-        per_second: 1.0 / per_rep,
-    });
+    scenarios.push(ScenarioResult::new("simulate-only/default", calls, seconds));
 
+    // --- SoA engine vs the linear-scan reference on a wide buffer -----
+    // Same workload through the O(buffer)-per-decision reference, so the
+    // SoA engine's algorithmic win stays measured (and bit-identical).
     let wide_trace = generate(
         DramWorkload::Cloud2,
         &TraceConfig {
@@ -300,59 +310,39 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         },
         &mut seeded_rng(0xD7A3),
     );
-    let wide_cfg = ControllerConfig {
+    let wide_controller = MemoryController::new(ControllerConfig {
         request_buffer_size: 8,
         max_active_transactions: 64,
         ..ControllerConfig::default()
-    };
-    // Warm both engines untimed so neither pays first-touch cache and
-    // page-fault costs inside its timing window.
-    for _ in 0..if quick { 2 } else { 10 } {
-        let a = MemoryController::new(wide_cfg.clone()).simulate(&wide_trace);
-        let b = MemoryController::new(wide_cfg.clone()).simulate_linear_scan(&wide_trace);
-        assert_eq!(a, b, "engines diverged on the wide workload");
-    }
-    let reps: u64 = if quick { 30 } else { 300 };
-    let wide_controller = MemoryController::new(wide_cfg.clone());
-    let (per_rep, checksum) = timed_batches(10, reps / 10, || {
-        wide_controller.simulate(&wide_trace).avg_latency_ns
     });
-    assert!(checksum.is_finite());
-    let wide_per_sec = 1.0 / per_rep;
-    scenarios.push(ScenarioResult {
-        name: "simulate-only/wide".into(),
-        work_units: reps,
-        wall_seconds: per_rep * reps as f64,
-        per_second: wide_per_sec,
-    });
-
-    // Same workload through the O(buffer)-per-decision linear-scan
-    // reference, so the SoA engine's algorithmic win stays measured.
-    let reps: u64 = if quick { 10 } else { 100 };
-    let (per_rep, checksum) = timed_batches(5, reps / 5, || {
-        wide_controller
-            .simulate_linear_scan(&wide_trace)
-            .avg_latency_ns
-    });
-    assert!(checksum.is_finite());
-    let linear_per_sec = 1.0 / per_rep;
-    scenarios.push(ScenarioResult {
-        name: "simulate-only/wide-linear-scan".into(),
-        work_units: reps,
-        wall_seconds: per_rep * reps as f64,
-        per_second: linear_per_sec,
-    });
-    let scheduler_index_speedup = wide_per_sec / linear_per_sec;
+    let calls: u64 = if quick { 2 } else { 10 };
+    let (ratio, reference_seconds, soa_seconds) = ab(
+        "soa-vs-reference",
+        Bound::AtLeast(1.5),
+        calls,
+        || Ok(wide_controller.simulate_linear_scan(&wide_trace)),
+        || Ok(wide_controller.simulate(&wide_trace)),
+        |a, b| a == b,
+    )?;
+    ratios.push(ratio);
+    scenarios.push(ScenarioResult::new(
+        "simulate-only/wide",
+        calls,
+        soa_seconds,
+    ));
+    scenarios.push(ScenarioResult::new(
+        "simulate-only/wide-linear-scan",
+        calls,
+        reference_seconds,
+    ));
 
     // --- dram-engine: the SoA engine across access patterns -----------
     // Four traces spanning the engine's behavioral corners — streaming
     // (row-hit heavy), pointer-chase (row-miss heavy), mixed read/write
     // bursts, and a crafted same-bank alternating-row conflict storm
     // (every access closes the previous row). Work units are *requests*,
-    // so per_second is honest request throughput, comparable across
-    // traces of different lengths. New scenario names self-bootstrap
-    // under the gate: with no baseline entry, the first recorded run
-    // becomes the baseline.
+    // so per_second is request throughput, comparable across traces of
+    // different lengths.
     let conflict_trace: Vec<archgym_dram::MemoryRequest> = (0..TraceConfig::default().length)
         .map(|i| archgym_dram::MemoryRequest {
             arrival: i as u64 * 4,
@@ -363,428 +353,127 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
             is_write: i % 3 == 0,
         })
         .collect();
-    let engine_reps: u64 = if quick { 100 } else { 1_000 };
+    let trace_of = |workload| generate(workload, &TraceConfig::default(), &mut seeded_rng(0xD7A3));
+    let calls: u64 = if quick { 10 } else { 100 };
     for (label, trace) in [
-        (
-            "stream",
-            generate(
-                DramWorkload::Stream,
-                &TraceConfig::default(),
-                &mut seeded_rng(0xD7A3),
-            ),
-        ),
-        (
-            "random",
-            generate(
-                DramWorkload::Random,
-                &TraceConfig::default(),
-                &mut seeded_rng(0xD7A3),
-            ),
-        ),
-        (
-            "mixed",
-            generate(
-                DramWorkload::Cloud1,
-                &TraceConfig::default(),
-                &mut seeded_rng(0xD7A3),
-            ),
-        ),
+        ("stream", trace_of(DramWorkload::Stream)),
+        ("random", trace_of(DramWorkload::Random)),
+        ("mixed", trace_of(DramWorkload::Cloud1)),
         ("conflict", conflict_trace),
     ] {
-        let (per_rep, checksum) = timed_batches(10, engine_reps / 10, || {
-            controller.simulate(&trace).avg_latency_ns
+        let seconds = median_seconds(|| {
+            for _ in 0..calls {
+                black_box(controller.simulate(&trace));
+            }
         });
-        assert!(checksum.is_finite());
-        let requests = engine_reps * trace.len() as u64;
-        let seconds = per_rep * engine_reps as f64;
-        scenarios.push(ScenarioResult {
-            name: format!("dram-engine/{label}"),
-            work_units: requests,
-            wall_seconds: seconds,
-            per_second: requests as f64 / seconds,
-        });
+        scenarios.push(ScenarioResult::new(
+            format!("dram-engine/{label}"),
+            calls * trace.len() as u64,
+            seconds,
+        ));
     }
 
     // --- batched-run: in-run parallel evaluation ----------------------
     // One GA run with auto batch (= its population) evaluated serially,
-    // then fanned over a 4-replica EnvPool. Results must be
-    // bit-identical; the wall-clock ratio is the pool's gain (≈1 on a
-    // single-core machine — `cores` in the report says which). Serial
-    // and pooled reps alternate and each side keeps its median, so a
-    // load burst or a cold first rep cannot decide the ratio alone; the
-    // budget keeps each rep tens of milliseconds long, well above timer
-    // and scheduler noise.
+    // then fanned over a 4-replica EnvPool (≈1 on a single-core machine
+    // — `cores` in the report says which). The budget keeps each rep
+    // tens of milliseconds long, well above timer and scheduler noise.
     let run_budget: u64 = if quick { 1_536 } else { 3_072 };
-    let batched_env = || DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
-    let batched_space = batched_env().space().clone();
-    let run_batched = |batch_jobs: usize| -> Result<RunResult> {
-        let mut agent = build_agent(AgentKind::Ga, &batched_space, &HyperMap::new(), 7)?;
-        let config = RunConfig::with_budget(run_budget)
-            .batch(0)
-            .record(false)
-            .jobs(batch_jobs);
-        Ok(SearchLoop::new(config).run_pooled(&mut agent, batched_env()))
-    };
-    let (mut serial_times, mut pooled_times) = (Vec::new(), Vec::new());
-    for _ in 0..11 {
-        let (serial_seconds, serial_run) = timed(|| run_batched(1));
-        let serial_run = serial_run?;
-        let (pooled_seconds, pooled_run) = timed(|| run_batched(4));
-        let pooled_run = pooled_run?;
-        assert!(
-            serial_run.best_reward == pooled_run.best_reward
-                && serial_run.best_action == pooled_run.best_action
-                && serial_run.reward_history == pooled_run.reward_history,
-            "batched-run/jobs4 diverged from the serial run"
-        );
-        serial_times.push(serial_seconds);
-        pooled_times.push(pooled_seconds);
-    }
-    let serial_run_seconds = summarize(&serial_times).median;
-    let pooled_run_seconds = summarize(&pooled_times).median;
-    scenarios.push(ScenarioResult {
-        name: "batched-run/serial".into(),
-        work_units: run_budget,
-        wall_seconds: serial_run_seconds,
-        per_second: run_budget as f64 / serial_run_seconds,
-    });
-    scenarios.push(ScenarioResult {
-        name: "batched-run/jobs4".into(),
-        work_units: run_budget,
-        wall_seconds: pooled_run_seconds,
-        per_second: run_budget as f64 / pooled_run_seconds,
-    });
-    let batched_run_speedup = serial_run_seconds / pooled_run_seconds;
+    let make_env = || DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
+    let space = make_env().space().clone();
+    let ga_run =
+        |seed: u64, config: RunConfig, telemetry: Option<&Recorder>| -> Result<RunResult> {
+            let mut agent = build_agent(AgentKind::Ga, &space, &HyperMap::new(), seed)?;
+            let mut driver = SearchLoop::new(config.batch(0).record(false));
+            if let Some(rec) = telemetry {
+                driver = driver.with_telemetry(rec.clone());
+            }
+            Ok(driver.run_pooled(&mut agent, make_env()))
+        };
+    let (ratio, serial_seconds, pooled_seconds) = ab(
+        "pooled-vs-serial",
+        Bound::AtLeast(0.85),
+        1,
+        || ga_run(7, RunConfig::with_budget(run_budget).jobs(1), None),
+        || ga_run(7, RunConfig::with_budget(run_budget).jobs(4), None),
+        same_run,
+    )?;
+    ratios.push(ratio);
+    scenarios.push(ScenarioResult::new(
+        "batched-run/serial",
+        run_budget,
+        serial_seconds,
+    ));
+    scenarios.push(ScenarioResult::new(
+        "batched-run/jobs4",
+        run_budget,
+        pooled_seconds,
+    ));
 
     // --- telemetry overhead: the recorder must be (nearly) free -------
-    // The same GA run with the default no-op recorder and with a live
-    // one. Reps are interleaved and the best of each side is kept, so a
-    // transient load spike cannot charge one side only; phase timings
-    // come from the recorder itself instead of ad-hoc `Instant` math.
-    let overhead_budget: u64 = if quick { 96 } else { 400 };
-    let run_observed = |rec: Option<Recorder>| -> Result<f64> {
-        let mut agent = build_agent(AgentKind::Ga, &batched_space, &HyperMap::new(), 11)?;
-        let mut driver = SearchLoop::new(
-            RunConfig::with_budget(overhead_budget)
-                .batch(0)
-                .record(false),
-        );
-        if let Some(rec) = rec {
-            driver = driver.with_telemetry(rec);
-        }
-        let (seconds, _) = timed(|| driver.run_pooled(&mut agent, batched_env()));
-        Ok(seconds)
-    };
+    // The same serial GA run with a live recorder and with the default
+    // no-op one. Each rep alternates eight short runs per side rather
+    // than one long one, so load that comes and goes during a rep
+    // charges both sides alike; phase timings come from the live
+    // recorder itself.
     let live = Recorder::new();
-    let (mut off_seconds, mut on_seconds) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..if quick { 3 } else { 5 } {
-        off_seconds = off_seconds.min(run_observed(None)?);
-        on_seconds = on_seconds.min(run_observed(Some(live.clone()))?);
-    }
-    scenarios.push(ScenarioResult {
-        name: "telemetry/off".into(),
-        work_units: overhead_budget,
-        wall_seconds: off_seconds,
-        per_second: overhead_budget as f64 / off_seconds,
-    });
-    scenarios.push(ScenarioResult {
-        name: "telemetry/on".into(),
-        work_units: overhead_budget,
-        wall_seconds: on_seconds,
-        per_second: overhead_budget as f64 / on_seconds,
-    });
-    let telemetry_overhead = on_seconds / off_seconds;
+    let short_budget = run_budget / 8;
+    let (ratio, on_seconds, off_seconds) = ab(
+        "telemetry-on-vs-off",
+        Bound::AtMost(1.05),
+        8,
+        || ga_run(11, RunConfig::with_budget(short_budget), Some(&live)),
+        || ga_run(11, RunConfig::with_budget(short_budget), None),
+        same_run,
+    )?;
+    ratios.push(ratio);
+    scenarios.push(ScenarioResult::new(
+        "telemetry/off",
+        run_budget,
+        off_seconds,
+    ));
+    scenarios.push(ScenarioResult::new("telemetry/on", run_budget, on_seconds));
     let phases: Vec<(String, PhaseSummary)> = live
         .report()
         .map(|r| r.phases.into_iter().collect())
         .unwrap_or_default();
 
-    // --- sweeps: serial, parallel, cached ------------------------------
+    // --- cached-sweep: a fresh cache filled cold, then answered warm --
     let kind = AgentKind::Ga;
     let budget: u64 = if quick { 48 } else { 300 };
     let assignments: Vec<HyperMap> = default_grid(kind)
         .iter()
         .take(if quick { 4 } else { 8 })
         .collect();
-    let seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2] };
-    let make_env = || DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
-    let space = make_env().space().clone();
-    let run_sweep = |sweep_jobs: usize, cache: Option<Arc<EvalCache>>| -> Result<SweepResult> {
-        let mut sweep = Sweep::new(RunConfig::with_budget(budget).record(false))
+    let seeds: &[u64] = if quick { &[1] } else { &[1, 2] };
+    let run_sweep = |cache: Arc<EvalCache>| -> Result<SweepResult> {
+        Sweep::new(RunConfig::with_budget(budget).record(false))
             .seeds(seeds.iter().copied())
-            .jobs(sweep_jobs);
-        if let Some(cache) = cache {
-            sweep = sweep.cache(cache);
-        }
-        sweep.run_assignments(kind.name(), &assignments, make_env, |hyper, seed| {
-            build_agent(kind, &space, hyper, seed)
-        })
+            .jobs(jobs)
+            .cache(cache)
+            .run_assignments(kind.name(), &assignments, make_env, |hyper, seed| {
+                build_agent(kind, &space, hyper, seed)
+            })
     };
     let runs = (assignments.len() * seeds.len()) as u64;
-
-    let (serial_seconds, serial) = timed(|| run_sweep(1, None));
-    let serial = serial?;
-    scenarios.push(ScenarioResult {
-        name: "sweep-serial".into(),
-        work_units: runs,
-        wall_seconds: serial_seconds,
-        per_second: runs as f64 / serial_seconds,
-    });
-
-    let (parallel_seconds, parallel) = timed(|| run_sweep(jobs, None));
-    assert_equivalent(&serial, &parallel?, "sweep-parallel");
-    scenarios.push(ScenarioResult {
-        name: "sweep-parallel".into(),
-        work_units: runs,
-        wall_seconds: parallel_seconds,
-        per_second: runs as f64 / parallel_seconds,
-    });
-
-    let cache = Arc::new(EvalCache::new());
-    let (cold_seconds, cold) = timed(|| run_sweep(1, Some(cache.clone())));
-    assert_equivalent(&serial, &cold?, "cached-sweep/cold");
-    scenarios.push(ScenarioResult {
-        name: "cached-sweep/cold".into(),
-        work_units: runs,
-        wall_seconds: cold_seconds,
-        per_second: runs as f64 / cold_seconds,
-    });
-
-    let (warm_seconds, warm) = timed(|| run_sweep(1, Some(cache.clone())));
-    assert_equivalent(&serial, &warm?, "cached-sweep/warm");
-    scenarios.push(ScenarioResult {
-        name: "cached-sweep/warm".into(),
-        work_units: runs,
-        wall_seconds: warm_seconds,
-        per_second: runs as f64 / warm_seconds,
-    });
-
-    // --- daemon load: the archgymd service under concurrent tenants ---
-    // Boot an in-process daemon on an ephemeral port, then have several
-    // client threads (one tenant each) submit small search jobs over
-    // TCP and block on the watch stream until each job's `done` frame.
-    // Reported two ways: end-to-end job throughput, and tail latency as
-    // `daemon/p99` (per_second = 1 / p99 seconds, so the regression
-    // gate's "lower per_second = worse" convention applies unchanged).
-    let daemon_clients: usize = if quick { 3 } else { 6 };
-    let jobs_per_client: usize = if quick { 2 } else { 4 };
-    let daemon_budget: u64 = if quick { 48 } else { 200 };
-    let daemon_state =
-        std::env::temp_dir().join(format!("archgym-bench-daemon-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&daemon_state);
-    let mut daemon_config = archgymd::server::DaemonConfig::new("127.0.0.1:0", &daemon_state);
-    daemon_config.workers = 2; // pinned so numbers are comparable across machines
-    daemon_config.quota.max_running_per_tenant = 2;
-    daemon_config.quota.max_queued_per_tenant = 64;
-    daemon_config.quota.queue_capacity = 256;
-    let server = archgymd::server::Server::bind(daemon_config)?;
-    let daemon_addr = server.local_addr().to_string();
-    let daemon_thread = std::thread::spawn(move || server.run());
-    let (daemon_seconds, latencies) = timed(|| -> Result<Vec<f64>> {
-        let mut handles = Vec::new();
-        for client_idx in 0..daemon_clients {
-            let addr = daemon_addr.clone();
-            handles.push(std::thread::spawn(move || -> Result<Vec<f64>> {
-                let mut latencies = Vec::new();
-                for job_idx in 0..jobs_per_client {
-                    let start = Instant::now();
-                    let mut spec = archgym_core::jobs::JobSpec::search(
-                        "dram/stream",
-                        "ga",
-                        daemon_budget,
-                        (client_idx * 31 + job_idx) as u64,
-                    );
-                    spec.objective = "power:1.0".into();
-                    let submitted = archgymd::client::request_one(
-                        &addr,
-                        &archgymd::protocol::Request::Submit {
-                            tenant: format!("tenant-{client_idx}"),
-                            name: None,
-                            spec,
-                        },
-                    )?;
-                    let archgymd::protocol::Response::Accepted { job, .. } = submitted else {
-                        return Err(archgym_core::error::ArchGymError::InvalidConfig(format!(
-                            "daemon bench submit not accepted: {}",
-                            submitted.to_line()
-                        )));
-                    };
-                    let mut watcher = archgymd::client::Client::connect(&addr)?;
-                    watcher.send(&archgymd::protocol::Request::Watch { job })?;
-                    loop {
-                        match watcher.recv()? {
-                            Some(archgymd::protocol::Response::Done { .. }) | None => break,
-                            Some(_) => {}
-                        }
-                    }
-                    latencies.push(start.elapsed().as_secs_f64());
-                }
-                Ok(latencies)
-            }));
-        }
-        let mut all = Vec::new();
-        for handle in handles {
-            all.extend(handle.join().expect("daemon bench client thread")?);
-        }
-        Ok(all)
-    });
-    let latencies = latencies?;
-    let _ = archgymd::client::request_one(
-        &daemon_addr,
-        &archgymd::protocol::Request::Shutdown {
-            drain: false,
-            deadline_ms: 0,
+    let cache = RefCell::new(Arc::new(EvalCache::new()));
+    let (ratio, cold_seconds, warm_seconds) = ab(
+        "cache-cold-vs-warm",
+        Bound::AtLeast(2.0),
+        1,
+        || {
+            let fresh = Arc::new(EvalCache::new());
+            *cache.borrow_mut() = fresh.clone();
+            run_sweep(fresh)
         },
-    );
-    let _ = daemon_thread.join();
-    let _ = std::fs::remove_dir_all(&daemon_state);
-    let daemon_jobs = (daemon_clients * jobs_per_client) as u64;
-    let mut sorted = latencies.clone();
-    sorted.sort_by(f64::total_cmp);
-    let p99_index = ((sorted.len() as f64 * 0.99).ceil() as usize).saturating_sub(1);
-    let daemon_p99 = sorted[p99_index.min(sorted.len() - 1)].max(1e-9);
-    scenarios.push(ScenarioResult {
-        name: "daemon/throughput".into(),
-        work_units: daemon_jobs,
-        wall_seconds: daemon_seconds,
-        per_second: daemon_jobs as f64 / daemon_seconds,
-    });
-    scenarios.push(ScenarioResult {
-        name: "daemon/p99".into(),
-        work_units: daemon_jobs,
-        wall_seconds: daemon_p99,
-        per_second: 1.0 / daemon_p99,
-    });
+        || run_sweep(cache.borrow().clone()),
+        same_sweep,
+    )?;
+    ratios.push(ratio);
+    scenarios.push(ScenarioResult::new("cached-sweep/cold", runs, cold_seconds));
+    scenarios.push(ScenarioResult::new("cached-sweep/warm", runs, warm_seconds));
+    let stats = cache.borrow().stats();
 
-    // --- proxy: the online surrogate screening layer ------------------
-    // Its three costs, isolated then end-to-end: fitting the screening
-    // forest from run-sized training data, batch prediction
-    // over an oversampled candidate set (the per-batch screening cost),
-    // and a whole screened search. New names self-bootstrap under the
-    // gate: the first recorded run becomes the baseline.
-    let train_n: usize = if quick { 256 } else { 1_024 };
-    let mut proxy_rng = seeded_rng(0x9F17);
-    let mut xs: Vec<Vec<f64>> = Vec::with_capacity(train_n);
-    let mut ys: Vec<f64> = Vec::with_capacity(train_n);
-    for _ in 0..train_n {
-        let action = batched_space.sample(&mut proxy_rng);
-        let row: Vec<f64> = action.as_slice().iter().map(|&v| v as f64).collect();
-        let y = row
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v * (i as f64 + 1.0))
-            .sum::<f64>();
-        xs.push(row);
-        ys.push(y);
-    }
-    let fit_config = archgym_proxy::online_forest_config();
-    let fit_reps: u64 = if quick { 6 } else { 30 };
-    let (per_rep, checksum) = timed_batches(3, fit_reps / 3, || {
-        archgym_proxy::RandomForest::fit(&xs, &ys, &fit_config, 42)
-            .expect("proxy/fit: forest fit failed")
-            .predict(&xs[0])
-    });
-    assert!(checksum.is_finite());
-    scenarios.push(ScenarioResult {
-        name: "proxy/fit".into(),
-        work_units: fit_reps,
-        wall_seconds: per_rep * fit_reps as f64,
-        per_second: 1.0 / per_rep,
-    });
-
-    let forest = archgym_proxy::RandomForest::fit(&xs, &ys, &fit_config, 42)?;
-    let candidate_n: usize = if quick { 128 } else { 256 };
-    let candidates: Vec<Action> = (0..candidate_n)
-        .map(|_| batched_space.sample(&mut proxy_rng))
-        .collect();
-    let (mut means, mut vars, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
-    let predict_reps: u64 = if quick { 100 } else { 1_000 };
-    let (per_rep, checksum) = timed_batches(10, predict_reps / 10, || {
-        forest.predict_action_stats(&candidates, &mut means, &mut vars, &mut scratch);
-        means[0]
-    });
-    assert!(checksum.is_finite());
-    let predictions = predict_reps * candidate_n as u64;
-    let predict_seconds = per_rep * predict_reps as f64;
-    scenarios.push(ScenarioResult {
-        name: "proxy/predict".into(),
-        work_units: predictions,
-        wall_seconds: predict_seconds,
-        per_second: predictions as f64 / predict_seconds,
-    });
-
-    let screened_budget: u64 = if quick { 96 } else { 400 };
-    let screen_policy = ScreenPolicy::default()
-        .warmup(32)
-        .oversample(4)
-        .top_k(8)
-        .refit_every(32)
-        .revalidate_every(8);
-    let (screened_seconds, screened) = timed(|| -> Result<RunResult> {
-        let mut agent = build_agent(AgentKind::Ga, &batched_space, &HyperMap::new(), 13)?;
-        let mut screener = archgym_proxy::OnlineProxy::with_defaults(screen_policy, 13)?;
-        let config = RunConfig::with_budget(screened_budget)
-            .batch(0)
-            .record(false);
-        SearchLoop::new(config).run_env_with(
-            &mut agent,
-            batched_env(),
-            RunIo::screened(&mut screener),
-        )
-    });
-    let screened = screened?;
-    assert_eq!(
-        screened.samples_used, screened_budget,
-        "proxy/screened-search consumed the wrong true-sample budget"
-    );
-    scenarios.push(ScenarioResult {
-        name: "proxy/screened-search".into(),
-        work_units: screened_budget,
-        wall_seconds: screened_seconds,
-        per_second: screened_budget as f64 / screened_seconds,
-    });
-
-    // --- race: the successive-halving roster race ---------------------
-    // A full `search --auto`-style race (one ticket per family, eta 3)
-    // against the low-power DRAM objective, timed end to end. The run
-    // must both spend its budget exactly and pass a fixed reward
-    // target, so the scenario gates the racing layer's wall-clock-to-
-    // target as well as its raw throughput. The name self-bootstraps
-    // under the gate: the first recorded run becomes the baseline.
-    let race_budget: u64 = if quick { 240 } else { 960 };
-    let race_target = 900.0;
-    let race_lanes = || -> Result<Vec<RaceLane>> {
-        race_roster(1)
-            .into_iter()
-            .map(|entry| {
-                Ok(RaceLane::new(
-                    entry.name,
-                    build_agent(entry.kind, &batched_space, &entry.hyper, 0)?,
-                ))
-            })
-            .collect()
-    };
-    let race = Race::new(race_budget, 3).batch(8);
-    let (race_seconds, race_result) =
-        timed(|| -> Result<_> { race.run(race_lanes()?, batched_env()) });
-    let race_result = race_result?;
-    assert_eq!(
-        race_result.samples_used, race_budget,
-        "race consumed the wrong true-sample budget"
-    );
-    assert!(
-        race_result.samples_to_reach(race_target).is_some(),
-        "race never reached the target reward {race_target} (best {:.3})",
-        race_result.best_reward
-    );
-    scenarios.push(ScenarioResult {
-        name: "race/wall-to-target".into(),
-        work_units: race_budget,
-        wall_seconds: race_seconds,
-        per_second: race_budget as f64 / race_seconds,
-    });
-
-    let stats = cache.stats();
     Ok(PerfReport {
         rev: "unknown".into(),
         date: "unknown".into(),
@@ -792,14 +481,28 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         quick,
         jobs,
         scenarios,
-        scheduler_index_speedup,
-        batched_run_speedup,
-        cached_sweep_speedup: serial_seconds / warm_seconds,
+        ratios,
         cache_hit_rate: stats.hit_rate(),
         cache_entries: stats.entries,
-        telemetry_overhead,
         phases,
     })
+}
+
+/// One message per ratio check whose median lies outside its bound;
+/// empty when the run passes. The `bench` binary applies this to every
+/// run and exits nonzero on any failure.
+pub fn gate(report: &PerfReport) -> Vec<String> {
+    report
+        .ratios
+        .iter()
+        .filter(|r| !r.bound.holds(r.median))
+        .map(|r| {
+            format!(
+                "{}: median {:.3} over {REPS} reps (q1 {:.3}, q3 {:.3}) is not {}",
+                r.name, r.median, r.q1, r.q3, r.bound
+            )
+        })
+        .collect()
 }
 
 /// Append `entry` (one run's JSON object) to a history file's contents,
@@ -825,180 +528,46 @@ pub fn append_history(existing: &str, entry: &str) -> String {
     }
 }
 
-/// The most recent `per_second` recorded for `scenario` anywhere in a
-/// report or history file (later entries win). Dependency-free by
-/// design: the report's JSON is hand-rolled, so scanning it is safe.
-pub fn last_per_second(json: &str, scenario: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{scenario}\"");
-    let mut latest = None;
-    let mut from = 0;
-    while let Some(pos) = json[from..].find(&needle) {
-        let rest = &json[from + pos..];
-        if let Some(field) = rest.find("\"per_second\": ") {
-            let tail = &rest[field + 14..];
-            let end = tail
-                .find(|c: char| !c.is_ascii_digit() && c != '.')
-                .unwrap_or(tail.len());
-            if let Ok(v) = tail[..end].parse() {
-                latest = Some(v);
-            }
-        }
-        from += pos + needle.len();
-    }
-    latest
-}
-
-/// Compare a fresh report against a committed baseline file, returning
-/// one message per regression. A scenario regresses when its throughput
-/// falls below `1 - tolerance` of the baseline's most recent entry;
-/// sweep-parallel is additionally held to sweep-serial from the *same*
-/// run, so the chunked executor can never quietly lose to serial again.
-pub fn gate(report: &PerfReport, baseline_json: &str, tolerance: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    let floor = 1.0 - tolerance;
-    for scenario in [
-        "simulate-only/default",
-        "simulate-only/wide",
-        "dram-engine/stream",
-        "dram-engine/random",
-        "dram-engine/mixed",
-        "dram-engine/conflict",
-        "daemon/throughput",
-        "daemon/p99",
-        "proxy/fit",
-        "proxy/predict",
-        "proxy/screened-search",
-        "race/wall-to-target",
-    ] {
-        let (Some(base), Some(now)) = (
-            last_per_second(baseline_json, scenario),
-            report.per_second(scenario),
-        ) else {
-            continue;
-        };
-        if now < base * floor {
-            failures.push(format!(
-                "{scenario}: {now:.1}/s fell below {:.1}/s ({base:.1}/s baseline − {:.0}% tolerance)",
-                base * floor,
-                tolerance * 100.0
-            ));
-        }
-    }
-    if let (Some(serial), Some(parallel)) = (
-        report.per_second("sweep-serial"),
-        report.per_second("sweep-parallel"),
-    ) {
-        if parallel < serial * floor {
-            failures.push(format!(
-                "sweep-parallel: {parallel:.1}/s fell below {:.1}/s (sweep-serial {serial:.1}/s − {:.0}% tolerance)",
-                serial * floor,
-                tolerance * 100.0
-            ));
-        }
-    }
-    if report.telemetry_overhead > TELEMETRY_OVERHEAD_LIMIT {
-        failures.push(format!(
-            "telemetry: enabled recorder costs {:.1}% over the no-op path (limit {:.0}%)",
-            (report.telemetry_overhead - 1.0) * 100.0,
-            (TELEMETRY_OVERHEAD_LIMIT - 1.0) * 100.0
-        ));
-    }
-    failures
-}
-
-/// Every scenario name appearing in a report or history file, in first
-/// appearance order. Scenario records are the lines carrying a
-/// `work_units` field (phase records carry `count` instead).
-pub fn scenario_names(json: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in json.lines() {
-        if !line.contains("\"work_units\"") {
-            continue;
-        }
-        let Some(rest) = line.split("\"name\": \"").nth(1) else {
-            continue;
-        };
-        let Some(name) = rest.split('"').next() else {
-            continue;
-        };
-        if !names.iter().any(|n| n == name) {
-            names.push(name.to_owned());
-        }
-    }
-    names
-}
-
-/// A GitHub-flavored-markdown table comparing the most recent entry of
-/// `baseline` against the most recent entry of `current`, one row per
-/// scenario. Written into `$GITHUB_STEP_SUMMARY` by the CI perf gate.
-pub fn delta_table(baseline: &str, current: &str) -> String {
-    let mut out = String::from("| scenario | baseline /s | current /s | delta |\n");
-    out.push_str("|---|---:|---:|---:|\n");
-    let mut names = scenario_names(current);
-    for name in scenario_names(baseline) {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    for name in names {
-        let base = last_per_second(baseline, &name);
-        let now = last_per_second(current, &name);
-        let cell = |v: Option<f64>| v.map_or("—".to_owned(), |v| format!("{v:.1}"));
-        let delta = match (base, now) {
-            (Some(base), Some(now)) if base > 0.0 => {
-                format!("{:+.1}%", (now / base - 1.0) * 100.0)
-            }
-            (None, Some(_)) => "new".to_owned(),
-            _ => "—".to_owned(),
-        };
-        let _ = writeln!(out, "| {name} | {} | {} | {delta} |", cell(base), cell(now));
-    }
-    out
-}
-
-/// Print the report as an aligned table plus the headline ratios.
+/// Print the report: the scenario table, the gated ratios, the phases.
 pub fn print(report: &PerfReport) {
     println!("\n=== bench perf ===");
     println!(
-        "rev {} | date {} | {} core(s)",
-        report.rev, report.date, report.cores
+        "rev {} | date {} | {} core(s) | quick {} | jobs {} | median of {REPS} reps",
+        report.rev, report.date, report.cores, report.quick, report.jobs
     );
     println!(
         "{:<30} {:>12} {:>14} {:>14}",
-        "scenario", "work units", "wall seconds", "per second"
+        "scenario", "work units", "rep seconds", "per second"
     );
     for s in &report.scenarios {
         println!(
-            "{:<30} {:>12} {:>14.4} {:>14.1}",
+            "{:<30} {:>12} {:>14.6} {:>14.1}",
             s.name, s.work_units, s.wall_seconds, s.per_second
         );
     }
     println!(
-        "SoA engine vs linear-scan reference (wide): {:.2}x",
-        report.scheduler_index_speedup
+        "{:<22} {:>8} {:>8} {:>8}   bound",
+        "ratio check", "median", "q1", "q3"
     );
-    println!(
-        "batched run jobs=4 vs serial: {:.2}x on {} core(s)",
-        report.batched_run_speedup, report.cores
-    );
-    if let Some(current) = report.per_second("simulate-only/default") {
+    for r in &report.ratios {
         println!(
-            "simulate-only/default vs pre-optimization baseline: {:.2}x ({:.0}/s vs {:.0}/s)",
-            current / BASELINE_SIMULATE_DEFAULT_PER_SEC,
-            current,
-            BASELINE_SIMULATE_DEFAULT_PER_SEC
+            "{:<22} {:>8.3} {:>8.3} {:>8.3}   {}{}",
+            r.name,
+            r.median,
+            r.q1,
+            r.q3,
+            r.bound,
+            if r.bound.holds(r.median) {
+                ""
+            } else {
+                "  FAIL"
+            }
         );
     }
     println!(
-        "cached-sweep speedup (warm vs uncached serial): {:.1}x ({:.1}% hit rate, {} entries)",
-        report.cached_sweep_speedup,
+        "cache: {:.1}% hit rate over cold+warm, {} entries",
         report.cache_hit_rate * 100.0,
         report.cache_entries
-    );
-    println!(
-        "telemetry overhead (recorder on vs off): {:+.2}% (limit {:+.0}%)",
-        (report.telemetry_overhead - 1.0) * 100.0,
-        (TELEMETRY_OVERHEAD_LIMIT - 1.0) * 100.0
     );
     if !report.phases.is_empty() {
         println!(
@@ -1022,6 +591,17 @@ pub fn print(report: &PerfReport) {
 mod tests {
     use super::*;
 
+    fn ratio(name: &'static str, median: f64, bound: Bound) -> Ratio {
+        Ratio {
+            name,
+            median,
+            q1: median * 0.9,
+            q3: median * 1.1,
+            bound,
+        }
+    }
+
+    /// A report whose four checks all pass comfortably.
     fn sample_report() -> PerfReport {
         PerfReport {
             rev: "abc1234".into(),
@@ -1029,18 +609,15 @@ mod tests {
             cores: 1,
             quick: true,
             jobs: 2,
-            scenarios: vec![ScenarioResult {
-                name: "simulate-only/default".into(),
-                work_units: 10,
-                wall_seconds: 0.5,
-                per_second: 20.0,
-            }],
-            scheduler_index_speedup: 3.5,
-            batched_run_speedup: 1.0,
-            cached_sweep_speedup: 5.0,
+            scenarios: vec![ScenarioResult::new("simulate-only/default", 10, 0.5)],
+            ratios: vec![
+                ratio("soa-vs-reference", 2.5, Bound::AtLeast(1.5)),
+                ratio("pooled-vs-serial", 1.0, Bound::AtLeast(0.85)),
+                ratio("telemetry-on-vs-off", 1.01, Bound::AtMost(1.05)),
+                ratio("cache-cold-vs-warm", 20.0, Bound::AtLeast(2.0)),
+            ],
             cache_hit_rate: 0.75,
             cache_entries: 42,
-            telemetry_overhead: 1.01,
             phases: vec![(
                 "simulate".into(),
                 PhaseSummary {
@@ -1063,17 +640,14 @@ mod tests {
             "\"rev\": \"abc1234\"",
             "\"date\": \"2026-08-07\"",
             "\"cores\": 1",
-            "\"baseline\"",
-            "\"simulate_default_per_sec\"",
-            "\"scenarios\"",
-            "\"scheduler_index_speedup\": 3.500",
-            "\"batched_run_speedup\": 1.000",
-            "\"cached_sweep_speedup\": 5.000",
+            "\"quick\": true",
+            "\"jobs\": 2",
+            "\"reps\": 11",
+            "{\"name\": \"simulate-only/default\", \"work_units\": 10, \"wall_seconds\": 0.500000, \"per_second\": 20.000}",
+            "{\"name\": \"soa-vs-reference\", \"median\": 2.5000, \"q1\": 2.2500, \"q3\": 2.7500, \"at_least\": 1.5}",
+            "{\"name\": \"telemetry-on-vs-off\", \"median\": 1.0100, \"q1\": 0.9090, \"q3\": 1.1110, \"at_most\": 1.05}",
             "\"cache_entries\": 42",
-            "\"telemetry_overhead\": 1.0100",
-            "\"phases\"",
             "\"name\": \"simulate\", \"count\": 10",
-            "\"simulate_default_speedup_vs_baseline\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
@@ -1094,108 +668,39 @@ mod tests {
         let wrapped = append_history(&entry, &entry);
         assert!(wrapped.trim_start().starts_with('['));
         assert_eq!(wrapped.matches("\"bench\": \"perf\"").count(), 2);
-        // Existing array → appended.
+        // Existing array → appended, earlier entries kept byte for byte.
         let third = append_history(&wrapped, &entry);
         assert_eq!(third.matches("\"bench\": \"perf\"").count(), 3);
+        assert!(third.starts_with(wrapped.trim_end().trim_end_matches(']').trim_end()));
         assert_eq!(third.matches('[').count(), third.matches(']').count());
         assert_eq!(third.matches('{').count(), third.matches('}').count());
     }
 
     #[test]
-    fn last_per_second_takes_the_newest_entry() {
-        let history = r#"[
-          {"scenarios": [{"name": "simulate-only/default", "work_units": 1, "wall_seconds": 1.0, "per_second": 100.0}]},
-          {"scenarios": [{"name": "simulate-only/default", "work_units": 1, "wall_seconds": 1.0, "per_second": 250.5}]}
-        ]"#;
-        assert_eq!(
-            last_per_second(history, "simulate-only/default"),
-            Some(250.5)
-        );
-        assert_eq!(last_per_second(history, "simulate-only/wide"), None);
-    }
-
-    #[test]
-    fn delta_table_compares_latest_entries() {
-        let baseline = r#"[
-          {"scenarios": [
-            {"name": "simulate-only/default", "work_units": 1, "wall_seconds": 1.0, "per_second": 100.0},
-            {"name": "daemon/p99", "work_units": 1, "wall_seconds": 0.5, "per_second": 2.0}
-          ]}
-        ]"#;
-        let current = r#"[
-          {"scenarios": [
-            {"name": "simulate-only/default", "work_units": 1, "wall_seconds": 1.0, "per_second": 120.0},
-            {"name": "daemon/throughput", "work_units": 6, "wall_seconds": 1.0, "per_second": 6.0}
-          ]}
-        ]"#;
-        assert_eq!(
-            scenario_names(current),
-            vec!["simulate-only/default", "daemon/throughput"]
-        );
-        let table = delta_table(baseline, current);
-        assert!(table.starts_with("| scenario |"), "{table}");
-        assert!(
-            table.contains("| simulate-only/default | 100.0 | 120.0 | +20.0% |"),
-            "{table}"
-        );
-        assert!(
-            table.contains("| daemon/throughput | — | 6.0 | new |"),
-            "{table}"
-        );
-        // In the baseline but missing from the current run: no delta.
-        assert!(table.contains("| daemon/p99 | 2.0 | — | — |"), "{table}");
-    }
-
-    #[test]
-    fn gate_flags_only_real_regressions() {
-        let mut report = sample_report();
-        report.scenarios = vec![
-            ScenarioResult {
-                name: "simulate-only/default".into(),
-                work_units: 1,
-                wall_seconds: 1.0,
-                per_second: 100.0,
-            },
-            ScenarioResult {
-                name: "sweep-serial".into(),
-                work_units: 1,
-                wall_seconds: 1.0,
-                per_second: 50.0,
-            },
-            ScenarioResult {
-                name: "sweep-parallel".into(),
-                work_units: 1,
-                wall_seconds: 1.0,
-                per_second: 48.0,
-            },
+    fn gate_names_exactly_the_ratio_outside_its_bound() {
+        assert!(gate(&sample_report()).is_empty(), "passing report failed");
+        // (check, a median just outside its bound, one just inside).
+        let cases = [
+            ("soa-vs-reference", 1.49, 1.5),
+            ("pooled-vs-serial", 0.84, 0.85),
+            ("telemetry-on-vs-off", 1.06, 1.05),
+            ("cache-cold-vs-warm", 1.99, 2.0),
         ];
-        let baseline = |per_sec: f64| {
-            format!(
-                "[{{\"scenarios\": [{{\"name\": \"simulate-only/default\", \"per_second\": {per_sec}}}]}}]"
-            )
-        };
-        // Within 30% tolerance: no failures (100 vs 120 baseline).
-        assert!(gate(&report, &baseline(120.0), 0.3).is_empty());
-        // Far below baseline: flagged.
-        let failures = gate(&report, &baseline(200.0), 0.3);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("simulate-only/default"));
-        // Parallel sweep collapsing against its own serial run: flagged
-        // even when the baseline file never saw the scenario.
-        report.scenarios[2].per_second = 10.0;
-        let failures = gate(&report, &baseline(120.0), 0.3);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("sweep-parallel"));
-    }
-
-    #[test]
-    fn gate_flags_expensive_telemetry() {
+        for (name, outside, inside) in cases {
+            for (median, failures) in [(outside, 1), (inside, 0), (f64::NAN, 1)] {
+                let mut report = sample_report();
+                let r = report.ratios.iter_mut().find(|r| r.name == name).unwrap();
+                r.median = median;
+                let found = gate(&report);
+                assert_eq!(found.len(), failures, "{name} at {median}: {found:?}");
+                assert!(found.iter().all(|f| f.starts_with(name)), "{found:?}");
+            }
+        }
+        // Every check failing at once reports each of them.
         let mut report = sample_report();
-        report.scenarios.clear();
-        assert!(gate(&report, "[]", 0.3).is_empty(), "1% overhead passes");
-        report.telemetry_overhead = 1.2;
-        let failures = gate(&report, "[]", 0.3);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("telemetry"), "{failures:?}");
+        for (r, (_, outside, _)) in report.ratios.iter_mut().zip(cases) {
+            r.median = outside;
+        }
+        assert_eq!(gate(&report).len(), 4);
     }
 }
