@@ -1,7 +1,7 @@
 //! Workspace microbenchmarks and their in-run ratio gate. Usage:
 //!
 //! ```text
-//! bench perf [--quick] [--jobs=N] [--out=PATH] [--rev=SHA] [--date=YYYY-MM-DD]
+//! bench perf [--quick] [--out=PATH] [--rev=SHA] [--date=YYYY-MM-DD]
 //! ```
 //!
 //! `perf` times the DRAM engine (simulate-only and the `dram-engine/*`
@@ -10,8 +10,7 @@
 //! off, cold vs warm cached sweep — each as the median of 11
 //! interleaved reps, then **appends** the report to the history array
 //! in `BENCH_perf.json` (override with `--out=`). `--quick` selects the
-//! CI smoke sizes; `--jobs=N` sets the cached sweeps' worker count
-//! (0 = all cores, the default). `--rev=`/`--date=` stamp the entry.
+//! CI smoke sizes; `--rev=`/`--date=` stamp the entry.
 //!
 //! Every run then applies `perf::gate`: the four ratios must stay
 //! within their bounds, or the binary exits nonzero. Absolute rates are
@@ -20,7 +19,7 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bench perf [--quick] [--jobs=N] [--out=PATH] [--rev=SHA] [--date=DATE]";
+const USAGE: &str = "usage: bench perf [--quick] [--out=PATH] [--rev=SHA] [--date=DATE]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +27,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let known = ["--jobs=", "--out=", "--rev=", "--date="];
+    let known = ["--out=", "--rev=", "--date="];
     if let Some(bad) = flags
         .iter()
         .find(|a| *a != "--quick" && !known.iter().any(|k| a.starts_with(k)))
@@ -38,11 +37,10 @@ fn main() -> ExitCode {
     }
     let flag = |prefix: &str| flags.iter().find_map(|a| a.strip_prefix(prefix));
     let quick = flags.iter().any(|a| a == "--quick");
-    let jobs = flag("--jobs=").map_or(0, |v| v.parse().expect("--jobs expects an integer"));
     let out = flag("--out=").unwrap_or("BENCH_perf.json").to_owned();
 
-    eprintln!("running bench perf (quick={quick}, jobs={jobs}; 0 = all cores)...");
-    let mut report = archgym_bench::perf::run(quick, jobs).expect("bench perf failed");
+    eprintln!("running bench perf (quick={quick})...");
+    let mut report = archgym_bench::perf::run(quick).expect("bench perf failed");
     if let Some(rev) = flag("--rev=") {
         report.rev = rev.to_owned();
     }

@@ -19,8 +19,12 @@
 //! side A then side B, once or in a few short alternating runs per
 //! side — and gates the median of the per-rep ratios A/B, recording the
 //! quartiles as its spread. Both sides must compute the same result in
-//! every run, so each check doubles as a determinism check: the run
-//! panics if they diverge.
+//! every run, or the run panics: the engine, pooled and telemetry
+//! checks compare against a plain serial computation, so they double as
+//! determinism checks. The cache check compares a cold cached sweep
+//! with the warm one that follows it; that a cached sweep matches an
+//! uncached one point for point is held by the core sweep tests
+//! (`cached_sweep_is_point_identical_to_uncached`).
 
 use archgym_agents::factory::{build_agent, default_grid, AgentKind};
 use archgym_core::agent::HyperMap;
@@ -127,8 +131,6 @@ pub struct PerfReport {
     pub cores: usize,
     /// Whether the quick (CI smoke) workload sizes were used.
     pub quick: bool,
-    /// Worker threads of the cached sweeps (`0` = all cores).
-    pub jobs: usize,
     /// Every timed scenario, in execution order.
     pub scenarios: Vec<ScenarioResult>,
     /// The four gated ratio checks, in execution order.
@@ -162,7 +164,6 @@ impl PerfReport {
         let _ = writeln!(out, "  \"date\": \"{}\",", self.date);
         let _ = writeln!(out, "  \"cores\": {},", self.cores);
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(out, "  \"reps\": {REPS},");
         array(&mut out, "scenarios", &self.scenarios, |s| {
             format!(
@@ -268,8 +269,7 @@ fn same_sweep(a: &SweepResult, b: &SweepResult) -> bool {
 
 /// Run every scenario and assemble the report.
 ///
-/// `quick` selects CI-smoke workload sizes; `jobs` is the worker-thread
-/// count of the cached sweeps (`0` = every available core).
+/// `quick` selects CI-smoke workload sizes.
 ///
 /// # Errors
 ///
@@ -278,7 +278,7 @@ fn same_sweep(a: &SweepResult, b: &SweepResult) -> bool {
 /// # Panics
 ///
 /// Panics if the two sides of a ratio check compute different results.
-pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
+pub fn run(quick: bool) -> Result<PerfReport> {
     let mut scenarios = Vec::new();
     let mut ratios = Vec::new();
 
@@ -374,11 +374,15 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     }
 
     // --- batched-run: in-run parallel evaluation ----------------------
-    // One GA run with auto batch (= its population) evaluated serially,
+    // GA runs with auto batch (= its population) evaluated serially,
     // then fanned over a 4-replica EnvPool (≈1 on a single-core machine
-    // — `cores` in the report says which). The budget keeps each rep
+    // — `cores` in the report says which). Like the telemetry pair
+    // below, each rep alternates eight short runs per side rather than
+    // one long one, so load that comes and goes during a rep charges
+    // both sides alike; a rep's `run_budget` samples per side keep it
     // tens of milliseconds long, well above timer and scheduler noise.
     let run_budget: u64 = if quick { 1_536 } else { 3_072 };
+    let short_budget = run_budget / 8;
     let make_env = || DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
     let space = make_env().space().clone();
     let ga_run =
@@ -393,9 +397,9 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     let (ratio, serial_seconds, pooled_seconds) = ab(
         "pooled-vs-serial",
         Bound::AtLeast(0.85),
-        1,
-        || ga_run(7, RunConfig::with_budget(run_budget).jobs(1), None),
-        || ga_run(7, RunConfig::with_budget(run_budget).jobs(4), None),
+        8,
+        || ga_run(7, RunConfig::with_budget(short_budget).jobs(1), None),
+        || ga_run(7, RunConfig::with_budget(short_budget).jobs(4), None),
         same_run,
     )?;
     ratios.push(ratio);
@@ -411,13 +415,10 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     ));
 
     // --- telemetry overhead: the recorder must be (nearly) free -------
-    // The same serial GA run with a live recorder and with the default
-    // no-op one. Each rep alternates eight short runs per side rather
-    // than one long one, so load that comes and goes during a rep
-    // charges both sides alike; phase timings come from the live
-    // recorder itself.
+    // The same short serial GA runs with a live recorder and with the
+    // default no-op one, eight alternating per side per rep; phase
+    // timings come from the live recorder itself.
     let live = Recorder::new();
-    let short_budget = run_budget / 8;
     let (ratio, on_seconds, off_seconds) = ab(
         "telemetry-on-vs-off",
         Bound::AtMost(1.05),
@@ -439,6 +440,8 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         .unwrap_or_default();
 
     // --- cached-sweep: a fresh cache filled cold, then answered warm --
+    // Serial, so both the ratio and the hit rate are one fixed,
+    // deterministic configuration whatever the host's core count.
     let kind = AgentKind::Ga;
     let budget: u64 = if quick { 48 } else { 300 };
     let assignments: Vec<HyperMap> = default_grid(kind)
@@ -449,7 +452,7 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
     let run_sweep = |cache: Arc<EvalCache>| -> Result<SweepResult> {
         Sweep::new(RunConfig::with_budget(budget).record(false))
             .seeds(seeds.iter().copied())
-            .jobs(jobs)
+            .jobs(1)
             .cache(cache)
             .run_assignments(kind.name(), &assignments, make_env, |hyper, seed| {
                 build_agent(kind, &space, hyper, seed)
@@ -479,7 +482,6 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
         date: "unknown".into(),
         cores: Executor::available_parallelism(),
         quick,
-        jobs,
         scenarios,
         ratios,
         cache_hit_rate: stats.hit_rate(),
@@ -490,7 +492,9 @@ pub fn run(quick: bool, jobs: usize) -> Result<PerfReport> {
 
 /// One message per ratio check whose median lies outside its bound;
 /// empty when the run passes. The `bench` binary applies this to every
-/// run and exits nonzero on any failure.
+/// run and exits nonzero on any failure. The median is printed in full
+/// (shortest round-trip form), so a failing value never reads as equal
+/// to its bound.
 pub fn gate(report: &PerfReport) -> Vec<String> {
     report
         .ratios
@@ -498,7 +502,7 @@ pub fn gate(report: &PerfReport) -> Vec<String> {
         .filter(|r| !r.bound.holds(r.median))
         .map(|r| {
             format!(
-                "{}: median {:.3} over {REPS} reps (q1 {:.3}, q3 {:.3}) is not {}",
+                "{}: median {} over {REPS} reps (q1 {:.3}, q3 {:.3}) is not {}",
                 r.name, r.median, r.q1, r.q3, r.bound
             )
         })
@@ -532,8 +536,8 @@ pub fn append_history(existing: &str, entry: &str) -> String {
 pub fn print(report: &PerfReport) {
     println!("\n=== bench perf ===");
     println!(
-        "rev {} | date {} | {} core(s) | quick {} | jobs {} | median of {REPS} reps",
-        report.rev, report.date, report.cores, report.quick, report.jobs
+        "rev {} | date {} | {} core(s) | quick {} | median of {REPS} reps",
+        report.rev, report.date, report.cores, report.quick
     );
     println!(
         "{:<30} {:>12} {:>14} {:>14}",
@@ -608,7 +612,6 @@ mod tests {
             date: "2026-08-07".into(),
             cores: 1,
             quick: true,
-            jobs: 2,
             scenarios: vec![ScenarioResult::new("simulate-only/default", 10, 0.5)],
             ratios: vec![
                 ratio("soa-vs-reference", 2.5, Bound::AtLeast(1.5)),
@@ -641,7 +644,6 @@ mod tests {
             "\"date\": \"2026-08-07\"",
             "\"cores\": 1",
             "\"quick\": true",
-            "\"jobs\": 2",
             "\"reps\": 11",
             "{\"name\": \"simulate-only/default\", \"work_units\": 10, \"wall_seconds\": 0.500000, \"per_second\": 20.000}",
             "{\"name\": \"soa-vs-reference\", \"median\": 2.5000, \"q1\": 2.2500, \"q3\": 2.7500, \"at_least\": 1.5}",
@@ -682,7 +684,7 @@ mod tests {
         // (check, a median just outside its bound, one just inside).
         let cases = [
             ("soa-vs-reference", 1.49, 1.5),
-            ("pooled-vs-serial", 0.84, 0.85),
+            ("pooled-vs-serial", 0.8496, 0.85),
             ("telemetry-on-vs-off", 1.06, 1.05),
             ("cache-cold-vs-warm", 1.99, 2.0),
         ];
@@ -694,6 +696,10 @@ mod tests {
                 let found = gate(&report);
                 assert_eq!(found.len(), failures, "{name} at {median}: {found:?}");
                 assert!(found.iter().all(|f| f.starts_with(name)), "{found:?}");
+                // The failing median is printed in full, never rounded
+                // onto its bound.
+                let shown = format!("median {median} ");
+                assert!(found.iter().all(|f| f.contains(&shown)), "{found:?}");
             }
         }
         // Every check failing at once reports each of them.

@@ -11,7 +11,7 @@ use archgym_bench::perf::{run, REPS};
 
 #[test]
 fn quick_report_covers_every_scenario_and_ratio() {
-    let report = run(true, 2).unwrap();
+    let report = run(true).unwrap();
     let names: Vec<&str> = report.scenarios.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(
         names,
