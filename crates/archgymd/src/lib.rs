@@ -14,6 +14,9 @@
 //! * [`store`] — the state directory (specs, journals, outcomes),
 //!   checksummed and quarantine-on-corruption, behind the
 //!   [`archgym_core::storeio`] fault-injectable I/O seam.
+//! * [`job`] — the one job path: a `JobSpec` in, its runs, race or
+//!   sweep out. The workers and the CLI's `search`, `compare`,
+//!   `search --auto` and `sweep` all run specs through it.
 //! * [`server`] — listener (connection-capped), scheduler, supervised
 //!   worker fleet (deadlines, stall watchdog), event streaming, and
 //!   drain/interrupt shutdown.
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod job;
 pub mod protocol;
 pub mod server;
 pub mod spec;

@@ -4,8 +4,8 @@
 //! [`Scheduler`] for quota-based admission control, and a supervised
 //! fleet of worker threads. Clients speak the line-delimited JSON
 //! protocol from [`protocol`](crate::protocol); accepted jobs are
-//! persisted *before* they are admitted, and every search runs through
-//! [`SearchLoop::run_env_with`] with its journal inside the
+//! persisted *before* they are admitted, and every job runs through
+//! [`job::run`] with its journals inside the
 //! state directory — so a daemon killed mid-job (even with SIGKILL)
 //! re-admits the job on restart and the journal replay finishes it
 //! bit-identically to an uninterrupted run.
@@ -34,25 +34,16 @@
 //! while a job runs. All mutexes recover from poisoning (a panicking
 //! peer thread must not wedge the daemon).
 
+use crate::job::{self, BoxedAgent, Hooks, Journal};
 use crate::protocol::{
     push_frame, write_frame, ErrorCode, JobStatus, Request, Response, MAX_LINE_BYTES,
     PROTOCOL_VERSION,
 };
-use crate::spec::make_env;
 use crate::store::{JobOutcome, JobStore, PersistedJob};
-use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
-use archgym_core::agent::HyperMap;
 use archgym_core::codec::{parse_json, Json};
-use archgym_core::env::CloneEnvironment;
-use archgym_core::error::{ArchGymError, Result};
-use archgym_core::jobs::{
-    Admission, JobId, JobKind, JobSpec, JobState, QuotaPolicy, Scheduler, Watchdog,
-};
-use archgym_core::race::{Race, RaceLane};
-use archgym_core::screen::Screener;
-use archgym_core::search::{RunConfig, RunIo, RunResult, SearchLoop};
+use archgym_core::error::Result;
+use archgym_core::jobs::{Admission, JobId, JobSpec, JobState, QuotaPolicy, Scheduler, Watchdog};
 use archgym_core::storeio::{real_io, Durability, StoreIo};
-use archgym_core::sweep::Sweep;
 use archgym_core::telemetry::Recorder;
 use archgym_core::{Action, Agent, StepResult};
 use std::collections::HashMap;
@@ -165,12 +156,7 @@ impl JobHandle {
 
     fn from_outcome(job: &PersistedJob, outcome: &JobOutcome) -> JobHandle {
         let handle = JobHandle::new(job, outcome.state);
-        {
-            let mut progress = lock(&handle.progress);
-            progress.best_reward = outcome.best_reward;
-            progress.samples = outcome.samples;
-            progress.error = outcome.error.clone();
-        }
+        handle.finish(outcome);
         handle.claimed.store(true, Ordering::SeqCst);
         handle
     }
@@ -290,7 +276,7 @@ impl std::io::Write for EventSink {
 /// has and stops — no samples are torn mid-batch. Each `propose` also
 /// bumps the job's heartbeat epoch for the watchdog.
 struct Cancellable {
-    inner: Box<dyn Agent + Send>,
+    inner: BoxedAgent,
     flag: Arc<JobHandle>,
     interrupt: Arc<AtomicBool>,
     deadline: Option<Instant>,
@@ -394,12 +380,8 @@ impl Server {
                     Admission::Rejected { reason, .. } => {
                         // Quotas shrank across the restart; surface the
                         // job as failed rather than dropping it silently.
-                        let failed = JobOutcome {
-                            state: JobState::Failed,
-                            best_reward: None,
-                            samples: 0,
-                            error: Some(format!("not re-admitted after restart: {reason}")),
-                        };
+                        let failed =
+                            JobOutcome::failed(format!("not re-admitted after restart: {reason}"));
                         store.record_outcome(job.id, &failed)?;
                         handle.claimed.store(true, Ordering::SeqCst);
                         handle.finish(&failed);
@@ -539,14 +521,9 @@ fn supervise(inner: &Arc<Inner>) {
             eprintln!("archgymd: worker {slot} stalled on {id}; failing the job and respawning");
             if let Some(handle) = handle {
                 if handle.claim_outcome() {
-                    let outcome = JobOutcome {
-                        state: JobState::Failed,
-                        best_reward: None,
-                        samples: 0,
-                        error: Some(format!(
-                            "worker stalled (no heartbeat for more than {stall} ms)"
-                        )),
-                    };
+                    let outcome = JobOutcome::failed(format!(
+                        "worker stalled (no heartbeat for more than {stall} ms)"
+                    ));
                     if let Err(err) = inner.store.record_outcome(id, &outcome) {
                         eprintln!("archgymd: failed to persist stall outcome for {id}: {err}");
                     }
@@ -628,23 +605,13 @@ fn worker_loop(inner: &Arc<Inner>, slot: usize) {
 /// daemon itself never dies. Signal priority: cancel > deadline >
 /// interrupt > normal completion.
 fn run_job(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Option<JobOutcome> {
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match handle.spec.kind {
-            JobKind::Search => run_search(inner, handle),
-            JobKind::Compare => run_compare(inner, handle),
-            JobKind::Sweep => run_sweep(inner, handle),
-            JobKind::Race => run_race(inner, handle),
-        }));
-    let cancelled = handle.cancel.load(Ordering::SeqCst);
-    let timed_out = handle.timed_out.load(Ordering::SeqCst);
-    let interrupted = inner.interrupt.load(Ordering::SeqCst);
-    match result {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_spec(inner, handle))) {
         Ok(Ok((best_reward, samples))) => {
-            let state = if cancelled {
+            let state = if handle.cancel.load(Ordering::SeqCst) {
                 JobState::Cancelled
-            } else if timed_out {
+            } else if handle.timed_out.load(Ordering::SeqCst) {
                 JobState::TimedOut
-            } else if interrupted {
+            } else if inner.interrupt.load(Ordering::SeqCst) {
                 return None;
             } else {
                 JobState::Done
@@ -656,221 +623,42 @@ fn run_job(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Option<JobOutcome> {
                 error: None,
             })
         }
-        Ok(Err(err)) => Some(JobOutcome {
-            state: JobState::Failed,
-            best_reward: None,
-            samples: 0,
-            error: Some(err.to_string()),
-        }),
-        Err(_) => Some(JobOutcome {
-            state: JobState::Failed,
-            best_reward: None,
-            samples: 0,
-            error: Some("job panicked".into()),
-        }),
+        Ok(Err(err)) => Some(JobOutcome::failed(err.to_string())),
+        Err(_) => Some(JobOutcome::failed("job panicked")),
     }
 }
 
-fn run_config(spec: &JobSpec) -> RunConfig {
-    RunConfig::with_budget(spec.budget)
-        .batch(spec.batch)
-        .record(false)
-        .jobs(spec.eval_jobs.max(1))
-}
-
-fn streaming_driver(inner: &Arc<Inner>, spec: &JobSpec, handle: &Arc<JobHandle>) -> SearchLoop {
-    let recorder = Recorder::new();
-    recorder.set_trace(EventSink {
-        handle: Arc::clone(handle),
-        buf: Vec::new(),
-    });
-    SearchLoop::new(run_config(spec))
-        .with_telemetry(recorder)
-        .with_journal_io(Arc::clone(inner.store.io()))
-        .with_durability(inner.store.durability())
-}
-
-fn cancellable(
-    inner: &Arc<Inner>,
-    handle: &Arc<JobHandle>,
-    agent: Box<dyn Agent + Send>,
-) -> Cancellable {
-    Cancellable {
-        inner: agent,
-        flag: Arc::clone(handle),
-        interrupt: Arc::clone(&inner.interrupt),
-        deadline: *lock(&handle.deadline),
-    }
-}
-
-/// The job's environment, built from the spec's env and objective; an
-/// empty objective selects the family's default, as in the library.
-fn job_env(spec: &JobSpec) -> Result<Box<dyn CloneEnvironment>> {
-    let objective = Some(spec.objective.as_str()).filter(|o| !o.is_empty());
-    make_env(&spec.env, objective)
-}
-
-fn run_one(
-    inner: &Arc<Inner>,
-    handle: &Arc<JobHandle>,
-    agent_name: &str,
-    journal: PathBuf,
-) -> Result<RunResult> {
-    let spec = &handle.spec;
-    let env = job_env(spec)?;
-    let kind = AgentKind::parse(agent_name)?;
-    let mut agent = cancellable(
-        inner,
-        handle,
-        build_agent(kind, env.space(), &Default::default(), spec.seed)?,
-    );
-    // Screened jobs run through the proxy layer; the screener's
-    // decisions are journaled, so daemon restarts resume them
-    // bit-identically like plain jobs.
-    let mut screener = spec
-        .proxy
-        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, spec.seed))
-        .transpose()?;
-    let io = RunIo {
-        journal: Some(&journal),
-        screener: screener.as_mut().map(|s| s as &mut dyn Screener),
+/// Run the job's spec down the one job path: every run, race and sweep
+/// streams its trace to the job's watchers, every agent stops at the
+/// job's cancel, deadline or interrupt, and every journal lives in the
+/// store, so a killed daemon resumes the job bit-identically (sweeps,
+/// deterministic in the spec, rerun from scratch).
+fn run_spec(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
+    let recorder = || {
+        let recorder = Recorder::new();
+        recorder.set_trace(EventSink {
+            handle: Arc::clone(handle),
+            buf: Vec::new(),
+        });
+        Some(recorder)
     };
-    streaming_driver(inner, spec, handle).run_env_with(&mut agent, env, io)
-}
-
-fn run_search(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
-    let journal = inner.store.journal_path(handle.id);
-    let result = run_one(inner, handle, &handle.spec.agent.clone(), journal)?;
-    Ok((Some(result.best_reward), result.samples_used))
-}
-
-fn run_compare(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
-    let mut best: Option<f64> = None;
-    let mut samples = 0;
-    for agent in &handle.spec.agents.clone() {
-        if handle.cancel.load(Ordering::SeqCst)
-            || handle.timed_out.load(Ordering::SeqCst)
-            || inner.interrupt.load(Ordering::SeqCst)
-        {
-            break;
-        }
-        let journal = inner.store.agent_journal_path(handle.id, agent);
-        let result = run_one(inner, handle, agent, journal)?;
-        samples += result.samples_used;
-        if best.is_none_or(|b| result.best_reward > b) {
-            best = Some(result.best_reward);
-        }
-    }
-    Ok((best, samples))
-}
-
-/// The default successive-halving elimination factor for race jobs.
-const RACE_DEFAULT_ETA: usize = 3;
-/// The default per-family roster cap for race jobs.
-const RACE_DEFAULT_CAP: usize = 4;
-
-/// Race jobs run the full agent × hyperparameter roster under online
-/// successive halving on the job's budget. Every `(lane, rung)` slice
-/// journals under the store's race prefix, so a killed daemon resumes
-/// the race bit-identically: completed slices replay from their
-/// journals, the interrupted slice finishes live. Rung, elimination,
-/// and promotion events stream to watchers through the job's trace
-/// sink like every other streaming event.
-fn run_race(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
-    let spec = &handle.spec;
-    let env = job_env(spec)?;
-    let eta = if spec.race_eta == 0 {
-        RACE_DEFAULT_ETA
-    } else {
-        spec.race_eta
-    };
-    let cap = if spec.race_cap == 0 {
-        RACE_DEFAULT_CAP
-    } else {
-        spec.race_cap
-    };
-    let mut roster = race_roster(cap);
-    if !spec.agents.is_empty() {
-        // An explicit roster restricts the race to the listed families.
-        roster.retain(|entry| spec.agents.iter().any(|a| a == entry.kind.name()));
-        if roster.is_empty() {
-            return Err(ArchGymError::InvalidConfig(
-                "race roster is empty after the agents filter".into(),
-            ));
-        }
-    }
-    let mut lanes = Vec::with_capacity(roster.len());
-    for entry in roster {
-        let agent = build_agent(entry.kind, env.space(), &entry.hyper, spec.seed)?;
-        let mut lane = RaceLane::new(
-            entry.name,
-            Box::new(cancellable(inner, handle, agent)) as Box<dyn Agent + Send>,
-        );
-        if let Some(policy) = &spec.proxy {
-            lane = lane.screened(Box::new(archgym_proxy::OnlineProxy::with_defaults(
-                *policy, spec.seed,
-            )?));
-        }
-        lanes.push(lane);
-    }
-    let recorder = Recorder::new();
-    recorder.set_trace(EventSink {
-        handle: Arc::clone(handle),
-        buf: Vec::new(),
-    });
-    let result = Race::new(spec.budget, eta)
-        .batch(spec.batch)
-        .jobs(spec.eval_jobs.max(1))
-        .ensemble(spec.race_ensemble)
-        .with_telemetry(recorder)
-        .with_journal_prefix(inner.store.race_journal_prefix(handle.id))
-        .with_journal_io(Arc::clone(inner.store.io()))
-        .with_durability(inner.store.durability())
-        .run(lanes, env)?;
-    Ok((Some(result.best_reward), result.samples_used))
-}
-
-/// Sweeps are deterministic in the spec, so a restarted daemon reruns
-/// them from scratch instead of journaling every grid cell.
-fn run_sweep(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {
-    let spec = &handle.spec;
-    let proto = job_env(spec)?;
-    let space = proto.space().clone();
-    let kind = AgentKind::parse(&spec.agent)?;
-    // Same default cap as `archgym-cli sweep --grid`.
-    let assignments: Vec<HyperMap> = default_grid(kind).iter().take(9).collect();
-    let recorder = Recorder::new();
-    recorder.set_trace(EventSink {
-        handle: Arc::clone(handle),
-        buf: Vec::new(),
-    });
-    let cancel = Arc::clone(handle);
-    let interrupt = Arc::clone(&inner.interrupt);
     let deadline = *lock(&handle.deadline);
-    let result = Sweep::new(RunConfig::with_budget(spec.budget).record(false))
-        .seeds(0..spec.sweep_seeds)
-        .jobs(spec.eval_jobs.max(1))
-        .telemetry(&recorder)
-        .run_assignments(
-            kind.name(),
-            &assignments,
-            || proto.clone(),
-            move |hyper, seed| {
-                Ok(Box::new(Cancellable {
-                    inner: build_agent(kind, &space, hyper, seed)?,
-                    flag: Arc::clone(&cancel),
-                    interrupt: Arc::clone(&interrupt),
-                    deadline,
-                }) as Box<dyn Agent>)
-            },
-        )?;
-    let winner = result.winner();
-    let samples = result
-        .best_rewards()
-        .len()
-        .checked_mul(spec.budget as usize)
-        .unwrap_or(0) as u64;
-    Ok((Some(winner.result.best_reward), samples))
+    let wrap = |agent| -> BoxedAgent {
+        Box::new(Cancellable {
+            inner: agent,
+            flag: Arc::clone(handle),
+            interrupt: Arc::clone(&inner.interrupt),
+            deadline,
+        })
+    };
+    let hooks = Hooks {
+        recorder: &recorder,
+        wrap: &wrap,
+        journal: Journal::Store(&inner.store, handle.id),
+        ..Hooks::default()
+    };
+    let (_, outcome) = job::run(&handle.spec, &hooks)?;
+    Ok(outcome.best_and_samples())
 }
 
 fn error(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -881,24 +669,6 @@ fn error(code: ErrorCode, message: impl Into<String>) -> Response {
     }
 }
 
-fn validate_spec(spec: &JobSpec) -> Result<()> {
-    spec.validate()?;
-    // Dry-run the factories so a bad env/agent is a typed reject at
-    // submit time, not a failed job later.
-    job_env(spec)?;
-    match spec.kind {
-        JobKind::Compare | JobKind::Race => {
-            for agent in &spec.agents {
-                AgentKind::parse(agent)?;
-            }
-        }
-        JobKind::Search | JobKind::Sweep => {
-            AgentKind::parse(&spec.agent)?;
-        }
-    }
-    Ok(())
-}
-
 fn submit(inner: &Arc<Inner>, tenant: String, name: Option<String>, spec: JobSpec) -> Response {
     if inner.shutdown.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
         return Response::Rejected {
@@ -906,7 +676,9 @@ fn submit(inner: &Arc<Inner>, tenant: String, name: Option<String>, spec: JobSpe
             retry_after_ms: inner.config.quota.retry_after_ms,
         };
     }
-    if let Err(err) = validate_spec(&spec) {
+    // Resolve the roster now, so a bad env, agent or race filter is a
+    // typed reject at submit time, not a failed job later.
+    if let Err(err) = job::check(&spec) {
         return error(ErrorCode::BadSpec, err.to_string());
     }
     let id = {

@@ -7,6 +7,8 @@
 //! <state_dir>/job-3.job        accepted submission (tenant, name, spec)
 //! <state_dir>/job-3.jsonl      write-ahead run journal (search jobs)
 //! <state_dir>/job-3-<agent>.jsonl   per-agent journals (compare jobs)
+//! <state_dir>/job-3-race-l000-r00.jsonl   per-lane, per-rung journals
+//!                              (race jobs; `lNNN` lane, `rNN` rung)
 //! <state_dir>/job-3.done       terminal outcome (state, best reward)
 //! ```
 //!
@@ -70,6 +72,16 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// A `failed` outcome with no result and the given message.
+    pub fn failed(error: impl Into<String>) -> JobOutcome {
+        JobOutcome {
+            state: JobState::Failed,
+            best_reward: None,
+            samples: 0,
+            error: Some(error.into()),
+        }
+    }
+
     /// Combine with the identity half into a wire-ready status.
     pub fn status(&self, job: &PersistedJob) -> JobStatus {
         JobStatus {

@@ -815,3 +815,73 @@ fn compare_jobs_report_the_roster_best() {
     assert!(best.is_some());
     daemon.stop();
 }
+
+/// A compare job without `agents` runs the extended default roster, as
+/// `JobSpec::agents` documents and the CLI's `compare` does.
+#[test]
+fn compare_jobs_without_agents_run_the_extended_roster() {
+    let mut daemon = Daemon::boot(&state_dir("compare-default"), 1, QuotaPolicy::default());
+    let mut spec = small_spec(32, 6);
+    spec.kind = JobKind::Compare;
+    let Response::Accepted { job, .. } = submit(&daemon.addr, "ci", None, spec) else {
+        panic!("submit not accepted")
+    };
+    let (state, best, samples, _) = watch_to_done(&daemon.addr, job);
+    assert_eq!(state, JobState::Done);
+    assert_eq!(samples, AgentKind::EXTENDED.len() as u64 * 32);
+    assert!(best.is_some());
+    daemon.stop();
+}
+
+/// A race whose agents filter leaves no lane is a `bad-spec` rejection at
+/// submit time, not a job that fails later.
+#[test]
+fn race_jobs_without_lanes_are_rejected_at_submit() {
+    let mut daemon = Daemon::boot(&state_dir("race-empty"), 1, QuotaPolicy::default());
+    let mut spec = JobSpec::race("dram/stream", 64, 1);
+    // The random walker never races.
+    spec.agents = vec!["rw".into()];
+    match submit(&daemon.addr, "ci", None, spec) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadSpec),
+        other => panic!("expected bad-spec for an empty race roster, got {other:?}"),
+    }
+    daemon.stop();
+}
+
+/// A sweep job runs seeds `seed .. seed + sweep_seeds` and reports the
+/// samples its runs used: the same best reward bits and sample count as
+/// the library `Sweep` over those seeds and the first nine assignments
+/// of the family's default grid.
+#[test]
+fn sweep_jobs_start_at_the_spec_seed() {
+    use archgym_agents::factory::default_grid;
+    use archgym_core::sweep::Sweep;
+    let mut daemon = Daemon::boot(&state_dir("sweep"), 1, QuotaPolicy::default());
+    let mut spec = small_spec(24, 5);
+    spec.kind = JobKind::Sweep;
+    spec.sweep_seeds = 2;
+    let Response::Accepted { job, .. } = submit(&daemon.addr, "ci", None, spec) else {
+        panic!("submit not accepted")
+    };
+    let (state, best, samples, _) = watch_to_done(&daemon.addr, job);
+    daemon.stop();
+    assert_eq!(state, JobState::Done);
+
+    let env = make_env("dram/stream", Some("power:1.0")).unwrap();
+    let grid: Vec<_> = default_grid(AgentKind::Ga).iter().take(9).collect();
+    let reference = Sweep::new(RunConfig::with_budget(24).record(false))
+        .seeds(5..7)
+        .run_assignments(
+            "ga",
+            &grid,
+            || env.clone(),
+            |hyper, seed| build_agent(AgentKind::Ga, env.space(), hyper, seed),
+        )
+        .unwrap();
+    assert_eq!(
+        best.map(f64::to_bits),
+        Some(reference.winner().result.best_reward.to_bits())
+    );
+    let used: u64 = reference.points.iter().map(|p| p.result.samples_used).sum();
+    assert_eq!(samples, used);
+}

@@ -3,17 +3,21 @@
 
 use crate::args::Args;
 use crate::spec::{known_envs, make_env};
-use archgym_agents::factory::{build_agent, default_grid, race_roster, AgentKind};
+use archgym_agents::factory::{default_grid, AgentKind};
+use archgym_core::cache::EvalCache;
 use archgym_core::env::{CloneEnvironment, Environment};
 use archgym_core::error::{ArchGymError, Result};
-use archgym_core::fault::{FaultPlan, FaultStats, FaultyEnv};
-use archgym_core::race::{lane_journal, Race, RaceLane};
-use archgym_core::screen::{ScreenPolicy, Screener};
-use archgym_core::search::{RetryPolicy, RunConfig, RunIo, RunResult, SearchLoop};
+use archgym_core::fault::{FaultPlan, FaultStats};
+use archgym_core::jobs::{JobKind, JobSpec};
+use archgym_core::race::lane_journal;
+use archgym_core::screen::ScreenPolicy;
+use archgym_core::search::{RetryPolicy, RunResult};
 use archgym_core::seeded_rng;
+use archgym_core::space::Action;
 use archgym_core::stats::summarize;
 use archgym_core::telemetry::Recorder;
 use archgym_core::trajectory::Dataset;
+use archgymd::job::{self, Hooks, Journal, Outcome};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::path::Path;
@@ -201,26 +205,37 @@ impl std::io::Write for SharedSink {
     }
 }
 
-/// The `--metrics`/`--trace` observability knobs: a live recorder when
-/// either flag is present (with the JSONL event sink already attached),
-/// `None` — i.e. free no-op telemetry — otherwise.
-fn telemetry_sink(args: &Args) -> Result<Option<Recorder>> {
-    if args.get("metrics").is_none() && args.get("trace").is_none() {
-        return Ok(None);
-    }
-    let rec = Recorder::new();
-    if let Some(path) = args.get("trace") {
-        rec.set_trace(SharedSink::create(path)?);
-    }
-    Ok(Some(rec))
+/// The `--metrics`/`--trace` observability knobs: a factory of live
+/// recorders when either flag is present, each with the one JSONL
+/// event sink already attached, and of `None` — i.e. free no-op
+/// telemetry — otherwise.
+fn recorders(args: &Args) -> Result<impl Fn() -> Option<Recorder>> {
+    let sink = args.get("trace").map(SharedSink::create).transpose()?;
+    let observe = args.get("metrics").is_some() || sink.is_some();
+    Ok(move || {
+        observe.then(|| {
+            let rec = Recorder::new();
+            if let Some(sink) = &sink {
+                rec.set_trace(sink.clone());
+            }
+            rec
+        })
+    })
 }
 
-/// Write the recorder's snapshot to `--metrics FILE` (canonical JSON) and
-/// append the human-readable table plus file pointers to the report.
-fn write_metrics(out: &mut String, args: &Args, rec: &Recorder) -> Result<()> {
+/// Write the recorder's snapshot to `--metrics FILE` (canonical JSON, or
+/// only the counters that are byte-identical across reruns and `--jobs`
+/// settings when `stable`) and append the human-readable table plus file
+/// pointers to the report.
+fn write_metrics(out: &mut String, args: &Args, rec: &Recorder, stable: bool) -> Result<()> {
     if let Some(report) = rec.report() {
         if let Some(path) = args.get("metrics") {
-            std::fs::write(path, report.encode() + "\n")?;
+            let body = if stable {
+                report.stable_json()
+            } else {
+                report.encode()
+            };
+            std::fs::write(path, body + "\n")?;
             let _ = writeln!(out, "telemetry:\n{}", report.human_table());
             let _ = writeln!(out, "metrics: {path}");
         }
@@ -307,19 +322,26 @@ fn write_proxy_line(out: &mut String, result: &RunResult) {
     }
 }
 
-/// The `--journal`/`--resume` knobs. Refuses to silently extend an
-/// existing journal unless resuming was requested explicitly.
-fn journal_path(args: &Args) -> Result<Option<String>> {
+/// The `--journal`/`--resume` knobs: a search's journal file, or with
+/// `lanes` a race's prefix, whose first lane file is `{prefix}-l000-r00.jsonl`.
+/// Refuses to silently extend an existing journal unless resuming was
+/// requested explicitly.
+fn journal_path(args: &Args, lanes: bool) -> Result<Option<&Path>> {
     let resume = args.bool_or("resume", false)?;
-    match args.get("journal") {
+    match args.get("journal").map(Path::new) {
         Some(path) => {
-            if !resume && std::path::Path::new(path).exists() {
+            let first = match lanes {
+                true => lane_journal(path, 0, 0),
+                false => path.to_owned(),
+            };
+            if !resume && first.exists() {
                 return Err(ArchGymError::InvalidConfig(format!(
-                    "journal `{path}` already exists; pass `--resume true` to \
-                     continue it or remove the file to start fresh"
+                    "journal `{}` already exists; pass `--resume true` to \
+                     continue it or remove its files to start fresh",
+                    first.display()
                 )));
             }
-            Ok(Some(path.to_owned()))
+            Ok(Some(path))
         }
         None if resume => Err(ArchGymError::InvalidConfig(
             "`--resume true` needs `--journal <path>`".into(),
@@ -346,6 +368,59 @@ fn write_fault_lines(out: &mut String, result: &RunResult, injected: Option<&Fau
     }
 }
 
+/// Parse the flags every job command reads into a spec of `kind`:
+/// `--env`, `--objective`, `--agent`, `--agents`, `--budget`, `--seed`,
+/// `--batch`, `--jobs` and the `--proxy*` knobs. The rest are the
+/// command's defaults; an `agent` of `None` makes `--agent` required.
+/// `search`, `compare`, `sweep` and `submit` all read these flags here.
+fn job_spec(
+    args: &Args,
+    kind: JobKind,
+    agent: Option<&str>,
+    budget: u64,
+    batch: u64,
+    jobs: u64,
+) -> Result<JobSpec> {
+    let agent = match agent {
+        None => args.require("agent")?,
+        Some(default) => args.get("agent").unwrap_or(default),
+    };
+    let mut spec = JobSpec::search(
+        args.require("env")?,
+        agent,
+        args.u64_or("budget", budget)?,
+        args.u64_or("seed", 0)?,
+    );
+    spec.kind = kind;
+    spec.objective = args.get("objective").unwrap_or_default().to_owned();
+    spec.batch = args.u64_or("batch", batch)? as usize;
+    spec.eval_jobs = args.u64_or("jobs", jobs)? as usize;
+    if let Some(list) = args.get("agents") {
+        spec.agents = list.split(',').map(|name| name.trim().to_owned()).collect();
+    }
+    spec.proxy = screen_policy(args)?;
+    Ok(spec)
+}
+
+/// Append the best design of a search or race: its reward, observation
+/// and decoded parameters.
+fn write_best(
+    out: &mut String,
+    env: &dyn CloneEnvironment,
+    (reward, observation, action): (f64, &[f64], &Action),
+) -> Result<()> {
+    let _ = writeln!(out, "best reward: {reward:.6}");
+    let labels = env.observation_labels();
+    for (label, value) in labels.iter().zip(observation) {
+        let _ = writeln!(out, "  {label:<20} = {value:.6}");
+    }
+    let _ = writeln!(out, "best design:");
+    for (name, value) in env.space().decode(action)? {
+        let _ = writeln!(out, "  {name:<34} = {value}");
+    }
+    Ok(())
+}
+
 fn search(args: &Args) -> Result<String> {
     if args.bool_or("auto", false)? {
         return search_auto(args);
@@ -359,42 +434,21 @@ fn search(args: &Args) -> Result<String> {
             )));
         }
     }
-    let env = make_env(args.require("env")?, args.get("objective"))?;
-    let kind = AgentKind::parse(args.require("agent")?)?;
-    let budget = args.u64_or("budget", 1_000)?;
-    let seed = args.u64_or("seed", 0)?;
-    let batch = args.u64_or("batch", 16)? as usize;
-    let jobs = args.u64_or("jobs", 1)? as usize;
-    let plan = fault_plan(args, seed)?;
-    let journal = journal_path(args)?;
-    let telemetry = telemetry_sink(args)?;
-    let mut screener = screen_policy(args)?
-        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
-        .transpose()?;
-    let mut agent = build_agent(kind, env.space(), &Default::default(), seed)?;
-    let config = RunConfig::with_budget(budget)
-        .batch(batch)
-        .jobs(jobs)
-        .retry(retry_policy(args)?);
-    let mut driver = SearchLoop::new(config);
-    if let Some(rec) = &telemetry {
-        driver = driver.with_telemetry(rec.clone());
-    }
-    // Fault injection wraps the environment; clones share fault
-    // counters, so the kept handle sees the run's.
-    let (run_env, injected): (Box<dyn CloneEnvironment>, _) = match plan {
-        Some(plan) => {
-            let faulty = FaultyEnv::new(env.clone(), plan);
-            (Box::new(faulty.clone()), Some(faulty))
-        }
-        None => (env.clone(), None),
+    let spec = job_spec(args, JobKind::Search, None, 1_000, 16, 1)?;
+    let journal = journal_path(args, false)?;
+    let telemetry = recorders(args)?();
+    let hooks = Hooks {
+        recorder: &|| telemetry.clone(),
+        journal: journal.map_or(Journal::None, Journal::Path),
+        retry: retry_policy(args)?,
+        fault: fault_plan(args, spec.seed)?,
+        record: true,
+        ..Hooks::default()
     };
-    let io = RunIo {
-        journal: journal.as_deref().map(Path::new),
-        screener: screener.as_mut().map(|s| s as &mut dyn Screener),
+    let (env, Outcome::Runs(runs)) = job::run(&spec, &hooks)? else {
+        unreachable!("search jobs return their run")
     };
-    let result = driver.run_env_with(&mut agent, run_env, io)?;
-    let injected = injected.map(|faulty| faulty.stats());
+    let (result, injected) = (&runs[0].result, &runs[0].injected);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -402,20 +456,17 @@ fn search(args: &Args) -> Result<String> {
         "{} on {}: {} samples in {:.2}s",
         result.agent, result.env, result.samples_used, result.wall_seconds
     );
-    let _ = writeln!(out, "best reward: {:.6}", result.best_reward);
-    let labels = env.observation_labels();
-    for (label, value) in labels.iter().zip(&result.best_observation) {
-        let _ = writeln!(out, "  {label:<20} = {value:.6}");
-    }
-    let _ = writeln!(out, "best design:");
-    for (name, value) in env.space().decode(&result.best_action)? {
-        let _ = writeln!(out, "  {name:<34} = {value}");
-    }
+    let best = (
+        result.best_reward,
+        &result.best_observation[..],
+        &result.best_action,
+    );
+    write_best(&mut out, &*env, best)?;
     write_target_line(&mut out, args, |t| result.samples_to_reach(t))?;
-    write_fault_lines(&mut out, &result, injected.as_ref());
-    write_proxy_line(&mut out, &result);
-    if let Some(path) = &journal {
-        let _ = writeln!(out, "journal: {path}");
+    write_fault_lines(&mut out, result, injected.as_ref());
+    write_proxy_line(&mut out, result);
+    if let Some(path) = journal {
+        let _ = writeln!(out, "journal: {}", path.display());
     }
     if let Some(path) = args.get("dataset") {
         result.dataset.write_jsonl(File::create(path)?)?;
@@ -426,7 +477,7 @@ fn search(args: &Args) -> Result<String> {
         let _ = writeln!(out, "wrote {} transitions to {path}", result.dataset.len());
     }
     if let Some(rec) = &telemetry {
-        write_metrics(&mut out, args, rec)?;
+        write_metrics(&mut out, args, rec, false)?;
     }
     Ok(out)
 }
@@ -465,93 +516,32 @@ fn search_auto(args: &Args) -> Result<String> {
                 .into(),
         ));
     }
-    let env = make_env(args.require("env")?, args.get("objective"))?;
-    let budget = args.u64_or("budget", 1_000)?;
-    let seed = args.u64_or("seed", 0)?;
-    let batch = args.u64_or("batch", 16)? as usize;
-    let jobs = args.u64_or("jobs", 1)? as usize;
-    let eta = args.u64_or("eta", 3)? as usize;
-    if eta < 2 {
-        return Err(ArchGymError::InvalidConfig(format!(
-            "`--eta` must be at least 2, got `{eta}`"
-        )));
-    }
-    let cap = args.u64_or("roster-cap", 4)? as usize;
-    let ensemble = args.bool_or("ensemble", false)?;
-    let telemetry = telemetry_sink(args)?;
-    let policy = screen_policy(args)?;
-
-    let mut roster = race_roster(cap);
-    if let Some(list) = args.get("agents") {
-        let kinds: Vec<AgentKind> = list
-            .split(',')
-            .map(|name| AgentKind::parse(name.trim()))
-            .collect::<Result<_>>()?;
-        roster.retain(|entry| kinds.contains(&entry.kind));
-        if roster.is_empty() {
-            return Err(ArchGymError::InvalidConfig(
-                "`--agents` filtered out every race lane (the roster races \
-                 aco|bo|ga|rl|sa|ppo)"
-                    .into(),
-            ));
-        }
-    }
-    let mut lanes = Vec::with_capacity(roster.len());
-    for entry in &roster {
-        let mut lane = RaceLane::new(
-            entry.name.clone(),
-            build_agent(entry.kind, env.space(), &entry.hyper, seed)?,
-        );
-        if let Some(policy) = policy {
-            lane = lane.screened(Box::new(archgym_proxy::OnlineProxy::with_defaults(
-                policy, seed,
-            )?));
-        }
-        lanes.push(lane);
-    }
+    let mut spec = job_spec(args, JobKind::Race, Some(""), 1_000, 16, 1)?;
+    spec.race_eta = args.u64_or("eta", 0)? as usize;
+    spec.race_cap = args.u64_or("roster-cap", 0)? as usize;
+    spec.race_ensemble = args.bool_or("ensemble", false)?;
+    let telemetry = recorders(args)?();
 
     // `--journal` names a *prefix* here: the race writes one journal per
-    // lane per rung (`{prefix}-lNNN-rNN.jsonl`). Same refusal semantics
-    // as plain search: an existing race journal needs `--resume true`.
-    let resume = args.bool_or("resume", false)?;
-    let journal_prefix = match args.get("journal") {
-        Some(path) => {
-            let prefix = std::path::PathBuf::from(path);
-            if !resume && lane_journal(&prefix, 0, 0).exists() {
-                return Err(ArchGymError::InvalidConfig(format!(
-                    "race journal prefix `{path}` already has lane files; pass \
-                     `--resume true` to continue or remove them to start fresh"
-                )));
-            }
-            Some(prefix)
-        }
-        None if resume => {
-            return Err(ArchGymError::InvalidConfig(
-                "`--resume true` needs `--journal <prefix>`".into(),
-            ))
-        }
-        None => None,
+    // lane per rung (`{prefix}-lNNN-rNN.jsonl`).
+    let journal_prefix = journal_path(args, true)?;
+    let hooks = Hooks {
+        recorder: &|| telemetry.clone(),
+        journal: journal_prefix.map_or(Journal::None, Journal::Path),
+        retry: retry_policy(args)?,
+        ..Hooks::default()
     };
-
-    let mut race = Race::new(budget, eta)
-        .batch(batch)
-        .jobs(jobs)
-        .ensemble(ensemble)
-        .retry(retry_policy(args)?);
-    if let Some(rec) = &telemetry {
-        race = race.with_telemetry(rec.clone());
-    }
-    if let Some(prefix) = &journal_prefix {
-        race = race.with_journal_prefix(prefix.clone());
-    }
-    let result = race.run(lanes, env.clone())?;
+    let (env, Outcome::Race(result)) = job::run(&spec, &hooks)? else {
+        unreachable!("race jobs return their race")
+    };
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "race on {}: {} lanes (eta {eta}), {} samples in {:.2}s",
+        "race on {}: {} lanes (eta {}), {} samples in {:.2}s",
         result.env,
         result.lanes.len(),
+        result.eta,
         result.samples_used,
         result.wall_seconds
     );
@@ -581,33 +571,19 @@ fn search_auto(args: &Args) -> Result<String> {
         );
     }
     let _ = writeln!(out, "winner: {}", result.winner);
-    let _ = writeln!(out, "best reward: {:.6}", result.best_reward);
-    let labels = env.observation_labels();
-    for (label, value) in labels.iter().zip(&result.best_observation) {
-        let _ = writeln!(out, "  {label:<20} = {value:.6}");
-    }
-    let _ = writeln!(out, "best design:");
-    for (name, value) in env.space().decode(&result.best_action)? {
-        let _ = writeln!(out, "  {name:<34} = {value}");
-    }
+    let best = (
+        result.best_reward,
+        &result.best_observation[..],
+        &result.best_action,
+    );
+    write_best(&mut out, &*env, best)?;
     write_target_line(&mut out, args, |t| result.samples_to_reach(t))?;
-    if let Some(prefix) = &journal_prefix {
+    if let Some(prefix) = journal_prefix {
         let _ = writeln!(out, "journal prefix: {}", prefix.display());
     }
     if let Some(rec) = &telemetry {
-        if let Some(report) = rec.report() {
-            if let Some(path) = args.get("metrics") {
-                // Stable counters only (no timings, no job-dependent cache
-                // traffic): the file is byte-identical across reruns and
-                // `--jobs` settings, same discipline as `compare`.
-                std::fs::write(path, report.stable_json() + "\n")?;
-                let _ = writeln!(out, "telemetry:\n{}", report.human_table());
-                let _ = writeln!(out, "metrics: {path}");
-            }
-        }
-        if let Some(path) = args.get("trace") {
-            let _ = writeln!(out, "trace: {path}");
-        }
+        // Stable counters, same discipline as `compare`.
+        write_metrics(&mut out, args, rec, true)?;
     }
     Ok(out)
 }
@@ -615,76 +591,38 @@ fn search_auto(args: &Args) -> Result<String> {
 /// Race several agents on one environment under a shared sample budget
 /// and report a leaderboard (paper §6: no single agent dominates).
 fn compare(args: &Args) -> Result<String> {
-    let env = make_env(args.require("env")?, args.get("objective"))?;
-    let budget = args.u64_or("budget", 500)?;
-    let seed = args.u64_or("seed", 0)?;
-    let batch = args.u64_or("batch", 0)? as usize;
-    let jobs = args.u64_or("jobs", 1)? as usize;
-    let kinds: Vec<AgentKind> = match args.get("agents") {
-        None => AgentKind::EXTENDED.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| AgentKind::parse(name.trim()))
-            .collect::<Result<_>>()?,
+    let spec = job_spec(args, JobKind::Compare, Some(""), 500, 0, 1)?;
+    // Each roster entry gets its own recorder so the metrics file breaks
+    // counters down per agent; the trace sink is shared.
+    let hooks = Hooks {
+        recorder: &recorders(args)?,
+        retry: retry_policy(args)?,
+        ..Hooks::default()
     };
-    let config = RunConfig::with_budget(budget)
-        .batch(batch)
-        .record(false)
-        .jobs(jobs)
-        .retry(retry_policy(args)?);
-    let batch_label = if batch == 0 {
-        "auto".to_owned()
-    } else {
-        batch.to_string()
+    let (env, Outcome::Runs(mut runs)) = job::run(&spec, &hooks)? else {
+        unreachable!("compare jobs return their runs")
     };
-    let observe = args.get("metrics").is_some() || args.get("trace").is_some();
-    let trace_sink = match args.get("trace") {
-        Some(path) => Some(SharedSink::create(path)?),
-        None => None,
-    };
-    let policy = screen_policy(args)?;
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for kind in &kinds {
-        let mut agent = build_agent(*kind, env.space(), &Default::default(), seed)?;
-        let mut driver = SearchLoop::new(config.clone());
-        // Each roster entry gets its own recorder so the metrics file
-        // breaks counters down per agent; the trace sink is shared.
-        let rec = observe.then(Recorder::new);
-        if let Some(rec) = &rec {
-            if let Some(sink) = &trace_sink {
-                rec.set_trace(sink.clone());
-            }
-            driver = driver.with_telemetry(rec.clone());
-        }
-        // Under `--proxy` every roster entry gets its own fresh screener
-        // (same policy, same seed) so the race stays apples-to-apples.
-        let mut screener = policy
-            .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
-            .transpose()?;
-        let io = RunIo {
-            journal: None,
-            screener: screener.as_mut().map(|s| s as &mut dyn Screener),
-        };
-        let result = driver.run_env_with(&mut agent, env.clone(), io)?;
-        if let Some(report) = rec.as_ref().and_then(Recorder::report) {
-            reports.push((kind.name().to_owned(), report));
-        }
-        rows.push((kind.name().to_owned(), result));
-    }
-    rows.sort_by(|a, b| {
-        b.1.best_reward
-            .partial_cmp(&a.1.best_reward)
+    runs.sort_by(|a, b| {
+        b.result
+            .best_reward
+            .partial_cmp(&a.result.best_reward)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    let batch_label = match spec.batch {
+        0 => "auto".to_owned(),
+        batch => batch.to_string(),
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} agents on {} ({budget} samples each, batch {batch_label}, jobs {jobs}):",
-        rows.len(),
+        "{} agents on {} ({} samples each, batch {batch_label}, jobs {}):",
+        runs.len(),
         env.name(),
+        spec.budget,
+        spec.eval_jobs,
     );
-    for (rank, (name, result)) in rows.iter().enumerate() {
+    for (rank, run) in runs.iter().enumerate() {
+        let (name, result) = (&run.result.agent, &run.result);
         let mut recovery = String::new();
         if result.eval_failures > 0 || result.degraded_samples > 0 {
             recovery = format!(
@@ -712,7 +650,11 @@ fn compare(args: &Args) -> Result<String> {
         // Per-agent *stable* counters only (no timings, no job-dependent
         // cache traffic), keyed in roster-name order: the file is
         // byte-identical across reruns and `--jobs` settings.
-        reports.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut reports: Vec<_> = runs
+            .iter()
+            .filter_map(|run| Some((&run.result.agent, run.telemetry.as_ref()?.report()?)))
+            .collect();
+        reports.sort_by(|a, b| a.0.cmp(b.0));
         let mut body = String::from("{\"agents\":{");
         for (i, (name, report)) in reports.iter().enumerate() {
             if i > 0 {
@@ -733,42 +675,21 @@ fn compare(args: &Args) -> Result<String> {
 }
 
 fn sweep(args: &Args) -> Result<String> {
-    use archgym_core::agent::HyperMap;
-    use archgym_core::cache::EvalCache;
-    use archgym_core::sweep::Sweep;
-    use std::sync::Arc;
-    let env_spec = args.require("env")?.to_owned();
-    let objective = args.get("objective").map(str::to_owned);
-    let kind = AgentKind::parse(args.require("agent")?)?;
-    let budget = args.u64_or("budget", 500)?;
-    let seeds = args.u64_or("seeds", 2)?;
-    let grid_cap = args.u64_or("grid", 9)? as usize;
-    let jobs = args.u64_or("jobs", 0)? as usize;
-    let use_cache = args.bool_or("cache", false)?;
-
-    // Build the environment once; the factory clones it per run, so a
-    // bad spec fails here with an error instead of panicking mid-sweep.
-    let proto = make_env(&env_spec, objective.as_deref())?;
-    let space = proto.space().clone();
-
-    let telemetry = telemetry_sink(args)?;
-    let assignments: Vec<HyperMap> = default_grid(kind).iter().take(grid_cap).collect();
-    let mut sweep = Sweep::new(RunConfig::with_budget(budget).record(false))
-        .seeds(0..seeds)
-        .jobs(jobs);
-    if let Some(rec) = &telemetry {
-        sweep = sweep.telemetry(rec);
-    }
-    let cache = use_cache.then(|| Arc::new(EvalCache::new()));
-    if let Some(cache) = &cache {
-        sweep = sweep.cache(cache.clone());
-    }
-    let result = sweep.run_assignments(
-        kind.name(),
-        &assignments,
-        || proto.clone(),
-        |hyper, seed| build_agent(kind, &space, hyper, seed),
-    )?;
+    let mut spec = job_spec(args, JobKind::Sweep, None, 500, 16, 0)?;
+    spec.sweep_seeds = args.u64_or("seeds", 2)?;
+    let telemetry = recorders(args)?();
+    let cache = args
+        .bool_or("cache", false)?
+        .then(|| Arc::new(EvalCache::new()));
+    let hooks = Hooks {
+        recorder: &|| telemetry.clone(),
+        cache: cache.clone(),
+        grid: args.u64_or("grid", job::GRID_CAP as u64)? as usize,
+        ..Hooks::default()
+    };
+    let (_, Outcome::Sweep(result)) = job::run(&spec, &hooks)? else {
+        unreachable!("sweep jobs return their sweep")
+    };
     let rewards = result.best_rewards();
     let stats = summarize(&rewards);
     let winner = result.winner();
@@ -776,10 +697,11 @@ fn sweep(args: &Args) -> Result<String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} on {}: {} runs × {budget} samples",
-        kind.name(),
+        "{} on {}: {} runs × {} samples",
+        result.agent,
         result.env,
-        rewards.len()
+        rewards.len(),
+        spec.budget
     );
     let _ = writeln!(
         out,
@@ -792,26 +714,29 @@ fn sweep(args: &Args) -> Result<String> {
         stats.relative_spread() * 100.0
     );
     if let Some(cache) = &cache {
-        let s = cache.stats();
-        let _ = writeln!(
-            out,
-            "cache: {} hits / {} lookups ({:.1}% hit rate, {} distinct designs)",
-            s.hits,
-            s.hits + s.misses,
-            s.hit_rate() * 100.0,
-            s.entries
-        );
+        write_cache_line(&mut out, cache);
     }
     if let Some(rec) = &telemetry {
-        write_metrics(&mut out, args, rec)?;
+        write_metrics(&mut out, args, rec, false)?;
     }
     Ok(out)
 }
 
+/// Append a shared evaluation cache's traffic to a report.
+fn write_cache_line(out: &mut String, cache: &EvalCache) {
+    let s = cache.stats();
+    let _ = writeln!(
+        out,
+        "cache: {} hits / {} lookups ({:.1}% hit rate, {} distinct designs)",
+        s.hits,
+        s.hits + s.misses,
+        s.hit_rate() * 100.0,
+        s.entries
+    );
+}
+
 fn halving(args: &Args) -> Result<String> {
-    use archgym_core::cache::EvalCache;
     use archgym_core::sweep::SuccessiveHalving;
-    use std::sync::Arc;
     let env_spec = args.require("env")?.to_owned();
     let objective = args.get("objective").map(str::to_owned);
     let kind = AgentKind::parse(args.require("agent")?)?;
@@ -837,7 +762,7 @@ fn halving(args: &Args) -> Result<String> {
         kind.name(),
         &default_grid(kind),
         || proto.clone(),
-        |hyper, seed| build_agent(kind, &space, hyper, seed),
+        job::agent_factory(kind, &space),
     )?;
 
     let mut out = String::new();
@@ -871,15 +796,7 @@ fn halving(args: &Args) -> Result<String> {
         result.savings_factor()
     );
     if let Some(cache) = &cache {
-        let s = cache.stats();
-        let _ = writeln!(
-            out,
-            "cache: {} hits / {} lookups ({:.1}% hit rate, {} distinct designs)",
-            s.hits,
-            s.hits + s.misses,
-            s.hit_rate() * 100.0,
-            s.entries
-        );
+        write_cache_line(&mut out, cache);
     }
     Ok(out)
 }
@@ -957,11 +874,6 @@ fn proxy(args: &Args) -> Result<String> {
 // ---------------------------------------------------------------------
 // archgymd daemon subcommands: `serve` hosts the service in-process;
 // `submit`/`status`/`watch`/`cancel`/`ping` are thin protocol clients.
-
-/// Shared `--addr` flag for the client subcommands.
-fn daemon_addr(args: &Args) -> Result<&str> {
-    args.require("addr")
-}
 
 /// Map a daemon `error` frame (or an unexpected frame) to a CLI error.
 fn unexpected(response: archgymd::protocol::Response) -> ArchGymError {
@@ -1052,46 +964,17 @@ fn serve(args: &Args) -> Result<String> {
 }
 
 fn submit(args: &Args) -> Result<String> {
-    use archgym_core::jobs::{JobKind, JobSpec};
     use archgymd::protocol::{Request, Response};
-    let addr = daemon_addr(args)?;
-    let kind = match args.get("kind").unwrap_or("search") {
-        "search" => JobKind::Search,
-        "sweep" => JobKind::Sweep,
-        "compare" => JobKind::Compare,
-        "race" => JobKind::Race,
-        other => {
-            return Err(ArchGymError::InvalidConfig(format!(
-                "`--kind` expects search|sweep|compare|race, got `{other}`"
-            )))
-        }
-    };
+    let addr = args.require("addr")?;
+    let kind = JobKind::parse(args.get("kind").unwrap_or("search"))?;
     // A race has no single agent — the daemon builds the full roster.
-    let agent = match kind {
-        JobKind::Race => "",
-        _ => args.get("agent").unwrap_or("ga"),
-    };
-    let mut spec = JobSpec::search(
-        args.require("env")?,
-        agent,
-        args.u64_or("budget", 1_000)?,
-        args.u64_or("seed", 0)?,
-    );
-    spec.kind = kind;
+    let agent = if kind == JobKind::Race { "" } else { "ga" };
+    let mut spec = job_spec(args, kind, Some(agent), 1_000, 0, 1)?;
     spec.race_eta = args.u64_or("race-eta", 0)? as usize;
     spec.race_cap = args.u64_or("race-cap", 0)? as usize;
     spec.race_ensemble = args.bool_or("race-ensemble", false)?;
-    if let Some(objective) = args.get("objective") {
-        spec.objective = objective.to_owned();
-    }
-    spec.batch = args.u64_or("batch", 0)? as usize;
-    spec.eval_jobs = args.u64_or("jobs", 1)? as usize;
     spec.sweep_seeds = args.u64_or("seeds", spec.sweep_seeds)?;
     spec.deadline_ms = args.u64_or("deadline-ms", 0)?;
-    if let Some(list) = args.get("agents") {
-        spec.agents = list.split(',').map(|name| name.trim().to_owned()).collect();
-    }
-    spec.proxy = screen_policy(args)?;
     let request = Request::Submit {
         tenant: args.get("tenant").unwrap_or("default").to_owned(),
         name: args.get("name").map(str::to_owned),
@@ -1116,7 +999,7 @@ fn status(args: &Args) -> Result<String> {
     let request = Request::Status {
         job: parse_job_id(args)?,
     };
-    match archgymd::client::request_one(daemon_addr(args)?, &request)? {
+    match archgymd::client::request_one(args.require("addr")?, &request)? {
         Response::Status(status) => Ok(render_status(&status)),
         other => Err(unexpected(other)),
     }
@@ -1130,7 +1013,7 @@ fn watch(args: &Args) -> Result<String> {
     use archgymd::client::{ConnectOptions, WatchItem, WatchStream};
     let job = parse_job_id(args)?;
     let mut stream = WatchStream::open(
-        daemon_addr(args)?,
+        args.require("addr")?,
         job,
         ConnectOptions::default(),
         args.u64_or("seed", 0)?,
@@ -1161,7 +1044,7 @@ fn cancel(args: &Args) -> Result<String> {
     let request = Request::Cancel {
         job: parse_job_id(args)?,
     };
-    match archgymd::client::request_one(daemon_addr(args)?, &request)? {
+    match archgymd::client::request_one(args.require("addr")?, &request)? {
         Response::Status(status) => Ok(format!("cancelling:\n{}", render_status(&status))),
         other => Err(unexpected(other)),
     }
@@ -1169,7 +1052,7 @@ fn cancel(args: &Args) -> Result<String> {
 
 fn ping(args: &Args) -> Result<String> {
     use archgymd::protocol::{Request, Response};
-    match archgymd::client::request_one(daemon_addr(args)?, &Request::Ping)? {
+    match archgymd::client::request_one(args.require("addr")?, &Request::Ping)? {
         Response::Pong { version } => Ok(format!("pong (protocol v{version})\n")),
         other => Err(unexpected(other)),
     }
@@ -1182,12 +1065,12 @@ fn ping(args: &Args) -> Result<String> {
 /// stopping.
 fn shutdown(args: &Args) -> Result<String> {
     use archgymd::protocol::{Request, Response};
-    let drain = matches!(args.get("drain"), Some("true" | "1" | "yes"));
+    let drain = args.bool_or("drain", false)?;
     let request = Request::Shutdown {
         drain,
         deadline_ms: args.u64_or("drain-deadline-ms", 0)?,
     };
-    match archgymd::client::request_one(daemon_addr(args)?, &request)? {
+    match archgymd::client::request_one(args.require("addr")?, &request)? {
         Response::Stopping => Ok(if drain {
             "daemon drained and stopping\n".to_owned()
         } else {
@@ -1493,6 +1376,20 @@ mod tests {
         assert!(with(&["--resume", "maybe"]).is_err());
         // --resume without a journal path is a usage error.
         assert!(with(&["--resume", "true"]).is_err());
+        // A sweep with no grid cell or no seed has no winner to report.
+        let sweep = [
+            "sweep",
+            "--env",
+            "dram/stream",
+            "--agent",
+            "ga",
+            "--budget",
+            "8",
+        ];
+        for extra in [["--grid", "0"], ["--seeds", "0"]] {
+            let line: Vec<&str> = sweep.iter().chain(&extra).copied().collect();
+            assert!(run_line(&line).is_err(), "{extra:?}");
+        }
         // Unreadable input file.
         let err = run_line(&["proxy", "--dataset", "/no/such/dir/run.jsonl"]).unwrap_err();
         assert!(matches!(err, ArchGymError::Io(_)), "{err}");
@@ -1783,6 +1680,13 @@ mod tests {
         // 2 assignments × 2 seeds × 24 samples, summed into one recorder.
         assert_eq!(report.counters["samples_settled"], 2 * 2 * 24);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn shutdown_drain_flag_must_be_a_boolean() {
+        // Rejected while parsing, before any connection is made.
+        let err = run_line(&["shutdown", "--addr", "127.0.0.1:1", "--drain", "maybe"]).unwrap_err();
+        assert!(err.to_string().contains("`--drain` expects"), "{err}");
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //! function per subcommand, all returning their report as a string so
 //! they are unit-testable without a terminal).
 //!
-//! Daemon client subcommands (`serve`, `submit`, `status`, `watch`,
-//! `cancel`) live in [`cmd`] too and speak the [`archgymd`] protocol.
+//! `search`, `compare`, `search --auto` and `sweep` parse their flags
+//! into a `JobSpec` and run it through [`archgymd::job::run`], the same
+//! code the daemon's workers run, so a command and the daemon job with
+//! the same spec give the same result. `submit` parses the same flags
+//! into the spec it sends. Daemon client subcommands (`serve`,
+//! `submit`, `status`, `watch`, `cancel`) live in [`cmd`] too and speak
+//! the [`archgymd`] protocol.
 
 pub mod args;
 pub mod cmd;

@@ -146,7 +146,8 @@ pub struct JobSpec {
     pub objective: String,
     /// Agent for `search`/`sweep` jobs, e.g. `ga`.
     pub agent: String,
-    /// Agent roster for `compare` jobs; empty = the extended default set.
+    /// Agent roster for `compare` jobs (empty = the extended default
+    /// set), or the families a `race` job keeps (empty = all of them).
     pub agents: Vec<String>,
     /// Sample budget per run.
     pub budget: u64,
@@ -154,7 +155,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Evaluation batch size; `0` lets the agent's hint decide.
     pub batch: usize,
-    /// `EnvPool` replicas evaluating one job's batches in parallel.
+    /// `EnvPool` replicas evaluating one job's batches in parallel, or a
+    /// `sweep` job's worker threads over its runs; `0` = every core.
     pub eval_jobs: usize,
     /// Number of seeds for `sweep` jobs (seed, seed+1, ...).
     pub sweep_seeds: u64,
@@ -169,11 +171,12 @@ pub struct JobSpec {
     /// unchanged.
     pub deadline_ms: u64,
     /// Successive-halving elimination factor for `race` jobs; `0` means
-    /// the daemon default (3). Encoded only when nonzero.
+    /// the default every surface shares, `archgymd::job::RACE_ETA` (3).
+    /// Encoded only when nonzero.
     pub race_eta: usize,
     /// Hyperparameter configurations per agent family in a `race` job's
-    /// roster; `0` means the daemon default (4). Encoded only when
-    /// nonzero.
+    /// roster; `0` means the default every surface shares,
+    /// `archgymd::job::RACE_CAP` (4). Encoded only when nonzero.
     pub race_cap: usize,
     /// Drive a `race` job's final rung with the reward-weighted
     /// survivor ensemble instead of the solo winner. Encoded only when
@@ -233,6 +236,11 @@ impl JobSpec {
         if self.kind == JobKind::Sweep && self.sweep_seeds == 0 {
             return Err(ArchGymError::InvalidConfig(
                 "sweep job needs at least one seed".into(),
+            ));
+        }
+        if self.kind == JobKind::Sweep && self.seed.checked_add(self.sweep_seeds).is_none() {
+            return Err(ArchGymError::InvalidConfig(
+                "sweep seeds run past u64::MAX".into(),
             ));
         }
         if let Some(policy) = &self.proxy {
