@@ -254,3 +254,26 @@ fn aco_on_farsi_matches_the_pinned_fingerprint() {
         "farsi/aco reward history drifted from the pinned capture"
     );
 }
+
+#[test]
+fn short_horizon_tabular_ppo_on_farsi_matches_the_pinned_fingerprint() {
+    // 512 samples at a 16-sample horizon: 32 updates of 64 ascents each,
+    // so FARSI's 65,536-value head holds hundreds of distinct logits.
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    let hyper = HyperMap::new().with("horizon", 16i64);
+    assert_eq!(
+        pinned_run(AgentKind::Ppo, &hyper, &mut env, 512),
+        4437906781544127525,
+        "farsi/ppo (tabular, horizon 16) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn long_tabular_rl_on_farsi_matches_the_pinned_fingerprint() {
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    assert_eq!(
+        pinned_run(AgentKind::Rl, &HyperMap::new(), &mut env, 512),
+        2104612822297867014,
+        "farsi/rl (tabular, 512 samples) reward history drifted from the pinned capture"
+    );
+}
