@@ -189,157 +189,341 @@ impl Mlp {
     }
 }
 
-/// Sample an index from a probability distribution.
-///
-/// # Panics
-///
-/// Panics if `probs` is empty.
-pub fn sample_categorical<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
-    assert!(!probs.is_empty(), "empty distribution");
-    let mut u: f64 = rng.gen();
-    for (i, &p) in probs.iter().enumerate() {
-        u -= p;
-        if u <= 0.0 {
-            return i;
-        }
-    }
-    probs.len() - 1
+/// Bit mask of an `f64`'s stored fraction.
+const FRACTION: u64 = (1 << 52) - 1;
+/// The implicit leading significand bit of a normal `f64`.
+const HIDDEN: u64 = 1 << 52;
+
+/// `k` in-order steps `s += e`: bit for bit
+/// `{ for _ in 0..k { s += e } s }`, in O(binades crossed) steps.
+fn add_repeated(s: f64, e: f64, k: usize) -> f64 {
+    add_steps(s, e, k, |_| false).0
 }
 
-/// Where a [`CategoricalPolicy`] gets its logits from.
-#[derive(Debug)]
-enum Logits {
-    /// Learnable logits in one lane over all heads, plus each head's
-    /// maximum, which every [`CategoricalPolicy::ascend`] keeps current.
-    Tabular { logits: Vec<f64>, maxes: Vec<f64> },
-    /// A network mapping `context ++ [1]` to every head's logits.
-    Mlp(Mlp),
+/// Up to `k` in-order steps `s += e`, stopping after the first step whose
+/// result satisfies `stop`; returns the last result and the number of
+/// steps taken (`k` unless `stop` fired).
+///
+/// Steps go in bulk while [`bulk_steps`] can prove their rounding, and
+/// one at a time otherwise; a single step that returns its input bits is
+/// a fixed point, so it ends the loop. `stop` is only tested on single
+/// steps: bulk steps stay inside `s`'s binade and so keep its sign, and a
+/// sign test such as `u <= 0.0` that fails on entry cannot pass inside
+/// one.
+fn add_steps(mut s: f64, e: f64, k: usize, stop: impl Fn(f64) -> bool) -> (f64, usize) {
+    let mut taken = 0;
+    while taken < k {
+        if let Some((bulk, n)) = bulk_steps(s, e, k - taken) {
+            s = bulk;
+            taken += n;
+            continue;
+        }
+        let next = s + e;
+        taken += 1;
+        if stop(next) {
+            return (next, taken);
+        }
+        if next.to_bits() == s.to_bits() {
+            return (s, k);
+        }
+        s = next;
+    }
+    (s, taken)
+}
+
+/// The most steps `s += e`, at most `k`, whose rounding is known without
+/// doing them: `Some((s after n steps, n))`, or `None` when the next step
+/// must be a single one.
+///
+/// Inside the binade `[2^b, 2^(b+1))` of `|s|` every value is a multiple
+/// of `ulp = 2^(b−52)`, so while the exact sum stays strictly inside it,
+/// each step adds the constant `round(e / ulp) · ulp`. That holds for
+/// `n` steps when `n · round(|e| / ulp)` is below the whole ulps between
+/// `s` and the edge it moves toward. The rounding of `e / ulp` must not
+/// be an exact tie (ties round `s` to even, which depends on `s`), and
+/// both operands must be normal: zero, subnormal and non-finite operands
+/// always take single steps, as do runs of one.
+fn bulk_steps(s: f64, e: f64, k: usize) -> Option<(f64, usize)> {
+    if k < 2 || !s.is_normal() || !e.is_normal() {
+        return None;
+    }
+    let (sb, eb) = (s.to_bits(), e.to_bits());
+    // |e| / ulp(s) = (fraction of e with its hidden bit) / 2^shift.
+    let shift = ((sb >> 52) & 0x7ff).checked_sub((eb >> 52) & 0x7ff)?;
+    if shift > 53 {
+        // |e| < ulp / 2: the single step is a fixed point.
+        return None;
+    }
+    let me = (eb & FRACTION) | HIDDEN;
+    let below = me & ((1 << shift) - 1);
+    let half = (1 << shift) >> 1;
+    if shift > 0 && below == half {
+        return None;
+    }
+    let ulps = (me >> shift) + u64::from(below > half);
+    let ms = (sb & FRACTION) | HIDDEN;
+    let toward_zero = (sb ^ eb) >> 63 == 1;
+    let room = if toward_zero {
+        ms - HIDDEN
+    } else {
+        2 * HIDDEN - ms
+    };
+    // `n · ulps ≤ room − 1` keeps every step's exact sum more than half
+    // an ulp inside the binade.
+    let n = (room.saturating_sub(1) / ulps).min(k as u64);
+    if n == 0 {
+        return None;
+    }
+    let bits = if toward_zero {
+        sb - n * ulps
+    } else {
+        sb + n * ulps
+    };
+    Some((f64::from_bits(bits), n as usize))
+}
+
+/// Values `end_of_previous_run..end` of one head, all with logit bits `z`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    end: usize,
+    z: f64,
+    /// Probability under the last [`CategoricalPolicy::evaluate`].
+    p: f64,
+    /// `ln(max(p, 1e-12))`.
+    ln_p: f64,
+}
+
+/// One softmax head as runs of equal logits, in value order.
+#[derive(Debug, Clone)]
+struct Head {
+    runs: Vec<Run>,
+    /// Entropy (natural log) under the last `evaluate`.
+    entropy: f64,
+}
+
+impl Head {
+    /// A head of `card` values, all with logit 0.
+    fn uniform(card: usize) -> Self {
+        let runs = (card > 0)
+            .then_some(Run {
+                end: card,
+                z: 0.0,
+                p: 0.0,
+                ln_p: 0.0,
+            })
+            .into_iter()
+            .collect();
+        Head { runs, entropy: 0.0 }
+    }
+
+    fn card(&self) -> usize {
+        self.runs.last().map_or(0, |run| run.end)
+    }
+
+    /// Replace the logits, merging neighbours with equal bits into runs.
+    fn set_logits(&mut self, z: &[f64]) {
+        self.runs.clear();
+        for (v, &zv) in z.iter().enumerate() {
+            match self.runs.last_mut() {
+                Some(run) if run.z.to_bits() == zv.to_bits() => run.end = v + 1,
+                _ => self.runs.push(Run {
+                    end: v + 1,
+                    z: zv,
+                    p: 0.0,
+                    ln_p: 0.0,
+                }),
+            }
+        }
+    }
+
+    /// Index of the run holding value `v`.
+    fn run_of(&self, v: usize) -> usize {
+        self.runs.partition_point(|run| run.end <= v)
+    }
+
+    /// `p = softmax(z)` and the entropy `-Σ_{p>0} p·ln p`, one `exp`,
+    /// `/` and `ln` per run. Both sums run over the values in order from
+    /// `-0.0`, a run's equal addends through [`add_repeated`].
+    fn softmax(&mut self) {
+        let max = self
+            .runs
+            .iter()
+            .fold(f64::NEG_INFINITY, |max, run| max.max(run.z));
+        let (mut sum, mut start) = (-0.0, 0);
+        for run in &mut self.runs {
+            run.p = (run.z - max).exp();
+            sum = add_repeated(sum, run.p, run.end - start);
+            start = run.end;
+        }
+        let (mut acc, mut start) = (-0.0, 0);
+        for run in &mut self.runs {
+            let p = run.p / sum;
+            run.p = p;
+            run.ln_p = p.max(1e-12).ln();
+            if p > 0.0 {
+                let ln = if p >= 1e-12 { run.ln_p } else { p.ln() };
+                acc = add_repeated(acc, p * ln, run.end - start);
+            }
+            start = run.end;
+        }
+        self.entropy = -acc;
+    }
+
+    /// Draw one value: `u -= p` value by value from `u ∈ [0, 1)` until
+    /// `u ≤ 0`, or the last value.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        assert!(!self.runs.is_empty(), "empty distribution");
+        let mut u: f64 = rng.gen();
+        let mut start = 0;
+        for run in &self.runs {
+            let (left, taken) = add_steps(u, -run.p, run.end - start, |u| u <= 0.0);
+            if left <= 0.0 {
+                return start + taken - 1;
+            }
+            (u, start) = (left, run.end);
+        }
+        start - 1
+    }
+
+    /// Gradient of the ascent objective with respect to a logit in `run`.
+    fn gradient(&self, run: &Run, is_chosen: bool, scale: f64, entropy_coef: f64) -> f64 {
+        logit_gradient(
+            is_chosen,
+            run.p,
+            run.ln_p,
+            self.entropy,
+            scale,
+            entropy_coef,
+        )
+    }
+
+    /// Learned logits: `z += lr ×` gradient, once per run, with the
+    /// chosen value split out of its run to take its own update.
+    fn ascend(&mut self, chosen: usize, scale: f64, lr: f64, entropy_coef: f64) {
+        let r = self.run_of(chosen);
+        let (hit, start) = (
+            self.runs[r],
+            r.checked_sub(1).map_or(0, |l| self.runs[l].end),
+        );
+        let chosen_z = hit.z + lr * self.gradient(&hit, true, scale, entropy_coef);
+        for i in 0..self.runs.len() {
+            let run = self.runs[i];
+            self.runs[i].z = run.z + lr * self.gradient(&run, false, scale, entropy_coef);
+        }
+        let rest = self.runs[r];
+        let left = (chosen > start).then_some(Run {
+            end: chosen,
+            ..rest
+        });
+        let one = Run {
+            end: chosen + 1,
+            z: chosen_z,
+            ..rest
+        };
+        let right = (rest.end > chosen + 1).then_some(rest);
+        self.runs
+            .splice(r..=r, left.into_iter().chain([one]).chain(right));
+    }
 }
 
 /// A factored categorical policy: one softmax head per design-space
 /// dimension, as used by the REINFORCE and PPO agents.
 ///
-/// [`evaluate`](Self::evaluate) turns the logits into probabilities in a
-/// single lane over all heads, plus one entropy per head; sampling,
-/// log-probabilities and [`ascend`](Self::ascend) read that lane until
-/// the next `evaluate`.
-///
-/// A tabular value that was never sampled receives exactly the update
-/// every other unsampled value of its head receives, so such values keep
-/// bitwise-equal logits and probabilities. Each pass therefore reuses the
-/// previous element's result when its input bits repeat: `exp`, then `/`
-/// and `p·ln p`, then the whole logit update. FARSI's 65,536-value head
-/// costs a handful of transcendental calls per step; only the in-order
-/// sums still visit every value. The results are bit-identical to the
-/// textbook loops (kept as the test oracle): same operation order and
-/// the same `-0.0` start as `Iterator::sum`.
+/// Each head stores its logits as runs of equal bits. A learned
+/// (tabular) value that was never sampled receives exactly the update
+/// every other unsampled value of its head receives, so after `n` steps
+/// a head holds at most `2n + 1` runs, however many values it has; an
+/// MLP's output mostly makes runs of one. [`evaluate`](Self::evaluate)
+/// computes each run's probability and each head's entropy, and
+/// sampling, log-probabilities and [`ascend`](Self::ascend) read them
+/// until the next `evaluate`. Every pass costs O(runs), and every result
+/// is bit-identical to the textbook per-value loops (kept as the test
+/// oracle): sums keep their order and `-0.0` start through the exact
+/// repeated-add kernel [`add_repeated`].
 #[derive(Debug)]
 pub(crate) struct CategoricalPolicy {
-    /// `offsets[d]..offsets[d + 1]` is head `d`'s range in every lane.
-    offsets: Vec<usize>,
-    logits: Logits,
-    probs: Vec<f64>,
-    entropy: Vec<f64>,
+    heads: Vec<Head>,
+    /// The network mapping `context ++ [1]` to every head's logits;
+    /// `None` when the logits are learned directly (tabular).
+    mlp: Option<Mlp>,
 }
 
 impl CategoricalPolicy {
-    fn with_logits(cards: &[usize], logits: Logits) -> Self {
-        let mut offsets = vec![0];
-        offsets.extend(cards.iter().scan(0, |end, &c| {
-            *end += c;
-            Some(*end)
-        }));
-        let total = offsets[cards.len()];
-        CategoricalPolicy {
-            offsets,
-            logits,
-            probs: vec![0.0; total],
-            entropy: vec![0.0; cards.len()],
-        }
-    }
-
-    /// Zero-initialized learnable logits: every head starts uniform,
-    /// with maximum 0.
+    /// Zero-initialized learnable logits: every head starts uniform.
     pub(crate) fn tabular(cards: &[usize]) -> Self {
-        let logits = Logits::Tabular {
-            logits: vec![0.0; cards.iter().sum()],
-            maxes: vec![0.0; cards.len()],
-        };
-        Self::with_logits(cards, logits)
+        CategoricalPolicy {
+            heads: cards.iter().map(|&c| Head::uniform(c)).collect(),
+            mlp: None,
+        }
     }
 
     /// An MLP policy `[heads + 1, hidden, Σ cards]` drawing its initial
     /// weights from `rng`.
     pub(crate) fn mlp<R: Rng + ?Sized>(cards: &[usize], hidden: usize, rng: &mut R) -> Self {
-        let total = cards.iter().sum();
-        let mlp = Mlp::new(&[cards.len() + 1, hidden, total], rng);
-        Self::with_logits(cards, Logits::Mlp(mlp))
+        let mlp = Mlp::new(&[cards.len() + 1, hidden, cards.iter().sum()], rng);
+        CategoricalPolicy {
+            mlp: Some(mlp),
+            ..Self::tabular(cards)
+        }
     }
 
     /// Whether the logits come from an MLP.
     #[cfg(test)]
     pub(crate) fn is_mlp(&self) -> bool {
-        matches!(self.logits, Logits::Mlp(_))
+        self.mlp.is_some()
     }
 
     /// Recompute every head's probabilities and entropy. `context` is the
     /// MLP's input (without the bias term); the tabular policy ignores it.
     pub(crate) fn evaluate(&mut self, context: &[f64]) {
-        let CategoricalPolicy {
-            offsets,
-            logits,
-            probs,
-            entropy,
-        } = self;
-        match logits {
-            Logits::Tabular { logits, maxes } => {
-                for (d, r) in offsets.windows(2).enumerate() {
-                    let range = r[0]..r[1];
-                    entropy[d] = softmax_head(&logits[range.clone()], maxes[d], &mut probs[range]);
-                }
+        if let Some(mlp) = &mut self.mlp {
+            let mut x = context.to_vec();
+            x.push(1.0);
+            let flat = mlp.forward(&x);
+            let mut start = 0;
+            for head in &mut self.heads {
+                let end = start + head.card();
+                head.set_logits(&flat[start..end]);
+                start = end;
             }
-            Logits::Mlp(mlp) => {
-                let mut x = context.to_vec();
-                x.push(1.0);
-                let flat = mlp.forward(&x);
-                for (d, r) in offsets.windows(2).enumerate() {
-                    let z = &flat[r[0]..r[1]];
-                    entropy[d] = softmax_head(z, head_max(z), &mut probs[r[0]..r[1]]);
-                }
-            }
+        }
+        for head in &mut self.heads {
+            head.softmax();
         }
     }
 
-    /// Head `d`'s probabilities from the last [`evaluate`](Self::evaluate).
-    pub(crate) fn head(&self, d: usize) -> &[f64] {
-        &self.probs[self.offsets[d]..self.offsets[d + 1]]
+    /// Head `d`'s probabilities from the last [`evaluate`](Self::evaluate),
+    /// one per value.
+    pub(crate) fn head(&self, d: usize) -> Vec<f64> {
+        let mut probs = Vec::with_capacity(self.heads[d].card());
+        for run in &self.heads[d].runs {
+            probs.resize(run.end, run.p);
+        }
+        probs
     }
 
     /// Head `d`'s entropy (natural log) from the last `evaluate`.
     #[cfg(test)]
     pub(crate) fn entropy(&self, d: usize) -> f64 {
-        self.entropy[d]
+        self.heads[d].entropy
     }
 
-    /// Every head's probabilities from the last `evaluate`, copied out.
+    /// Every head's probabilities from the last `evaluate`.
     pub(crate) fn distributions(&self) -> Vec<Vec<f64>> {
-        (0..self.entropy.len())
-            .map(|d| self.head(d).to_vec())
-            .collect()
+        (0..self.heads.len()).map(|d| self.head(d)).collect()
     }
 
     /// Draw one value per head, heads in order.
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
-        (0..self.entropy.len())
-            .map(|d| sample_categorical(self.head(d), rng))
-            .collect()
+        self.heads.iter().map(|head| head.sample(rng)).collect()
     }
 
     /// `Σ_d ln(max(p_d[genes[d]], 1e-12))` under the last `evaluate`.
     pub(crate) fn log_prob(&self, genes: &[usize]) -> f64 {
-        (0..self.entropy.len())
+        self.heads
+            .iter()
             .zip(genes)
-            .map(|(d, &g)| self.head(d)[g].max(1e-12).ln())
+            .map(|(head, &g)| head.runs[head.run_of(g)].ln_p)
             .sum()
     }
 
@@ -349,128 +533,27 @@ impl CategoricalPolicy {
     /// `lr ×` their [`logit_gradient`]; the MLP backpropagates the same
     /// gradient and takes one Adam step of size `lr`.
     pub(crate) fn ascend(&mut self, genes: &[usize], scale: f64, lr: f64, entropy_coef: f64) {
-        let CategoricalPolicy {
-            offsets,
-            logits,
-            probs,
-            entropy,
-        } = self;
-        match logits {
-            Logits::Tabular { logits, maxes } => {
-                for (d, r) in offsets.windows(2).enumerate() {
-                    let z = &mut logits[r[0]..r[1]];
-                    let p = &probs[r[0]..r[1]];
-                    maxes[d] = ascend_head(z, p, entropy[d], genes[d], lr, scale, entropy_coef);
-                }
+        let Some(mlp) = &mut self.mlp else {
+            for (head, &g) in self.heads.iter_mut().zip(genes) {
+                head.ascend(g, scale, lr, entropy_coef);
             }
-            Logits::Mlp(mlp) => {
-                let mut dlogits = vec![0.0; probs.len()];
-                for (d, r) in offsets.windows(2).enumerate() {
-                    let (h, chosen) = (entropy[d], genes[d]);
-                    for (v, (out, &p)) in dlogits[r[0]..r[1]]
-                        .iter_mut()
-                        .zip(&probs[r[0]..r[1]])
-                        .enumerate()
-                    {
-                        *out = logit_gradient(
-                            v == chosen,
-                            p,
-                            p.max(1e-12).ln(),
-                            h,
-                            scale,
-                            entropy_coef,
-                        );
-                    }
-                }
-                mlp.backward(&dlogits);
-                mlp.step(lr);
-            }
-        }
-    }
-}
-
-/// `fold(-∞, f64::max)` over a head's logits.
-fn head_max(z: &[f64]) -> f64 {
-    z.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Passes 1–2 over one head: `p = softmax(z)` given `max = head_max(z)`,
-/// returning the head's entropy `-Σ_{p>0} p·ln p`. Each pass reuses the
-/// previous element's result while its input bits repeat; the first
-/// element always computes.
-fn softmax_head(z: &[f64], max: f64, p: &mut [f64]) -> f64 {
-    let Some(&first) = z.first() else {
-        return 0.0;
-    };
-    // Pass 1: e = exp(z − max), summed in order.
-    let (mut key, mut e) = (first.to_bits(), (first - max).exp());
-    let mut sum = -0.0;
-    for (slot, &zv) in p.iter_mut().zip(z) {
-        if zv.to_bits() != key {
-            (key, e) = (zv.to_bits(), (zv - max).exp());
-        }
-        *slot = e;
-        sum += e;
-    }
-    // Pass 2: p = e / sum in place, plus the entropy terms of p > 0.
-    let (mut key, mut q) = (p[0].to_bits(), p[0] / sum);
-    let mut q_ln_q = q * q.ln();
-    let mut acc = -0.0;
-    for slot in p.iter_mut() {
-        if slot.to_bits() != key {
-            key = slot.to_bits();
-            q = *slot / sum;
-            q_ln_q = q * q.ln();
-        }
-        *slot = q;
-        if q > 0.0 {
-            acc += q_ln_q;
-        }
-    }
-    -acc
-}
-
-/// Pass 3 over one tabular head: `z += lr × logit_gradient` for every
-/// value, returning `head_max` of the updated logits. Within one step an
-/// unchosen value's update depends only on its logit's bits (its
-/// probability is a function of them), so a value whose bits repeat the
-/// last computed unchosen one reuses that result; the first element
-/// always computes.
-fn ascend_head(
-    z: &mut [f64],
-    p: &[f64],
-    h: f64,
-    chosen: usize,
-    lr: f64,
-    scale: f64,
-    entropy_coef: f64,
-) -> f64 {
-    let updated = |zv: f64, pv: f64, is_chosen: bool| {
-        let ln_p = pv.max(1e-12).ln();
-        zv + lr * logit_gradient(is_chosen, pv, ln_p, h, scale, entropy_coef)
-    };
-    let mut next_max = f64::NEG_INFINITY;
-    // (logit bits, updated logit) of the last unchosen value computed;
-    // its result is already folded into `next_max`.
-    let mut memo: Option<(u64, f64)> = None;
-    for (v, (zv, &pv)) in z.iter_mut().zip(p).enumerate() {
-        let key = zv.to_bits();
-        let new = match memo {
-            _ if v == chosen => updated(*zv, pv, true),
-            Some((k, new)) if k == key => {
-                *zv = new;
-                continue;
-            }
-            _ => {
-                let new = updated(*zv, pv, false);
-                memo = Some((key, new));
-                new
-            }
+            return;
         };
-        *zv = new;
-        next_max = next_max.max(new);
+        let mut dlogits = Vec::new();
+        for (head, &g) in self.heads.iter().zip(genes) {
+            let base = dlogits.len();
+            for run in &head.runs {
+                dlogits.resize(
+                    base + run.end,
+                    head.gradient(run, false, scale, entropy_coef),
+                );
+            }
+            let hit = &head.runs[head.run_of(g)];
+            dlogits[base + g] = head.gradient(hit, true, scale, entropy_coef);
+        }
+        mlp.backward(&dlogits);
+        mlp.step(lr);
     }
-    next_max
 }
 
 /// Gradient of `scale · ln π(chosen) + entropy_coef · H` with respect to
@@ -494,15 +577,26 @@ fn logit_gradient(
 mod tests {
     use super::*;
     use archgym_core::seeded_rng;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// A tabular policy holding the given logits, one `Vec` per head.
     fn tabular_with(heads: &[Vec<f64>]) -> CategoricalPolicy {
         let cards: Vec<usize> = heads.iter().map(Vec::len).collect();
-        let logits = Logits::Tabular {
-            logits: heads.concat(),
-            maxes: heads.iter().map(|z| head_max(z)).collect(),
-        };
-        CategoricalPolicy::with_logits(&cards, logits)
+        let mut policy = CategoricalPolicy::tabular(&cards);
+        for (head, z) in policy.heads.iter_mut().zip(heads) {
+            head.set_logits(z);
+        }
+        policy
+    }
+
+    /// Head `d`'s logits, one per value.
+    fn logits(policy: &CategoricalPolicy, d: usize) -> Vec<f64> {
+        let mut z = Vec::new();
+        for run in &policy.heads[d].runs {
+            z.resize(run.end, run.z);
+        }
+        z
     }
 
     #[test]
@@ -519,10 +613,11 @@ mod tests {
     #[test]
     fn sample_categorical_respects_distribution() {
         let mut rng = seeded_rng(1);
-        let probs = [0.1, 0.8, 0.1];
+        let mut policy = tabular_with(&[vec![0.1f64.ln(), 0.8f64.ln(), 0.1f64.ln()]]);
+        policy.evaluate(&[]);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[sample_categorical(&probs, &mut rng)] += 1;
+            counts[policy.sample(&mut rng)[0]] += 1;
         }
         assert!(counts[1] > 2000, "mode undersampled: {counts:?}");
         assert!(counts[0] > 100 && counts[2] > 100);
@@ -592,13 +687,6 @@ mod tests {
         assert_eq!(mlp.param_count(), (3 * 5 + 5) + (5 * 2 + 2));
     }
 
-    /// Bitwise equality, except that `0.0` and `-0.0` match: the two
-    /// are interchangeable as a head's max, which `f64::max` may return
-    /// either of when both occur.
-    fn same_max(a: f64, b: f64) -> bool {
-        a.to_bits() == b.to_bits() || a == b
-    }
-
     fn assert_bits(kernel: &[f64], oracle: &[f64], what: &str) {
         assert_eq!(kernel.len(), oracle.len(), "{what}: length");
         for (i, (k, o)) in kernel.iter().zip(oracle).enumerate() {
@@ -610,18 +698,22 @@ mod tests {
         }
     }
 
-    /// Drive the tabular kernel and the reference loops through the same
+    /// Drive the tabular policy and the reference loops through the same
     /// steps and require the same bits for probabilities, entropies,
-    /// log-probabilities, updated logits and tracked maxima.
+    /// log-probabilities, samples from equal RNG states and updated
+    /// logits; each head's runs stay within two per distinct chosen
+    /// value of the runs it started with.
     fn check_tabular(heads: &[Vec<f64>], steps: &[(Vec<usize>, f64)], lr: f64, entropy_coef: f64) {
         let mut policy = tabular_with(heads);
+        let start_runs: Vec<usize> = policy.heads.iter().map(|h| h.runs.len()).collect();
+        let mut chosen = vec![BTreeSet::new(); heads.len()];
         let mut oracle = heads.to_vec();
         for (step, (genes, scale)) in steps.iter().enumerate() {
             policy.evaluate(&[]);
             let dists: Vec<Vec<f64>> = oracle.iter().map(|z| reference::softmax(z)).collect();
             for (d, probs) in dists.iter().enumerate() {
                 assert_bits(
-                    policy.head(d),
+                    &policy.head(d),
                     probs,
                     &format!("step {step} probs head {d}"),
                 );
@@ -638,6 +730,12 @@ mod tests {
                 logp.to_bits(),
                 "step {step} logp"
             );
+            let mut rng = seeded_rng(step as u64);
+            let mut same = rng.clone();
+            let drawn: Vec<usize> = (dists.iter())
+                .map(|p| reference::sample_categorical(p, &mut same))
+                .collect();
+            assert_eq!(policy.sample(&mut rng), drawn, "step {step} sample");
 
             policy.ascend(genes, *scale, lr, entropy_coef);
             let grads = reference::gradient(&dists, genes, *scale, entropy_coef);
@@ -646,12 +744,18 @@ mod tests {
                     *zv += lr * gv;
                 }
             }
-            let Logits::Tabular { logits, maxes } = &policy.logits else {
-                unreachable!("tabular policy")
-            };
-            assert_bits(logits, &oracle.concat(), &format!("step {step} logits"));
             for (d, z) in oracle.iter().enumerate() {
-                assert!(same_max(maxes[d], head_max(z)), "step {step} max {d}");
+                assert_bits(
+                    &logits(&policy, d),
+                    z,
+                    &format!("step {step} logits head {d}"),
+                );
+                chosen[d].insert(genes[d]);
+                let runs = policy.heads[d].runs.len();
+                assert!(
+                    runs <= start_runs[d] + 2 * chosen[d].len(),
+                    "step {step} head {d}: {runs} runs"
+                );
             }
         }
     }
@@ -724,10 +828,7 @@ mod tests {
         let cards = [4, 1, 6];
         let mut rng = seeded_rng(21);
         let mut policy = CategoricalPolicy::mlp(&cards, 8, &mut rng);
-        let Logits::Mlp(mlp) = &policy.logits else {
-            unreachable!("mlp policy")
-        };
-        let mut oracle = mlp.clone();
+        let mut oracle = policy.mlp.clone().expect("mlp policy");
         let context = [0.1, 0.5, 0.9];
         let x = [0.1, 0.5, 0.9, 1.0];
         for (step, (genes, scale)) in [
@@ -751,7 +852,7 @@ mod tests {
                 .collect();
             for (d, probs) in dists.iter().enumerate() {
                 assert_bits(
-                    policy.head(d),
+                    &policy.head(d),
                     probs,
                     &format!("step {step} probs head {d}"),
                 );
@@ -761,13 +862,204 @@ mod tests {
             oracle.step(0.05);
         }
     }
+
+    /// The textbook loop [`add_repeated`] replaces.
+    fn naive_add(mut s: f64, e: f64, k: usize) -> f64 {
+        for _ in 0..k {
+            s += e;
+        }
+        s
+    }
+
+    fn sign<R: Rng>(rng: &mut R) -> f64 {
+        if rng.gen_bool(0.5) {
+            -1.0
+        } else {
+            1.0
+        }
+    }
+
+    /// `m · 2^exp` with `m ∈ [1, 2)` and a random sign.
+    fn scaled<R: Rng>(rng: &mut R, exp: i32) -> f64 {
+        sign(rng) * rng.gen_range(1.0..2.0) * 2f64.powi(exp)
+    }
+
+    /// A start and an addend for [`add_repeated`], drawn from the cases
+    /// its bulk steps must get right or leave to single steps.
+    fn operands<R: Rng>(rng: &mut R) -> (f64, f64) {
+        const SPECIAL: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+        ];
+        let (exp, gap) = (rng.gen_range(-60..60), rng.gen_range(0..40));
+        match rng.gen_range(0..8) {
+            // Softmax and entropy sums: a signed zero start.
+            0 => (if rng.gen_bool(0.5) { -0.0 } else { 0.0 }, scaled(rng, exp)),
+            // Growing or shrinking magnitudes, crossing zero when the
+            // signs differ.
+            1 => (scaled(rng, exp), scaled(rng, exp - gap)),
+            2 => (scaled(rng, exp - gap / 2), scaled(rng, exp)),
+            // Exact ties: e = (j + ½) · ulp(s).
+            3 => {
+                let s = scaled(rng, exp);
+                let j = match rng.gen_range(0..3) {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.gen_range(2..1 << 20),
+                };
+                (s, sign(rng) * (j as f64 + 0.5) * 2f64.powi(exp - 52))
+            }
+            // A few ulps from a binade edge, stepping toward it by a
+            // fractional number of ulps.
+            4 => {
+                let (ulp, sign) = (2f64.powi(exp - 52), sign(rng));
+                let (j, m) = (rng.gen_range(1..64) as f64, rng.gen_range(0..4) as f64);
+                let e = (m + rng.gen_range(0.0..1.0)) * ulp;
+                if rng.gen_bool(0.5) {
+                    (sign * (2f64.powi(exp) + j * ulp), -sign * e)
+                } else {
+                    (sign * (2f64.powi(exp + 1) - j * ulp), sign * e)
+                }
+            }
+            // Subnormals, near the normal range's bottom.
+            5 => (
+                scaled(rng, -1022) * rng.gen_range(0.0..1.0),
+                sign(rng) * f64::from_bits(rng.gen_range(1..1 << 52)),
+            ),
+            // Zeros, infinities, NaN and the range's edges on either side.
+            6 => (SPECIAL[rng.gen_range(0..SPECIAL.len())], scaled(rng, exp)),
+            _ => (scaled(rng, exp), SPECIAL[rng.gen_range(0..SPECIAL.len())]),
+        }
+    }
+
+    /// Logits for one head of `card` values as runs of random lengths,
+    /// drawn from a few values so that non-adjacent runs repeat bits.
+    fn run_logits<R: Rng>(rng: &mut R, card: usize) -> Vec<f64> {
+        let palette: Vec<f64> = (0..rng.gen_range(1..6))
+            .map(|_| match rng.gen_range(0..12) {
+                0 => f64::NEG_INFINITY,
+                1 => -60.0,
+                _ => rng.gen_range(-4.0..4.0),
+            })
+            .collect();
+        let mut z = Vec::with_capacity(card);
+        while z.len() < card {
+            let len = match rng.gen_range(0..3) {
+                0 => 1,
+                1 => rng.gen_range(1..20),
+                _ => rng.gen_range(1..=card),
+            };
+            let v = palette[rng.gen_range(0..palette.len())];
+            z.resize(z.len() + len.min(card - z.len()), v);
+        }
+        z
+    }
+
+    proptest! {
+        #[test]
+        fn policy_oracle_add_repeated_matches_the_naive_loop(
+            seed in any::<u64>(),
+            k in 0usize..70_000,
+        ) {
+            let (s, e) = operands(&mut seeded_rng(seed));
+            prop_assert_eq!(
+                add_repeated(s, e, k).to_bits(),
+                naive_add(s, e, k).to_bits(),
+                "s {:e} e {:e} k {}", s, e, k
+            );
+        }
+
+        #[test]
+        fn policy_oracle_run_length_sample_matches_sample_categorical(
+            seed in any::<u64>(),
+            card in 1usize..70_000,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let mut policy = tabular_with(&[run_logits(&mut rng, card)]);
+            policy.evaluate(&[]);
+            let dense = policy.head(0);
+            for _ in 0..8 {
+                let mut same = rng.clone();
+                let want = reference::sample_categorical(&dense, &mut same);
+                prop_assert_eq!(policy.heads[0].sample(&mut rng), want);
+            }
+        }
+
+        #[test]
+        fn policy_oracle_random_run_heads_match_the_reference(
+            seed in any::<u64>(),
+            heads in 1usize..4,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let cards: Vec<usize> = (0..heads).map(|_| rng.gen_range(1..300)).collect();
+            let logits: Vec<Vec<f64>> = cards.iter().map(|&c| run_logits(&mut rng, c)).collect();
+            let steps: Vec<(Vec<usize>, f64)> = (0..rng.gen_range(1..12))
+                .map(|_| {
+                    let genes = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
+                    let scale = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-3.0..3.0) };
+                    (genes, scale)
+                })
+                .collect();
+            let entropy_coef = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..0.1) };
+            check_tabular(&logits, &steps, rng.gen_range(0.01..1.0), entropy_coef);
+        }
+    }
+
+    #[test]
+    fn policy_oracle_matches_the_reference_on_a_65536_value_head() {
+        // FARSI's unrolling head next to narrow ones, over 160 PPO-like
+        // steps: choices revisit earlier ones, as epochs over a horizon
+        // do, and scale is 0 (clipped) a quarter of the time.
+        let cards = [65_536, 8, 3, 1];
+        let heads: Vec<Vec<f64>> = cards.iter().map(|&c| vec![0.0; c]).collect();
+        let mut rng = seeded_rng(65_536);
+        let mut seen: Vec<Vec<usize>> = Vec::new();
+        let steps: Vec<(Vec<usize>, f64)> = (0..160)
+            .map(|_| {
+                let genes = match seen.len() {
+                    n if n > 0 && rng.gen_bool(0.5) => seen[rng.gen_range(0..n)].clone(),
+                    _ => cards.iter().map(|&c| rng.gen_range(0..c)).collect(),
+                };
+                seen.push(genes.clone());
+                let scale = if rng.gen_bool(0.25) {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                };
+                (genes, scale)
+            })
+            .collect();
+        check_tabular(&heads, &steps, 0.1, 0.01);
+    }
 }
 
-/// The textbook softmax, entropy and per-element policy gradient the
-/// agents ran before [`CategoricalPolicy`]: the kernel's bit-for-bit
-/// oracle.
+/// The textbook per-value softmax, entropy, sampling and policy
+/// gradient: the run-length policy's bit-for-bit oracle.
 #[cfg(test)]
 mod reference {
+    use rand::Rng;
+
+    /// Draw an index: `u -= p` in order from `u ∈ [0, 1)` until `u ≤ 0`.
+    pub(super) fn sample_categorical<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
+        assert!(!probs.is_empty(), "empty distribution");
+        let mut u: f64 = rng.gen();
+        for (i, &p) in probs.iter().enumerate() {
+            u -= p;
+            if u <= 0.0 {
+                return i;
+            }
+        }
+        probs.len() - 1
+    }
+
     pub(super) fn softmax(logits: &[f64]) -> Vec<f64> {
         let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
