@@ -848,6 +848,31 @@ fn race_jobs_without_lanes_are_rejected_at_submit() {
     daemon.stop();
 }
 
+/// Sweep runs are unscreened at the library batch, so a sweep spec with
+/// `proxy` set or a nonzero `batch` is a `bad-spec` rejection at submit
+/// time naming the field, not a job that silently runs without them.
+#[test]
+fn sweep_jobs_with_a_proxy_or_a_batch_are_rejected_at_submit() {
+    use archgym_core::screen::ScreenPolicy;
+    let mut daemon = Daemon::boot(&state_dir("sweep-bad"), 1, QuotaPolicy::default());
+    let mut screened = small_spec(24, 5);
+    screened.kind = JobKind::Sweep;
+    screened.proxy = Some(ScreenPolicy::default());
+    let mut batched = small_spec(24, 5);
+    batched.kind = JobKind::Sweep;
+    batched.batch = 8;
+    for (spec, field) in [(screened, "`proxy`"), (batched, "`batch`")] {
+        match submit(&daemon.addr, "ci", None, spec) {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, ErrorCode::BadSpec);
+                assert!(message.contains(field), "{message}");
+            }
+            other => panic!("expected bad-spec naming {field}, got {other:?}"),
+        }
+    }
+    daemon.stop();
+}
+
 /// A sweep job runs seeds `seed .. seed + sweep_seeds` and reports the
 /// samples its runs used: the same best reward bits and sample count as
 /// the library `Sweep` over those seeds and the first nine assignments

@@ -675,7 +675,7 @@ fn compare(args: &Args) -> Result<String> {
 }
 
 fn sweep(args: &Args) -> Result<String> {
-    let mut spec = job_spec(args, JobKind::Sweep, None, 500, 16, 0)?;
+    let mut spec = job_spec(args, JobKind::Sweep, None, 500, 0, 0)?;
     spec.sweep_seeds = args.u64_or("seeds", 2)?;
     let telemetry = recorders(args)?();
     let cache = args
@@ -1215,6 +1215,28 @@ mod tests {
         .unwrap();
         assert!(out.contains("median"));
         assert!(out.contains("winning ticket"));
+    }
+
+    #[test]
+    fn sweep_rejects_a_proxy_or_a_batch() {
+        let sweep = [
+            "sweep",
+            "--env",
+            "dram/stream",
+            "--agent",
+            "ga",
+            "--budget",
+            "8",
+        ];
+        for (extra, field) in [
+            (["--proxy", "true"], "`proxy`"),
+            (["--batch", "8"], "`batch`"),
+        ] {
+            let line: Vec<&str> = sweep.iter().chain(&extra).copied().collect();
+            let err = run_line(&line).expect_err("sweep accepted a field it ignores");
+            assert!(matches!(err, ArchGymError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -153,15 +153,18 @@ pub struct JobSpec {
     pub budget: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Evaluation batch size; `0` lets the agent's hint decide.
+    /// Evaluation batch size; `0` lets the agent's hint decide. A
+    /// `sweep` job takes no batch (`0`): its runs use the library
+    /// `RunConfig` batch of 16.
     pub batch: usize,
     /// `EnvPool` replicas evaluating one job's batches in parallel, or a
     /// `sweep` job's worker threads over its runs; `0` = every core.
     pub eval_jobs: usize,
     /// Number of seeds for `sweep` jobs (seed, seed+1, ...).
     pub sweep_seeds: u64,
-    /// Online proxy screening policy; `None` runs unscreened. Encoded
-    /// only when present, so specs from older clients decode unchanged.
+    /// Online proxy screening policy; `None` runs unscreened, and a
+    /// `sweep` job must. Encoded only when present, so specs from older
+    /// clients decode unchanged.
     pub proxy: Option<crate::screen::ScreenPolicy>,
     /// Wall-clock deadline for the whole job in milliseconds; `0` means
     /// no deadline. Enforced cooperatively at batch boundaries: an
@@ -241,6 +244,18 @@ impl JobSpec {
         if self.kind == JobKind::Sweep && self.seed.checked_add(self.sweep_seeds).is_none() {
             return Err(ArchGymError::InvalidConfig(
                 "sweep seeds run past u64::MAX".into(),
+            ));
+        }
+        // Sweep runs are unscreened at the library batch; a spec asking
+        // otherwise would run without what it asked for.
+        if self.kind == JobKind::Sweep && self.proxy.is_some() {
+            return Err(ArchGymError::InvalidConfig(
+                "sweep jobs run unscreened: `proxy` must be unset".into(),
+            ));
+        }
+        if self.kind == JobKind::Sweep && self.batch != 0 {
+            return Err(ArchGymError::InvalidConfig(
+                "sweep jobs run at the library batch: `batch` must be 0".into(),
             ));
         }
         if let Some(policy) = &self.proxy {
@@ -700,6 +715,25 @@ mod tests {
         spec.validate().expect("compare uses roster, not agent");
         spec.env.clear();
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn sweep_specs_reject_a_proxy_or_a_batch() {
+        use crate::screen::ScreenPolicy;
+        let mut spec = JobSpec::search("dram/stream", "ga", 100, 1);
+        spec.kind = JobKind::Sweep;
+        spec.validate().expect("plain sweep");
+        spec.proxy = Some(ScreenPolicy::default());
+        let err = spec.validate().expect_err("screened sweep").to_string();
+        assert!(err.contains("`proxy`"), "{err}");
+        spec.proxy = None;
+        spec.batch = 8;
+        let err = spec.validate().expect_err("batched sweep").to_string();
+        assert!(err.contains("`batch`"), "{err}");
+        // Search jobs keep both.
+        spec.kind = JobKind::Search;
+        spec.proxy = Some(ScreenPolicy::default());
+        spec.validate().expect("screened, batched search");
     }
 
     #[test]
