@@ -25,6 +25,7 @@ use archgymd::client::{request_one, ConnectOptions, WatchStream};
 use archgymd::protocol::{Request, Response};
 use archgymd::server::{DaemonConfig, Server};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const BUDGET: u64 = 200;
 const SEED: u64 = 11;
@@ -42,8 +43,13 @@ struct Spec {
 /// (best reward bits, samples used) of one run.
 type Outcome = (u64, u64);
 
+/// A fresh directory per call: the tests run in parallel threads of one
+/// process, so the pid alone would hand two daemons one state directory.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("archgym-surface-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("archgym-surface-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
