@@ -7,8 +7,9 @@
 //! activations, manual backpropagation, and the Adam optimizer. No
 //! autograd, no BLAS — design spaces here have tens of dimensions, so a
 //! few thousand parameters suffice. `CategoricalPolicy` holds the
-//! softmax heads and the one policy-gradient step REINFORCE and PPO
-//! share.
+//! softmax heads, stored as runs of equal logits so that a 65,536-value
+//! head costs what its few hundred runs cost, and the one policy-gradient
+//! step REINFORCE and PPO share.
 
 // Indexed loops here mirror the textbook formulations of the numeric
 // kernels; iterator rewrites would obscure them.
@@ -385,30 +386,20 @@ impl Head {
         start - 1
     }
 
-    /// Gradient of the ascent objective with respect to a logit in `run`.
-    fn gradient(&self, run: &Run, is_chosen: bool, scale: f64, entropy_coef: f64) -> f64 {
-        logit_gradient(
-            is_chosen,
-            run.p,
-            run.ln_p,
-            self.entropy,
-            scale,
-            entropy_coef,
-        )
-    }
-
-    /// Learned logits: `z += lr ×` gradient, once per run, with the
-    /// chosen value split out of its run to take its own update.
+    /// Learned logits: `z += lr ×` [`logit_gradient`], once per run, with
+    /// the chosen value split out of its run to take its own update.
     fn ascend(&mut self, chosen: usize, scale: f64, lr: f64, entropy_coef: f64) {
+        let h = self.entropy;
+        let step = |run: &Run, is_chosen: bool| {
+            run.z + lr * logit_gradient(is_chosen, run.p, run.ln_p, h, scale, entropy_coef)
+        };
         let r = self.run_of(chosen);
         let (hit, start) = (
             self.runs[r],
             r.checked_sub(1).map_or(0, |l| self.runs[l].end),
         );
-        let chosen_z = hit.z + lr * self.gradient(&hit, true, scale, entropy_coef);
-        for i in 0..self.runs.len() {
-            let run = self.runs[i];
-            self.runs[i].z = run.z + lr * self.gradient(&run, false, scale, entropy_coef);
+        for run in &mut self.runs {
+            run.z = step(run, false);
         }
         let rest = self.runs[r];
         let left = (chosen > start).then_some(Run {
@@ -417,7 +408,7 @@ impl Head {
         });
         let one = Run {
             end: chosen + 1,
-            z: chosen_z,
+            z: step(&hit, true),
             ..rest
         };
         let right = (rest.end > chosen + 1).then_some(rest);
@@ -541,15 +532,21 @@ impl CategoricalPolicy {
         };
         let mut dlogits = Vec::new();
         for (head, &g) in self.heads.iter().zip(genes) {
+            let grad = |run: &Run, is_chosen: bool| {
+                logit_gradient(
+                    is_chosen,
+                    run.p,
+                    run.ln_p,
+                    head.entropy,
+                    scale,
+                    entropy_coef,
+                )
+            };
             let base = dlogits.len();
             for run in &head.runs {
-                dlogits.resize(
-                    base + run.end,
-                    head.gradient(run, false, scale, entropy_coef),
-                );
+                dlogits.resize(base + run.end, grad(run, false));
             }
-            let hit = &head.runs[head.run_of(g)];
-            dlogits[base + g] = head.gradient(hit, true, scale, entropy_coef);
+            dlogits[base + g] = grad(&head.runs[head.run_of(g)], true);
         }
         mlp.backward(&dlogits);
         mlp.step(lr);
