@@ -294,6 +294,18 @@ struct Run {
     ln_p: f64,
 }
 
+impl Run {
+    /// A run ending before value `end`, with no probability yet.
+    fn new(end: usize, z: f64) -> Self {
+        Run {
+            end,
+            z,
+            p: 0.0,
+            ln_p: 0.0,
+        }
+    }
+}
+
 /// One softmax head as runs of equal logits, in value order.
 #[derive(Debug, Clone)]
 struct Head {
@@ -306,12 +318,7 @@ impl Head {
     /// A head of `card` values, all with logit 0.
     fn uniform(card: usize) -> Self {
         let runs = (card > 0)
-            .then_some(Run {
-                end: card,
-                z: 0.0,
-                p: 0.0,
-                ln_p: 0.0,
-            })
+            .then(|| Run::new(card, 0.0))
             .into_iter()
             .collect();
         Head { runs, entropy: 0.0 }
@@ -321,18 +328,22 @@ impl Head {
         self.runs.last().map_or(0, |run| run.end)
     }
 
+    /// `field` of each value's run, one per value.
+    fn per_value(&self, field: impl Fn(&Run) -> f64) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.card());
+        for run in &self.runs {
+            out.resize(run.end, field(run));
+        }
+        out
+    }
+
     /// Replace the logits, merging neighbours with equal bits into runs.
     fn set_logits(&mut self, z: &[f64]) {
         self.runs.clear();
         for (v, &zv) in z.iter().enumerate() {
             match self.runs.last_mut() {
                 Some(run) if run.z.to_bits() == zv.to_bits() => run.end = v + 1,
-                _ => self.runs.push(Run {
-                    end: v + 1,
-                    z: zv,
-                    p: 0.0,
-                    ln_p: 0.0,
-                }),
+                _ => self.runs.push(Run::new(v + 1, zv)),
             }
         }
     }
@@ -486,11 +497,7 @@ impl CategoricalPolicy {
     /// Head `d`'s probabilities from the last [`evaluate`](Self::evaluate),
     /// one per value.
     pub(crate) fn head(&self, d: usize) -> Vec<f64> {
-        let mut probs = Vec::with_capacity(self.heads[d].card());
-        for run in &self.heads[d].runs {
-            probs.resize(run.end, run.p);
-        }
-        probs
+        self.heads[d].per_value(|run| run.p)
     }
 
     /// Head `d`'s entropy (natural log) from the last `evaluate`.
@@ -585,15 +592,6 @@ mod tests {
             head.set_logits(z);
         }
         policy
-    }
-
-    /// Head `d`'s logits, one per value.
-    fn logits(policy: &CategoricalPolicy, d: usize) -> Vec<f64> {
-        let mut z = Vec::new();
-        for run in &policy.heads[d].runs {
-            z.resize(run.end, run.z);
-        }
-        z
     }
 
     #[test]
@@ -743,7 +741,7 @@ mod tests {
             }
             for (d, z) in oracle.iter().enumerate() {
                 assert_bits(
-                    &logits(&policy, d),
+                    &policy.heads[d].per_value(|run| run.z),
                     z,
                     &format!("step {step} logits head {d}"),
                 );
