@@ -1,22 +1,34 @@
-//! A small deterministic thread-pool executor for embarrassingly
-//! parallel run fan-out.
+//! A small deterministic executor for embarrassingly parallel fan-out,
+//! sized by one process-wide core budget.
 //!
 //! The paper's lottery studies execute tens of thousands of independent
 //! `(hyperparameter assignment, seed)` runs; this module spreads such run
-//! units across worker threads while keeping the *results* in exactly the
+//! units across threads while keeping the *results* in exactly the
 //! input order, so a parallel sweep is bit-identical to a serial one.
 //!
-//! The design is deliberately dependency-free: [`std::thread::scope`]
-//! workers pull the next unclaimed *chunk* of indices off a shared
-//! atomic cursor (self-scheduling: chunks amortize coordination on
-//! fine-grained items while staying small enough to load-balance uneven
-//! ones), stash `(index, result)` pairs locally, and the results are
-//! stitched back into input order after the scope joins.
+//! Fan-outs nest: a [`Sweep`](crate::sweep::Sweep) worker runs a search
+//! whose [`EnvPool`](crate::pool::EnvPool) fans a batch out, and a proxy
+//! refit inside that search fans its trees out. Each layer asks for its
+//! own width, so the layers share one [`CoreBudget`]: a count of claimed
+//! cores, as wide as [`Executor::available_parallelism`]. A fan-out runs
+//! items on its calling thread and spawns a helper only for each core it
+//! can claim right now, so an inner fan-out spreads onto idle cores only
+//! and otherwise runs inline. A running search holds a core for its
+//! thread (see [`SearchLoop`](crate::search::SearchLoop)), and so does
+//! every helper, so concurrent searches count against the budget too.
+//!
+//! The design is deliberately dependency-free and has no `unsafe`: the
+//! caller and its [`std::thread::scope`] helpers pull the next unclaimed
+//! *chunk* of indices off a shared atomic cursor (self-scheduling:
+//! chunks amortize coordination on fine-grained items while staying
+//! small enough to load-balance uneven ones), stash `(index, result)`
+//! pairs locally, and the results are stitched back into input order
+//! once every helper has joined.
 //!
 //! Work items are *panic-isolated*: every invocation runs under
 //! [`std::panic::catch_unwind`], so a panicking item surfaces as an
 //! error result in its own slot ([`Executor::map_with_catch`]) while
-//! the surviving workers keep draining the cursor. The infallible
+//! the other threads keep draining the cursor. The infallible
 //! [`Executor::map`]/[`Executor::map_with`] wrappers re-raise the first
 //! caught panic after the full fan-out completes.
 //!
@@ -28,8 +40,10 @@
 //! ```
 
 use crate::telemetry::{Phase, Recorder};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Render a caught panic payload as text (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
@@ -43,8 +57,195 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fans independent work items out across worker threads, returning
-/// results in input order.
+thread_local! {
+    /// Whether this thread holds a core of a [`CoreBudget`]. A thread
+    /// holds at most one core, of one budget, at a time.
+    static HOLDS_CORE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A count of claimed cores, shared by every fan-out in the process
+/// ([`CoreBudget::global`]).
+///
+/// A thread that runs work holds a core ([`CoreBudget::hold`]); that
+/// always succeeds, because a running thread occupies a core whether or
+/// not one was free, so the count may exceed the capacity. A fan-out
+/// spawns a helper only for a core it can claim without exceeding the
+/// capacity ([`CoreBudget::try_claim`]). Claims are released when their
+/// [`CoreClaim`] drops, on unwind too.
+#[derive(Debug)]
+pub(crate) struct CoreBudget {
+    capacity: usize,
+    claimed: AtomicUsize,
+}
+
+impl CoreBudget {
+    /// A budget of `capacity` cores, none claimed.
+    pub(crate) const fn new(capacity: usize) -> Self {
+        CoreBudget {
+            capacity,
+            claimed: AtomicUsize::new(0),
+        }
+    }
+
+    /// The process-wide budget, [`Executor::available_parallelism`]
+    /// cores wide.
+    pub(crate) fn global() -> &'static CoreBudget {
+        static GLOBAL: OnceLock<CoreBudget> = OnceLock::new();
+        GLOBAL.get_or_init(|| CoreBudget::new(Executor::available_parallelism()))
+    }
+
+    /// Hold a core for the calling thread until the claim drops. A
+    /// thread that already holds one gets a claim that does nothing.
+    pub(crate) fn hold(&self) -> CoreClaim<'_> {
+        if HOLDS_CORE.get() {
+            return CoreClaim {
+                budget: None,
+                marks_thread: false,
+            };
+        }
+        self.claimed.fetch_add(1, Ordering::Relaxed);
+        HOLDS_CORE.set(true);
+        CoreClaim {
+            budget: Some(self),
+            marks_thread: true,
+        }
+    }
+
+    /// Claim an idle core for a helper thread, if one is idle now. The
+    /// helper takes the claim over with [`CoreClaim::enter`].
+    fn try_claim(&self) -> Option<CoreClaim<'_>> {
+        self.claimed
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.capacity).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| CoreClaim {
+                budget: Some(self),
+                marks_thread: false,
+            })
+    }
+}
+
+/// One core claimed from a [`CoreBudget`], released on drop.
+#[must_use = "the core is released as soon as the claim drops"]
+#[derive(Debug)]
+pub(crate) struct CoreClaim<'a> {
+    /// `None` for the no-op claim of a thread that already held a core.
+    budget: Option<&'a CoreBudget>,
+    /// Whether this claim set [`HOLDS_CORE`] on the thread that holds
+    /// it, and so must clear it on drop.
+    marks_thread: bool,
+}
+
+impl CoreClaim<'_> {
+    /// Take the claim over on the current thread, so that fan-outs it
+    /// starts count it as already holding a core.
+    fn enter(mut self) -> Self {
+        HOLDS_CORE.set(true);
+        self.marks_thread = true;
+        self
+    }
+}
+
+impl Drop for CoreClaim<'_> {
+    fn drop(&mut self) {
+        if let Some(budget) = self.budget {
+            budget.claimed.fetch_sub(1, Ordering::Relaxed);
+            if self.marks_thread {
+                HOLDS_CORE.set(false);
+            }
+        }
+    }
+}
+
+/// How many indices a thread claims per cursor bump: roughly four
+/// claims per thread, so coordination is amortized on fine-grained
+/// items without starving stragglers on uneven ones.
+fn chunk(items: usize, workers: usize) -> usize {
+    (items / (workers * 4)).max(1)
+}
+
+/// Apply `f` to every item under [`catch_unwind`], returning the
+/// outcomes in input order. The calling thread holds a core of `budget`
+/// and drains items with `states[0]`; it spawns one helper per further
+/// state for as long as `budget` has an idle core to claim, up to
+/// `jobs` threads and `items.len()` in all.
+fn fan_out<W, T, R, F>(
+    budget: &CoreBudget,
+    jobs: usize,
+    states: &mut [W],
+    items: &[T],
+    f: F,
+) -> Vec<std::result::Result<R, String>>
+where
+    W: Send,
+    T: Sync,
+    R: Send,
+    F: Fn(&mut W, &T) -> R + Sync,
+{
+    let run_one = |state: &mut W, item: &T| -> std::result::Result<R, String> {
+        catch_unwind(AssertUnwindSafe(|| f(state, item))).map_err(panic_message)
+    };
+    let _caller = budget.hold();
+    let width = jobs.min(states.len()).min(items.len());
+    let (first, rest) = states
+        .split_first_mut()
+        .expect("fan-out needs at least one state");
+    let helpers: Vec<CoreClaim<'_>> = std::iter::from_fn(|| budget.try_claim())
+        .take(width.saturating_sub(1))
+        .collect();
+    if helpers.is_empty() {
+        return items.iter().map(|item| run_one(first, item)).collect();
+    }
+
+    let workers = helpers.len() + 1;
+    let chunk = chunk(items.len(), workers);
+    let cursor = AtomicUsize::new(0);
+    // Pre-size each thread's scratch for its fair share (plus one chunk
+    // of load-balancing slack) so result staging never reallocates
+    // mid-drain.
+    let scratch = items.len() / workers + chunk;
+    let drain = |state: &mut W| {
+        let mut local: Vec<(usize, std::result::Result<R, String>)> = Vec::with_capacity(scratch);
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            for (index, item) in items.iter().enumerate().take(end).skip(start) {
+                local.push((index, run_one(state, item)));
+            }
+        }
+        local
+    };
+    let mut tagged = std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .zip(helpers)
+            .map(|(state, claim)| {
+                let drain = &drain;
+                scope.spawn(move || {
+                    let _claim = claim.enter();
+                    drain(state)
+                })
+            })
+            .collect();
+        let mut tagged = drain(first);
+        for handle in handles {
+            tagged.extend(handle.join().expect("executor worker panicked"));
+        }
+        tagged
+    });
+
+    // Stitch results back into input order. Every index appears
+    // exactly once, so a by-index sort restores determinism.
+    tagged.sort_unstable_by_key(|(index, _)| *index);
+    tagged.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Fans independent work items out over at most `jobs` threads,
+/// returning results in input order.
 #[derive(Debug, Clone)]
 pub struct Executor {
     jobs: usize,
@@ -62,9 +263,10 @@ impl PartialEq for Executor {
 impl Eq for Executor {}
 
 impl Executor {
-    /// An executor running on `jobs` worker threads. `jobs == 0` selects
-    /// [`Executor::available_parallelism`]; `jobs == 1` runs serially on
-    /// the caller's thread.
+    /// An executor fanning out over at most `jobs` threads, the caller
+    /// included, each on a core claimed from the process-wide budget.
+    /// `jobs == 0` selects [`Executor::available_parallelism`];
+    /// `jobs == 1` runs serially on the caller's thread.
     pub fn new(jobs: usize) -> Self {
         let jobs = if jobs == 0 {
             Self::available_parallelism()
@@ -79,7 +281,7 @@ impl Executor {
 
     /// Install a telemetry recorder: every fan-out
     /// ([`Executor::map_with_catch`] and the wrappers built on it)
-    /// records one [`Phase::ExecutorBatch`] span covering worker
+    /// records one [`Phase::ExecutorBatch`] span covering helper
     /// scheduling plus the work itself.
     pub fn set_telemetry(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
@@ -93,24 +295,18 @@ impl Executor {
             .unwrap_or(1)
     }
 
-    /// The resolved worker count.
+    /// The resolved width: the most threads one fan-out uses.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// How many indices a worker claims per cursor bump: roughly four
-    /// claims per worker, so coordination is amortized on fine-grained
-    /// items without starving stragglers on uneven ones.
-    fn chunk(items: usize, workers: usize) -> usize {
-        (items / (workers * 4)).max(1)
-    }
-
-    /// Apply `f` to every item, in parallel across the executor's
-    /// workers, and return the results **in input order**.
+    /// Apply `f` to every item, in parallel on the caller and on
+    /// helpers for idle cores, and return the results **in input
+    /// order**.
     ///
     /// `f` must be safe to call concurrently from several threads
     /// (`Sync`); each invocation receives a shared reference to its item.
-    /// Panics in `f` propagate to the caller once all workers stop.
+    /// Panics in `f` propagate to the caller once every item has run.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -127,20 +323,20 @@ impl Executor {
             .collect()
     }
 
-    /// Like [`Executor::map`], but each worker thread owns one mutable
-    /// state from `states` (at most one thread per state, never shared) —
-    /// the fan-out primitive behind
-    /// [`EnvPool`](crate::pool::EnvPool)'s per-worker environment
-    /// replicas. Results come back **in input order**.
+    /// Like [`Executor::map`], but each thread owns one mutable state
+    /// from `states` (at most one thread per state, never shared) — the
+    /// fan-out primitive behind [`EnvPool`](crate::pool::EnvPool)'s
+    /// environment replicas. Results come back **in input order**.
     ///
-    /// Runs on `min(jobs, states.len(), items.len())` workers; with one
-    /// worker (or one state) everything runs serially on the caller's
-    /// thread against `states[0]`.
+    /// The caller runs items against `states[0]`; helpers take
+    /// `states[1..]`, one for each idle core the budget grants, up to
+    /// `min(jobs, states.len(), items.len())` threads in all. With no
+    /// idle core, everything runs serially on the caller's thread.
     ///
     /// # Panics
     ///
     /// Panics if `states` is empty while `items` is not, and propagates
-    /// worker panics.
+    /// item panics.
     pub fn map_with<W, T, R, F>(&self, states: &mut [W], items: &[T], f: F) -> Vec<R>
     where
         W: Send,
@@ -163,7 +359,7 @@ impl Executor {
     /// `map_with` does, but run each invocation under
     /// [`catch_unwind`], so a panicking work item becomes
     /// `Err(panic message)` in its slot while **every other item —
-    /// including later items claimed by the same worker — still runs**.
+    /// including later items drained by the same thread — still runs**.
     /// Results come back in input order.
     ///
     /// This is what keeps one exploding design-point evaluation from
@@ -171,7 +367,7 @@ impl Executor {
     /// to [`ArchGymError::EvalFailed`](crate::error::ArchGymError) and
     /// lets the retry/degrade machinery handle it like any other fault.
     ///
-    /// The worker's state is handed back to `f` for subsequent items
+    /// A thread's state is handed back to `f` for subsequent items
     /// even after a catch; states must therefore tolerate an unwound
     /// invocation (environment replicas do — `reset` restores them).
     ///
@@ -198,65 +394,7 @@ impl Executor {
             "map_with_catch needs at least one state"
         );
         let _span = self.recorder.span(Phase::ExecutorBatch);
-        let run_one = |state: &mut W, item: &T| -> std::result::Result<R, String> {
-            catch_unwind(AssertUnwindSafe(|| f(state, item))).map_err(panic_message)
-        };
-
-        // Never spawn more workers than the machine has hardware
-        // threads: oversubscribed workers only contend (results are
-        // stitched back by index, so the answer is bit-identical at any
-        // width). On a single-core host this collapses a pooled run to
-        // the serial path, which is exactly as fast as an unpooled one.
-        let workers = self
-            .jobs
-            .min(states.len())
-            .min(items.len())
-            .min(Self::available_parallelism());
-        if workers <= 1 {
-            let state = &mut states[0];
-            return items.iter().map(|item| run_one(state, item)).collect();
-        }
-
-        let chunk = Self::chunk(items.len(), workers);
-        let cursor = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, std::result::Result<R, String>)> =
-            Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = states[..workers]
-                .iter_mut()
-                .map(|state| {
-                    let cursor = &cursor;
-                    let run_one = &run_one;
-                    // Pre-size each worker's scratch for its fair share
-                    // (plus one chunk of load-balancing slack) so result
-                    // staging never reallocates mid-drain.
-                    let scratch = items.len() / workers + chunk;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, std::result::Result<R, String>)> =
-                            Vec::with_capacity(scratch);
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(items.len());
-                            for (index, item) in items.iter().enumerate().take(end).skip(start) {
-                                local.push((index, run_one(state, item)));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                tagged.extend(handle.join().expect("executor worker panicked"));
-            }
-        });
-
-        // Stitch results back into input order. Every index appears
-        // exactly once, so a by-index sort restores determinism.
-        tagged.sort_unstable_by_key(|(index, _)| *index);
-        tagged.into_iter().map(|(_, result)| result).collect()
+        fan_out(CoreBudget::global(), self.jobs, states, items, f)
     }
 }
 
@@ -270,7 +408,9 @@ impl Default for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_jobs_resolves_to_available_parallelism() {
@@ -318,9 +458,9 @@ mod tests {
 
     #[test]
     fn chunk_sizes_amortize_without_starving() {
-        assert_eq!(Executor::chunk(8, 8), 1); // small sweeps: per-item
-        assert_eq!(Executor::chunk(1000, 4), 62); // big inputs: coarse
-        assert_eq!(Executor::chunk(1, 16), 1);
+        assert_eq!(chunk(8, 8), 1); // small sweeps: per-item
+        assert_eq!(chunk(1000, 4), 62); // big inputs: coarse
+        assert_eq!(chunk(1, 16), 1);
     }
 
     #[test]
@@ -404,5 +544,104 @@ mod tests {
         let failures = results.iter().filter(|r| r.is_err()).count();
         assert_eq!(failures, 6); // 7, 17, 27, 37, 47, 57
         assert!(results[7].as_ref().unwrap_err().contains("unlucky item"));
+    }
+
+    /// Wait until `n` threads have arrived at `count`, failing after ten
+    /// seconds instead of hanging when fewer threads run.
+    fn rendezvous(count: &AtomicUsize, n: usize) {
+        count.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while count.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "fewer than {n} threads arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    fn claimed(budget: &CoreBudget) -> usize {
+        budget.claimed.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_fan_out_nested_in_one_holding_every_core_runs_on_its_caller() {
+        let budget = CoreBudget::new(2);
+        let (arrived, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut states = vec![(); 2];
+        let outer = fan_out(&budget, 2, &mut states, &[0u8, 1], |_, _| {
+            // Both items run at once: the caller and one helper hold
+            // both cores.
+            rendezvous(&arrived, 2);
+            assert_eq!(claimed(&budget), 2);
+            let me = std::thread::current().id();
+            let mut inner_states = vec![(); 4];
+            let inner = fan_out(&budget, 4, &mut inner_states, &[0u8; 16], |_, _| {
+                std::thread::current().id()
+            });
+            // Neither thread releases its core before both inner
+            // fan-outs are done.
+            rendezvous(&done, 2);
+            inner.into_iter().all(|id| id == Ok(me))
+        });
+        assert_eq!(outer, vec![Ok(true), Ok(true)]);
+        assert_eq!(claimed(&budget), 0);
+    }
+
+    #[test]
+    fn a_width_two_fan_out_on_a_free_budget_uses_the_caller_and_one_helper() {
+        let budget = CoreBudget::new(4);
+        let arrived = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..8).collect();
+        let mut states = vec![(); 4];
+        let ids = fan_out(&budget, 2, &mut states, &items, |_, &i| {
+            if i < 2 {
+                rendezvous(&arrived, 2);
+            }
+            std::thread::current().id()
+        });
+        let ids: HashSet<_> = ids.into_iter().map(Result::unwrap).collect();
+        assert_eq!(ids.len(), 2);
+        assert!(ids.contains(&std::thread::current().id()));
+        assert_eq!(claimed(&budget), 0);
+    }
+
+    #[test]
+    fn claims_return_to_their_start_after_items_panic() {
+        let budget = CoreBudget::new(2);
+        let items: Vec<u64> = (0..64).collect();
+        let mut states = vec![(); 2];
+        let results = fan_out(&budget, 2, &mut states, &items, |_, &x| {
+            assert!(x % 3 != 0, "boom");
+            x
+        });
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 22);
+        assert_eq!(claimed(&budget), 0);
+        // A held core is released when its holder unwinds.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _core = budget.hold();
+            assert_eq!(claimed(&budget), 1);
+            panic!("boom");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(claimed(&budget), 0);
+        assert!(!HOLDS_CORE.get());
+    }
+
+    #[test]
+    fn threads_running_items_never_exceed_the_capacity() {
+        let budget = CoreBudget::new(3);
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let outer: Vec<usize> = (0..8).collect();
+        let mut outer_states = vec![(); 8];
+        fan_out(&budget, 8, &mut outer_states, &outer, |_, _| {
+            let mut states = vec![(); 8];
+            fan_out(&budget, 8, &mut states, &[0u8; 8], |_, _| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_micros(200));
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&peak), "peak {peak}");
+        assert_eq!(claimed(&budget), 0);
     }
 }

@@ -105,7 +105,7 @@ impl<E: Environment + ?Sized> BatchEvaluator for E {
 }
 
 /// A pool of cloned environment replicas that evaluates batches in
-/// parallel, one replica per worker thread.
+/// parallel, one replica per thread that takes part in a batch.
 ///
 /// Wrapping a [`CachedEnv`](crate::cache::CachedEnv) composes with the
 /// shared [`EvalCache`](crate::cache::EvalCache): replicas clone the
@@ -125,7 +125,10 @@ impl<E: Environment + Clone + Send> EnvPool<E> {
         EnvPool { replicas, executor }
     }
 
-    /// The number of environment replicas (== worker threads).
+    /// The number of environment replicas: the most threads one batch
+    /// fans out over. How many of them run depends on the idle cores of
+    /// the process-wide core budget (see [`crate::executor`]); with
+    /// none idle, the calling thread evaluates the batch alone.
     pub fn jobs(&self) -> usize {
         self.replicas.len()
     }

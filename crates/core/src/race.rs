@@ -625,12 +625,13 @@ impl Race {
         rank_lanes(&scored)[0]
     }
 
-    /// Advance every live lane by `slice` samples, fanning lanes over
-    /// up to `workers` coordinator threads (each lane additionally runs
-    /// its evaluations over `pool_jobs` pool replicas). Lane-to-thread
-    /// assignment is round-robin in lane-id order and — because each
-    /// lane's run is independent and bit-identical at any pool width —
-    /// has no observable effect on results.
+    /// Advance every live lane by `slice` samples, fanning lanes out
+    /// over an [`Executor`] of up to `workers` threads (each lane
+    /// additionally runs its evaluations over `pool_jobs` pool
+    /// replicas). Because each lane's run is independent and
+    /// bit-identical at any pool width, which thread runs a lane has no
+    /// observable effect on results; the first failure in lane-id order
+    /// is reported.
     fn advance_wave<E>(
         &self,
         states: &mut [LaneState<E>],
@@ -642,31 +643,19 @@ impl Race {
     where
         E: Environment + Clone + Send,
     {
-        let live: Vec<&mut LaneState<E>> = states
+        // Each live lane is one work item; the uncontended lock only
+        // hands the executor's shared item reference a `&mut` lane.
+        let live: Vec<Mutex<&mut LaneState<E>>> = states
             .iter_mut()
             .filter(|s| s.eliminated_at.is_none())
+            .map(Mutex::new)
             .collect();
-        let workers = workers.min(live.len()).max(1);
-        let mut buckets: Vec<Vec<&mut LaneState<E>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, lane) in live.into_iter().enumerate() {
-            buckets[i % workers].push(lane);
-        }
-        let failures: Mutex<Vec<(usize, ArchGymError)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                let failures = &failures;
-                scope.spawn(move || {
-                    for lane in bucket {
-                        if let Err(e) = self.advance_lane(lane, rung, slice, pool_jobs) {
-                            failures.lock().expect("poisoned").push((lane.id, e));
-                        }
-                    }
-                });
-            }
+        let outcomes = Executor::new(workers).map(&live, |lane| {
+            let mut lane = lane.lock().expect("poisoned");
+            self.advance_lane(&mut lane, rung, slice, pool_jobs)
+                .map_err(|e| (lane.id, e))
         });
-        let mut failures = failures.into_inner().expect("poisoned");
-        failures.sort_by_key(|&(id, _)| id);
-        match failures.into_iter().next() {
+        match outcomes.into_iter().find_map(|outcome| outcome.err()) {
             Some((id, e)) => Err(ArchGymError::Journal(format!("race lane {id}: {e}"))),
             None => Ok(()),
         }

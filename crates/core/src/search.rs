@@ -18,6 +18,7 @@ use crate::agent::Agent;
 use crate::codec::Json;
 use crate::env::{Environment, Observation, StepResult};
 use crate::error::{ArchGymError, Result};
+use crate::executor::CoreBudget;
 use crate::journal::{JournalHeader, JournalRecord, JournalStep, RunJournal, JOURNAL_VERSION};
 use crate::pool::{BatchEvaluator, EnvPool};
 use crate::screen::{select_admitted, Screener};
@@ -614,6 +615,10 @@ impl SearchLoop {
         A: Agent + ?Sized,
         E: BatchEvaluator + ?Sized,
     {
+        // A running search occupies a core: hold it for this thread, so
+        // that fan-outs beneath (pool batches, proxy refits) and beside
+        // it (other searches' fan-outs) spread onto idle cores only.
+        let _core = CoreBudget::global().hold();
         let mut journal_file = match io.journal {
             Some(path) => Some(RunJournal::open_with(
                 path,
