@@ -16,6 +16,13 @@
 //! on every step; built without a cache it is a zero-cost passthrough,
 //! which lets sweep infrastructure keep a single code path.
 //!
+//! Misses are *single-flight*: [`EvalCache::lookup`] marks a missed key
+//! as in flight, and a concurrent lookup of that key waits for the first
+//! simulation and counts as a hit. So a parallel sweep simulates each
+//! design point once and reports the same [`CacheStats`] as a serial
+//! one. A simulation that fails, yields an uncacheable result or unwinds
+//! clears the mark, and the waiters simulate the key themselves.
+//!
 //! Caching is only sound for environments whose `step` is a pure
 //! function of the action — true for every bundled ArchGym cost model.
 //! Do not share one cache across *different* environments or workloads;
@@ -43,7 +50,8 @@ use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::ThreadId;
 
 /// Default shard count — enough stripes that a handful of sweep workers
 /// rarely collide on a lock, small enough to stay cache-friendly.
@@ -51,10 +59,10 @@ const DEFAULT_SHARDS: usize = 16;
 
 /// Counter snapshot of an [`EvalCache`].
 ///
-/// `hits + misses` equals the number of lookups issued; `inserts` can
-/// exceed `entries` when parallel workers race to fill the same key
-/// (both simulate, both insert the identical result — the map keeps
-/// one).
+/// `hits + misses` equals the number of lookups issued. Concurrent
+/// misses on one key simulate it once (the later lookups wait and count
+/// as hits), so `inserts` exceeds `entries` only when
+/// [`EvalCache::insert`] stores a key that is already there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -79,6 +87,14 @@ impl CacheStats {
     }
 }
 
+/// One lock stripe: the stored results, plus the keys being simulated
+/// now and the thread simulating each.
+#[derive(Debug, Default)]
+struct Shard {
+    done: HashMap<Vec<usize>, StepResult>,
+    in_flight: HashMap<Vec<usize>, ThreadId>,
+}
+
 /// A sharded, lock-striped memo table: canonical action encoding →
 /// evaluated [`StepResult`].
 ///
@@ -86,7 +102,9 @@ impl CacheStats {
 /// shared freely across sweep workers.
 #[derive(Debug)]
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<Vec<usize>, StepResult>>>,
+    /// Each stripe's condition variable wakes the lookups waiting for
+    /// one of its in-flight keys.
+    shards: Vec<(Mutex<Shard>, Condvar)>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -106,7 +124,9 @@ impl EvalCache {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "cache needs at least one shard");
         EvalCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards)
+                .map(|_| (Mutex::default(), Condvar::new()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -130,12 +150,14 @@ impl EvalCache {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// Look up a design point, counting the outcome as a hit or miss.
+    /// Look up a design point without waiting for an in-flight
+    /// simulation, counting the outcome as a hit or miss.
     pub fn get(&self, action: &Action) -> Option<StepResult> {
-        let shard = &self.shards[self.shard_of(action.as_slice())];
+        let (shard, _) = &self.shards[self.shard_of(action.as_slice())];
         let found = shard
             .lock()
             .expect("cache shard poisoned")
+            .done
             .get(action.as_slice())
             .cloned();
         match found {
@@ -145,21 +167,71 @@ impl EvalCache {
         found
     }
 
+    /// Look up a design point for evaluation. A stored result is a hit.
+    /// If another thread is simulating the key, wait for it: its result
+    /// is a hit too. Otherwise the lookup is a miss, and the key stays
+    /// in flight until the returned [`Fill`] completes or drops.
+    pub fn lookup(&self, action: &Action) -> Lookup<'_> {
+        let key = action.as_slice();
+        let index = self.shard_of(key);
+        let (lock, filled) = &self.shards[index];
+        let mut shard = lock.lock().expect("cache shard poisoned");
+        let me = std::thread::current().id();
+        loop {
+            if let Some(result) = shard.done.get(key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Lookup::Hit(result.clone());
+            }
+            // A thread that meets its own in-flight key (one cache
+            // wrapped twice) simulates it again rather than wait for
+            // itself.
+            match shard.in_flight.get(key) {
+                Some(&owner) if owner != me => {
+                    shard = filled.wait(shard).expect("cache shard poisoned");
+                }
+                _ => break,
+            }
+        }
+        shard.in_flight.insert(key.to_vec(), me);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Lookup::Miss(Fill {
+            cache: self,
+            shard: index,
+            key: Some(key.to_vec()),
+        })
+    }
+
     /// Store a design point's result.
     pub fn insert(&self, action: &Action, result: StepResult) {
-        let shard = &self.shards[self.shard_of(action.as_slice())];
+        let (shard, _) = &self.shards[self.shard_of(action.as_slice())];
         shard
             .lock()
             .expect("cache shard poisoned")
+            .done
             .insert(action.as_slice().to_vec(), result);
         self.inserts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Clear `key`'s in-flight mark, storing `result` if there is one,
+    /// and wake the lookups waiting on the shard.
+    fn settle(&self, index: usize, key: Vec<usize>, result: Option<StepResult>) {
+        let (lock, filled) = &self.shards[index];
+        // Never panic here: this runs from `Fill::drop`, on unwind too.
+        let mut shard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        shard.in_flight.remove(&key);
+        if let Some(result) = result {
+            shard.done.insert(key, result);
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(shard);
+        filled.notify_all();
     }
 
     /// Number of distinct design points stored.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
+            .map(|(s, _)| s.lock().expect("cache shard poisoned").done.len())
             .sum()
     }
 
@@ -182,6 +254,45 @@ impl EvalCache {
 impl Default for EvalCache {
     fn default() -> Self {
         EvalCache::new()
+    }
+}
+
+/// The outcome of [`EvalCache::lookup`].
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The stored result, possibly after waiting for another thread's
+    /// simulation of the same key.
+    Hit(StepResult),
+    /// Not stored: the caller simulates the key and completes the fill.
+    Miss(Fill<'a>),
+}
+
+/// A missed key's in-flight mark. [`Fill::complete`] stores the result
+/// and wakes the waiting lookups; dropping the fill instead (after a
+/// failed or uncacheable simulation, or on unwind) clears the mark, and
+/// the waiters simulate the key themselves.
+#[must_use = "dropping a fill abandons the key"]
+#[derive(Debug)]
+pub struct Fill<'a> {
+    cache: &'a EvalCache,
+    shard: usize,
+    /// `None` once completed.
+    key: Option<Vec<usize>>,
+}
+
+impl Fill<'_> {
+    /// Store the key's simulated result.
+    pub fn complete(mut self, result: StepResult) {
+        let key = self.key.take().expect("a fill completes once");
+        self.cache.settle(self.shard, key, Some(result));
+    }
+}
+
+impl Drop for Fill<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.cache.settle(self.shard, key, None);
+        }
     }
 }
 
@@ -218,25 +329,27 @@ impl<E: Environment> CachedEnv<E> {
         }
     }
 
-    /// Probe the cache for `action`, mirroring the outcome into the
+    /// Look `action` up in the cache, mirroring the outcome into the
     /// telemetry recorder (`lookups == hits + misses` holds exactly
     /// because each probe counts one lookup and exactly one of the
-    /// two outcomes).
-    fn probe(&self, cache: &EvalCache, action: &Action) -> Option<StepResult> {
+    /// two outcomes). The span includes any wait for another thread's
+    /// simulation of the same key.
+    fn probe<'c>(&self, cache: &'c EvalCache, action: &Action) -> Lookup<'c> {
         let _span = self.telemetry.span(Phase::CacheLookup);
-        let found = cache.get(action);
+        let found = cache.lookup(action);
         self.telemetry.incr(Counter::CacheLookups);
         self.telemetry.incr(match found {
-            Some(_) => Counter::CacheHits,
-            None => Counter::CacheMisses,
+            Lookup::Hit(_) => Counter::CacheHits,
+            Lookup::Miss(_) => Counter::CacheMisses,
         });
         found
     }
 
-    /// Insert a settled result, mirroring the write into telemetry.
-    fn remember(&self, cache: &EvalCache, action: &Action, result: &StepResult) {
+    /// Complete a miss with its settled result, mirroring the write into
+    /// telemetry; an uncacheable result abandons the fill instead.
+    fn remember(&self, fill: Fill<'_>, result: &StepResult) {
         if cacheable(result) {
-            cache.insert(action, result.clone());
+            fill.complete(result.clone());
             self.telemetry.incr(Counter::CacheInserts);
         }
     }
@@ -274,25 +387,28 @@ impl<E: Environment> Environment for CachedEnv<E> {
         let Some(cache) = self.cache.clone() else {
             return self.inner.step(action);
         };
-        if let Some(memoized) = self.probe(&cache, action) {
-            return memoized;
-        }
+        let fill = match self.probe(&cache, action) {
+            Lookup::Hit(memoized) => return memoized,
+            Lookup::Miss(fill) => fill,
+        };
         let result = self.inner.step(action);
-        self.remember(&cache, action, &result);
+        self.remember(fill, &result);
         result
     }
     fn try_step(&mut self, action: &Action) -> crate::error::Result<StepResult> {
         let Some(cache) = self.cache.clone() else {
             return self.inner.try_step(action);
         };
-        if let Some(memoized) = self.probe(&cache, action) {
-            return Ok(memoized);
-        }
+        let fill = match self.probe(&cache, action) {
+            Lookup::Hit(memoized) => return Ok(memoized),
+            Lookup::Miss(fill) => fill,
+        };
         // A failed attempt must never poison the memo: errors propagate
-        // uncached (the retry machinery will probe again), and corrupted
-        // non-finite results are likewise not worth remembering.
+        // uncached (the `?` drops the fill, and the retry machinery will
+        // probe again), and corrupted non-finite results are likewise
+        // not worth remembering.
         let result = self.inner.try_step(action)?;
-        self.remember(&cache, action, &result);
+        self.remember(fill, &result);
         Ok(result)
     }
     fn set_telemetry(&mut self, recorder: &Recorder) {
@@ -482,5 +598,65 @@ mod tests {
         assert_eq!((stats.inserts, stats.entries), (0, 0));
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 0);
+    }
+
+    /// Miss on `action(i)` through `lookup`, returning the fill.
+    fn miss(cache: &EvalCache, i: usize) -> Fill<'_> {
+        match cache.lookup(&action(i)) {
+            Lookup::Miss(fill) => fill,
+            Lookup::Hit(_) => panic!("expected a miss on {i}"),
+        }
+    }
+
+    #[test]
+    fn a_concurrent_miss_waits_for_the_first_simulation() {
+        let cache = EvalCache::new();
+        let fill = miss(&cache, 3);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.lookup(&action(3)));
+            // Give the waiter time to find the key in flight.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            fill.complete(StepResult::terminal(Observation::new(vec![3.0]), 1.0));
+            match waiter.join().unwrap() {
+                Lookup::Hit(result) => assert_eq!(result.reward, 1.0),
+                Lookup::Miss(_) => panic!("the waiter simulated the key again"),
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts, stats.entries),
+            (1, 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn an_abandoned_fill_hands_the_key_to_a_waiter() {
+        let cache = EvalCache::new();
+        let fill = miss(&cache, 5);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| matches!(cache.lookup(&action(5)), Lookup::Miss(_)));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(fill);
+            assert!(waiter.join().unwrap(), "the waiter must simulate the key");
+        });
+        // A fill dropped by unwinding clears the mark too.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _fill = miss(&cache, 6);
+            panic!("simulator crashed");
+        }));
+        assert!(unwound.is_err());
+        drop(miss(&cache, 6));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.inserts, stats.entries), (4, 0, 0));
+    }
+
+    #[test]
+    fn a_thread_never_waits_for_its_own_fill() {
+        let cache = EvalCache::new();
+        let outer = miss(&cache, 1);
+        let inner = miss(&cache, 1);
+        inner.complete(StepResult::terminal(Observation::new(vec![1.0]), 0.5));
+        drop(outer);
+        assert!(matches!(cache.lookup(&action(1)), Lookup::Hit(_)));
     }
 }

@@ -618,6 +618,39 @@ mod tests {
     }
 
     #[test]
+    fn parallel_cached_sweep_reports_the_serial_cache_stats() {
+        // Two runs on the same seed propose the same designs in the same
+        // order, so at --jobs 2 they miss on each key at about the same
+        // time. The later miss must wait for the first simulation and
+        // count as a hit, exactly as the serial sweep's second run does.
+        let stats_at = |jobs: usize| {
+            let cache = Arc::new(EvalCache::new());
+            Sweep::new(RunConfig::with_budget(120))
+                .seeds([7, 7])
+                .jobs(jobs)
+                .cache(cache.clone())
+                .run_assignments(
+                    "rw",
+                    &[HyperMap::new()],
+                    || PeakEnv::new(&[12, 12], vec![4, 7]),
+                    |_hyper, seed| {
+                        Ok(RandomWalker::new(
+                            PeakEnv::new(&[12, 12], vec![4, 7]).space().clone(),
+                            seed,
+                        ))
+                    },
+                )
+                .unwrap();
+            cache.stats()
+        };
+        let serial = stats_at(1);
+        assert_eq!(serial.inserts, serial.entries);
+        for rep in 0..20 {
+            assert_eq!(stats_at(2), serial, "repetition {rep}");
+        }
+    }
+
+    #[test]
     fn cold_and_warm_cached_sweeps_produce_identical_csv() {
         let cache = Arc::new(EvalCache::new());
         let run = || {
