@@ -21,7 +21,8 @@
 //! simulation and counts as a hit. So a parallel sweep simulates each
 //! design point once and reports the same [`CacheStats`] as a serial
 //! one. A simulation that fails, yields an uncacheable result or unwinds
-//! clears the mark, and the waiters simulate the key themselves.
+//! clears the mark; one waiter then simulates the key, and the others
+//! wait for it in turn.
 //!
 //! Caching is only sound for environments whose `step` is a pure
 //! function of the action — true for every bundled ArchGym cost model.
@@ -270,7 +271,7 @@ pub enum Lookup<'a> {
 /// A missed key's in-flight mark. [`Fill::complete`] stores the result
 /// and wakes the waiting lookups; dropping the fill instead (after a
 /// failed or uncacheable simulation, or on unwind) clears the mark, and
-/// the waiters simulate the key themselves.
+/// the next lookup of the key, waiting or new, becomes its miss.
 #[must_use = "dropping a fill abandons the key"]
 #[derive(Debug)]
 pub struct Fill<'a> {

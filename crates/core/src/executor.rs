@@ -9,7 +9,7 @@
 //! Fan-outs nest: a [`Sweep`](crate::sweep::Sweep) worker runs a search
 //! whose [`EnvPool`](crate::pool::EnvPool) fans a batch out, and a proxy
 //! refit inside that search fans its trees out. Each layer asks for its
-//! own width, so the layers share one [`CoreBudget`]: a count of claimed
+//! own width, so the layers share one `CoreBudget`: a count of claimed
 //! cores, as wide as [`Executor::available_parallelism`]. A fan-out runs
 //! items on its calling thread and spawns a helper only for each core it
 //! can claim right now, so an inner fan-out spreads onto idle cores only
