@@ -62,8 +62,9 @@ const DEFAULT_SHARDS: usize = 16;
 ///
 /// `hits + misses` equals the number of lookups issued. Concurrent
 /// misses on one key simulate it once (the later lookups wait and count
-/// as hits), so `inserts` exceeds `entries` only when
-/// [`EvalCache::insert`] stores a key that is already there.
+/// as hits), so `inserts == entries`, except when one cache is wrapped
+/// twice: the inner and the outer fill of a key then both count an
+/// insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -151,23 +152,6 @@ impl EvalCache {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// Look up a design point without waiting for an in-flight
-    /// simulation, counting the outcome as a hit or miss.
-    pub fn get(&self, action: &Action) -> Option<StepResult> {
-        let (shard, _) = &self.shards[self.shard_of(action.as_slice())];
-        let found = shard
-            .lock()
-            .expect("cache shard poisoned")
-            .done
-            .get(action.as_slice())
-            .cloned();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
     /// Look up a design point for evaluation. A stored result is a hit.
     /// If another thread is simulating the key, wait for it: its result
     /// is a hit too. Otherwise the lookup is a miss, and the key stays
@@ -200,17 +184,6 @@ impl EvalCache {
             shard: index,
             key: Some(key.to_vec()),
         })
-    }
-
-    /// Store a design point's result.
-    pub fn insert(&self, action: &Action, result: StepResult) {
-        let (shard, _) = &self.shards[self.shard_of(action.as_slice())];
-        shard
-            .lock()
-            .expect("cache shard poisoned")
-            .done
-            .insert(action.as_slice().to_vec(), result);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Clear `key`'s in-flight mark, storing `result` if there is one,
@@ -473,16 +446,14 @@ mod tests {
     fn distinct_actions_occupy_distinct_entries() {
         let cache = EvalCache::with_shards(4);
         for i in 0..32 {
-            assert!(cache.get(&action(i)).is_none());
-            cache.insert(
-                &action(i),
-                StepResult::terminal(Observation::new(vec![i as f64]), 0.0),
-            );
+            miss(&cache, i).complete(StepResult::terminal(Observation::new(vec![i as f64]), 0.0));
         }
         assert_eq!(cache.len(), 32);
         assert!(!cache.is_empty());
         for i in 0..32 {
-            let got = cache.get(&action(i)).expect("inserted");
+            let Lookup::Hit(got) = cache.lookup(&action(i)) else {
+                panic!("{i} was stored");
+            };
             assert_eq!(got.observation.get(0), i as f64);
         }
         let stats = cache.stats();
@@ -493,21 +464,20 @@ mod tests {
 
     #[test]
     fn counters_are_exact_under_executor_parallelism() {
-        // Pre-fill every key, then issue a known number of parallel
+        // Fill every key, then issue a known number of parallel
         // lookups: with no fill races, hits must count exactly.
         let cache = Arc::new(EvalCache::new());
         for i in 0..16 {
-            cache.insert(
-                &action(i),
-                StepResult::terminal(Observation::new(vec![0.0]), 0.0),
-            );
+            miss(&cache, i).complete(StepResult::terminal(Observation::new(vec![0.0]), 0.0));
         }
         let lookups: Vec<usize> = (0..400).map(|k| k % 16).collect();
-        let results = Executor::new(4).map(&lookups, |&i| cache.get(&action(i)).is_some());
+        let results = Executor::new(4).map(&lookups, |&i| {
+            matches!(cache.lookup(&action(i)), Lookup::Hit(_))
+        });
         assert!(results.into_iter().all(|hit| hit));
         let stats = cache.stats();
         assert_eq!(stats.hits, 400);
-        assert_eq!(stats.misses, 0); // inserts don't probe
+        assert_eq!(stats.misses, 16); // the fills' own lookups
         assert_eq!(stats.inserts, 16);
         assert_eq!(stats.entries, 16);
     }
