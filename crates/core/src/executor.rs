@@ -58,13 +58,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 thread_local! {
-    /// Whether this thread holds a core of a [`CoreBudget`]. A thread
+    /// The [`CoreBudget`] this thread holds a core of, if any. A thread
     /// holds at most one core, of one budget, at a time.
-    static HOLDS_CORE: Cell<bool> = const { Cell::new(false) };
+    static HELD: Cell<Option<&'static CoreBudget>> = const { Cell::new(None) };
 }
 
 /// A count of claimed cores, shared by every fan-out in the process
 /// ([`CoreBudget::global`]).
+///
+/// A fan-out draws from the budget its thread holds a core of, and
+/// otherwise from the global one ([`CoreBudget::current`]), so helpers
+/// and everything nested beneath them stay on their caller's budget.
+/// Tests hold a core of a private budget to fan out deterministically.
 ///
 /// A thread that runs work holds a core ([`CoreBudget::hold`]); that
 /// always succeeds, because a running thread occupies a core whether or
@@ -94,17 +99,23 @@ impl CoreBudget {
         GLOBAL.get_or_init(|| CoreBudget::new(Executor::available_parallelism()))
     }
 
+    /// The budget the calling thread holds a core of, else the global
+    /// one.
+    fn current() -> &'static CoreBudget {
+        HELD.get().unwrap_or_else(CoreBudget::global)
+    }
+
     /// Hold a core for the calling thread until the claim drops. A
     /// thread that already holds one gets a claim that does nothing.
-    pub(crate) fn hold(&self) -> CoreClaim<'_> {
-        if HOLDS_CORE.get() {
+    pub(crate) fn hold(&'static self) -> CoreClaim {
+        if HELD.get().is_some() {
             return CoreClaim {
                 budget: None,
                 marks_thread: false,
             };
         }
         self.claimed.fetch_add(1, Ordering::Relaxed);
-        HOLDS_CORE.set(true);
+        HELD.set(Some(self));
         CoreClaim {
             budget: Some(self),
             marks_thread: true,
@@ -113,7 +124,7 @@ impl CoreBudget {
 
     /// Claim an idle core for a helper thread, if one is idle now. The
     /// helper takes the claim over with [`CoreClaim::enter`].
-    fn try_claim(&self) -> Option<CoreClaim<'_>> {
+    fn try_claim(&'static self) -> Option<CoreClaim> {
         self.claimed
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                 (n < self.capacity).then_some(n + 1)
@@ -129,30 +140,30 @@ impl CoreBudget {
 /// One core claimed from a [`CoreBudget`], released on drop.
 #[must_use = "the core is released as soon as the claim drops"]
 #[derive(Debug)]
-pub(crate) struct CoreClaim<'a> {
+pub(crate) struct CoreClaim {
     /// `None` for the no-op claim of a thread that already held a core.
-    budget: Option<&'a CoreBudget>,
-    /// Whether this claim set [`HOLDS_CORE`] on the thread that holds
-    /// it, and so must clear it on drop.
+    budget: Option<&'static CoreBudget>,
+    /// Whether this claim set [`HELD`] on the thread that holds it, and
+    /// so must clear it on drop.
     marks_thread: bool,
 }
 
-impl CoreClaim<'_> {
+impl CoreClaim {
     /// Take the claim over on the current thread, so that fan-outs it
-    /// starts count it as already holding a core.
+    /// starts count it as already holding a core, of the same budget.
     fn enter(mut self) -> Self {
-        HOLDS_CORE.set(true);
+        HELD.set(self.budget);
         self.marks_thread = true;
         self
     }
 }
 
-impl Drop for CoreClaim<'_> {
+impl Drop for CoreClaim {
     fn drop(&mut self) {
         if let Some(budget) = self.budget {
             budget.claimed.fetch_sub(1, Ordering::Relaxed);
             if self.marks_thread {
-                HOLDS_CORE.set(false);
+                HELD.set(None);
             }
         }
     }
@@ -171,7 +182,7 @@ fn chunk(items: usize, workers: usize) -> usize {
 /// state for as long as `budget` has an idle core to claim, up to
 /// `jobs` threads and `items.len()` in all.
 fn fan_out<W, T, R, F>(
-    budget: &CoreBudget,
+    budget: &'static CoreBudget,
     jobs: usize,
     states: &mut [W],
     items: &[T],
@@ -191,7 +202,7 @@ where
     let (first, rest) = states
         .split_first_mut()
         .expect("fan-out needs at least one state");
-    let helpers: Vec<CoreClaim<'_>> = std::iter::from_fn(|| budget.try_claim())
+    let helpers: Vec<CoreClaim> = std::iter::from_fn(|| budget.try_claim())
         .take(width.saturating_sub(1))
         .collect();
     if helpers.is_empty() {
@@ -394,7 +405,7 @@ impl Executor {
             "map_with_catch needs at least one state"
         );
         let _span = self.recorder.span(Phase::ExecutorBatch);
-        fan_out(CoreBudget::global(), self.jobs, states, items, f)
+        fan_out(CoreBudget::current(), self.jobs, states, items, f)
     }
 }
 
@@ -405,12 +416,95 @@ impl Default for Executor {
     }
 }
 
+/// Helpers for tests that must see a fan-out run on more than one
+/// thread, whatever else the process is running.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::CoreBudget;
+    use crate::env::{Environment, Observation, StepResult};
+    use crate::space::{Action, ParamSpace};
+    use std::collections::HashSet;
+    use std::sync::atomic::Ordering;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// A budget of `capacity` cores, none claimed, apart from the
+    /// global one. A test thread that holds one of its cores
+    /// ([`CoreBudget::hold`]) fans out onto its idle cores, and so do
+    /// the helpers beneath it.
+    pub(crate) fn private_budget(capacity: usize) -> &'static CoreBudget {
+        Box::leak(Box::new(CoreBudget::new(capacity)))
+    }
+
+    /// The number of cores of `budget` claimed now.
+    pub(crate) fn claimed(budget: &CoreBudget) -> usize {
+        budget.claimed.load(Ordering::SeqCst)
+    }
+
+    /// Record the calling thread in `seen`, then wait until `n` distinct
+    /// threads are recorded, failing after ten seconds instead of
+    /// hanging when fewer threads run. The failure poisons `seen`, so
+    /// every later meet on it fails at once.
+    pub(crate) fn meet(seen: &Mutex<HashSet<ThreadId>>, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut arrived = seen.lock().expect("an earlier meet timed out");
+        arrived.insert(std::thread::current().id());
+        while arrived.len() < n {
+            assert!(Instant::now() < deadline, "fewer than {n} threads arrived");
+            drop(arrived);
+            std::thread::yield_now();
+            arrived = seen.lock().expect("an earlier meet timed out");
+        }
+    }
+
+    /// An environment whose steps [`meet`] on two threads before they
+    /// simulate: a run over it, and over its clones, finishes only if
+    /// its steps really ran on two threads. Results are the wrapped
+    /// environment's.
+    #[derive(Debug, Clone)]
+    pub(crate) struct TwoThreadEnv<E> {
+        inner: E,
+        seen: Arc<Mutex<HashSet<ThreadId>>>,
+    }
+
+    impl<E> TwoThreadEnv<E> {
+        pub(crate) fn new(inner: E) -> Self {
+            TwoThreadEnv {
+                inner,
+                seen: Arc::default(),
+            }
+        }
+    }
+
+    impl<E: Environment> Environment for TwoThreadEnv<E> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn space(&self) -> &ParamSpace {
+            self.inner.space()
+        }
+        fn observation_labels(&self) -> Vec<String> {
+            self.inner.observation_labels()
+        }
+        fn reset(&mut self) -> Observation {
+            self.inner.reset()
+        }
+        fn step(&mut self, action: &Action) -> StepResult {
+            meet(&self.seen, 2);
+            self.inner.step(action)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{claimed, meet, private_budget};
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
-    use std::time::{Duration, Instant};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn zero_jobs_resolves_to_available_parallelism() {
@@ -546,94 +640,95 @@ mod tests {
         assert!(results[7].as_ref().unwrap_err().contains("unlucky item"));
     }
 
-    /// Wait until `n` threads have arrived at `count`, failing after ten
-    /// seconds instead of hanging when fewer threads run.
-    fn rendezvous(count: &AtomicUsize, n: usize) {
-        count.fetch_add(1, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while count.load(Ordering::SeqCst) < n {
-            assert!(Instant::now() < deadline, "fewer than {n} threads arrived");
-            std::thread::yield_now();
-        }
-    }
-
-    fn claimed(budget: &CoreBudget) -> usize {
-        budget.claimed.load(Ordering::SeqCst)
-    }
-
     #[test]
     fn a_fan_out_nested_in_one_holding_every_core_runs_on_its_caller() {
-        let budget = CoreBudget::new(2);
-        let (arrived, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let budget = private_budget(2);
+        let (arrived, done) = (Mutex::default(), Mutex::default());
         let mut states = vec![(); 2];
-        let outer = fan_out(&budget, 2, &mut states, &[0u8, 1], |_, _| {
+        let outer = fan_out(budget, 2, &mut states, &[0u8, 1], |_, _| {
             // Both items run at once: the caller and one helper hold
             // both cores.
-            rendezvous(&arrived, 2);
-            assert_eq!(claimed(&budget), 2);
+            meet(&arrived, 2);
+            assert_eq!(claimed(budget), 2);
             let me = std::thread::current().id();
             let mut inner_states = vec![(); 4];
-            let inner = fan_out(&budget, 4, &mut inner_states, &[0u8; 16], |_, _| {
+            let inner = fan_out(budget, 4, &mut inner_states, &[0u8; 16], |_, _| {
                 std::thread::current().id()
             });
             // Neither thread releases its core before both inner
             // fan-outs are done.
-            rendezvous(&done, 2);
+            meet(&done, 2);
             inner.into_iter().all(|id| id == Ok(me))
         });
         assert_eq!(outer, vec![Ok(true), Ok(true)]);
-        assert_eq!(claimed(&budget), 0);
+        assert_eq!(claimed(budget), 0);
     }
 
     #[test]
     fn a_width_two_fan_out_on_a_free_budget_uses_the_caller_and_one_helper() {
-        let budget = CoreBudget::new(4);
-        let arrived = AtomicUsize::new(0);
+        let budget = private_budget(4);
+        let arrived = Mutex::default();
         let items: Vec<usize> = (0..8).collect();
         let mut states = vec![(); 4];
-        let ids = fan_out(&budget, 2, &mut states, &items, |_, &i| {
+        let ids = fan_out(budget, 2, &mut states, &items, |_, &i| {
             if i < 2 {
-                rendezvous(&arrived, 2);
+                meet(&arrived, 2);
             }
             std::thread::current().id()
         });
         let ids: HashSet<_> = ids.into_iter().map(Result::unwrap).collect();
         assert_eq!(ids.len(), 2);
         assert!(ids.contains(&std::thread::current().id()));
-        assert_eq!(claimed(&budget), 0);
+        assert_eq!(claimed(budget), 0);
+    }
+
+    #[test]
+    fn an_executor_fans_out_onto_the_budget_its_thread_holds_a_core_of() {
+        let budget = private_budget(2);
+        let core = budget.hold();
+        let seen = Mutex::default();
+        let items: Vec<u64> = (0..16).collect();
+        let got = Executor::new(2).map(&items, |&x| {
+            meet(&seen, 2);
+            x * 2
+        });
+        assert_eq!(got, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(claimed(budget), 1);
+        drop(core);
+        assert_eq!(claimed(budget), 0);
     }
 
     #[test]
     fn claims_return_to_their_start_after_items_panic() {
-        let budget = CoreBudget::new(2);
+        let budget = private_budget(2);
         let items: Vec<u64> = (0..64).collect();
         let mut states = vec![(); 2];
-        let results = fan_out(&budget, 2, &mut states, &items, |_, &x| {
+        let results = fan_out(budget, 2, &mut states, &items, |_, &x| {
             assert!(x % 3 != 0, "boom");
             x
         });
         assert_eq!(results.iter().filter(|r| r.is_err()).count(), 22);
-        assert_eq!(claimed(&budget), 0);
+        assert_eq!(claimed(budget), 0);
         // A held core is released when its holder unwinds.
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _core = budget.hold();
-            assert_eq!(claimed(&budget), 1);
+            assert_eq!(claimed(budget), 1);
             panic!("boom");
         }));
         assert!(unwound.is_err());
-        assert_eq!(claimed(&budget), 0);
-        assert!(!HOLDS_CORE.get());
+        assert_eq!(claimed(budget), 0);
+        assert!(HELD.get().is_none());
     }
 
     #[test]
     fn threads_running_items_never_exceed_the_capacity() {
-        let budget = CoreBudget::new(3);
+        let budget = private_budget(3);
         let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let outer: Vec<usize> = (0..8).collect();
         let mut outer_states = vec![(); 8];
-        fan_out(&budget, 8, &mut outer_states, &outer, |_, _| {
+        fan_out(budget, 8, &mut outer_states, &outer, |_, _| {
             let mut states = vec![(); 8];
-            fan_out(&budget, 8, &mut states, &[0u8; 8], |_, _| {
+            fan_out(budget, 8, &mut states, &[0u8; 8], |_, _| {
                 let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_micros(200));
@@ -642,6 +737,6 @@ mod tests {
         });
         let peak = peak.load(Ordering::SeqCst);
         assert!((1..=3).contains(&peak), "peak {peak}");
-        assert_eq!(claimed(&budget), 0);
+        assert_eq!(claimed(budget), 0);
     }
 }

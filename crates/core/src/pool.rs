@@ -214,6 +214,16 @@ mod tests {
     }
 
     #[test]
+    fn pool_on_idle_cores_runs_a_batch_on_two_threads_and_matches_serial() {
+        use crate::executor::testing::{private_budget, TwoThreadEnv};
+        let mut serial = PeakEnv::new(&[8], vec![3]);
+        let expected = serial.eval_batch(&batch(100));
+        let _core = private_budget(4).hold();
+        let mut pool = EnvPool::new(TwoThreadEnv::new(PeakEnv::new(&[8], vec![3])), 4);
+        assert_eq!(pool.eval_batch(&batch(100)), expected);
+    }
+
+    #[test]
     fn pool_reports_wrapped_env_metadata() {
         let mut pool = EnvPool::new(PeakEnv::new(&[8, 8], vec![1, 2]), 4);
         assert_eq!(pool.env_name(), "peak");

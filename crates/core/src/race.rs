@@ -929,6 +929,28 @@ mod tests {
     }
 
     #[test]
+    fn race_waves_on_idle_cores_run_on_two_threads_and_match_serial() {
+        use crate::executor::testing::{private_budget, TwoThreadEnv};
+        let env = PeakEnv::new(&[8, 8], vec![5, 1]);
+        let space = env.space().clone();
+        let serial = Race::new(180, 3)
+            .batch(8)
+            .run(roster(5, &space), env.clone())
+            .unwrap();
+        // Lanes share the wrapper's record of stepping threads, so the
+        // race finishes only if its lanes ran on two threads.
+        let _core = private_budget(4).hold();
+        let pooled = Race::new(180, 3)
+            .batch(8)
+            .jobs(4)
+            .run(roster(5, &space), TwoThreadEnv::new(env))
+            .unwrap();
+        assert_eq!(serial.reward_history, pooled.reward_history);
+        assert_eq!(serial.best_reward, pooled.best_reward);
+        assert_eq!(serial.winner, pooled.winner);
+    }
+
+    #[test]
     fn ensemble_votes_deterministically_and_fans_observations() {
         let env = PeakEnv::new(&[8, 8], vec![5, 1]);
         let space = env.space().clone();

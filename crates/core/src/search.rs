@@ -1197,6 +1197,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pooled_run_on_idle_cores_runs_on_two_threads_and_matches_serial() {
+        use crate::executor::testing::{private_budget, TwoThreadEnv};
+        let serial = {
+            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let mut agent = RandomWalker::new(env.space().clone(), 12);
+            SearchLoop::new(RunConfig::with_budget(128)).run(&mut agent, &mut env)
+        };
+        // The test thread's private budget has idle cores whatever else
+        // the process runs, so the pool fans out; the environment's
+        // steps finish only once they have run on two threads.
+        let _core = private_budget(4).hold();
+        let env = TwoThreadEnv::new(PeakEnv::new(&[16, 16], vec![5, 9]));
+        let mut agent = RandomWalker::new(env.space().clone(), 12);
+        let pooled =
+            SearchLoop::new(RunConfig::with_budget(128).jobs(4)).run_pooled(&mut agent, env);
+        assert_eq!(pooled.best_reward, serial.best_reward);
+        assert_eq!(pooled.best_action, serial.best_action);
+        assert_eq!(pooled.reward_history, serial.reward_history);
+        assert_eq!(pooled.dataset, serial.dataset);
+    }
+
     // --- proxy screening ---------------------------------------------------
 
     use crate::screen::ScreenPolicy;

@@ -579,6 +579,41 @@ mod tests {
     }
 
     #[test]
+    fn sweep_on_idle_cores_runs_on_two_threads_and_matches_serial() {
+        use crate::executor::testing::{meet, private_budget};
+        let seen = std::sync::Mutex::default();
+        let run_at = |jobs: usize| {
+            Sweep::new(RunConfig::with_budget(40))
+                .seeds([1, 2, 3])
+                .jobs(jobs)
+                .run(
+                    "rw",
+                    &peak_grid(),
+                    || {
+                        if jobs > 1 {
+                            meet(&seen, 2);
+                        }
+                        PeakEnv::new(&[9, 9], vec![4, 7])
+                    },
+                    |hyper, seed| {
+                        let offset = hyper.int("dummy")? as u64;
+                        Ok(RandomWalker::new(
+                            PeakEnv::new(&[9, 9], vec![4, 7]).space().clone(),
+                            seed + offset * 100,
+                        ))
+                    },
+                )
+                .unwrap()
+        };
+        let serial = run_at(1);
+        // The test thread's private budget has an idle core whatever else
+        // the process runs, and the first run starts only once a second
+        // thread has started one too.
+        let _core = private_budget(2).hold();
+        assert_points_identical(&serial, &run_at(2));
+    }
+
+    #[test]
     fn cached_sweep_is_point_identical_to_uncached() {
         let run = |cache: Option<Arc<EvalCache>>, jobs: usize| {
             let mut sweep = Sweep::new(RunConfig::with_budget(40))
@@ -619,12 +654,14 @@ mod tests {
 
     #[test]
     fn parallel_cached_sweep_reports_the_serial_cache_stats() {
+        use crate::executor::testing::{meet, private_budget};
         // Two runs on the same seed propose the same designs in the same
         // order, so at --jobs 2 they miss on each key at about the same
         // time. The later miss must wait for the first simulation and
         // count as a hit, exactly as the serial sweep's second run does.
         let stats_at = |jobs: usize| {
             let cache = Arc::new(EvalCache::new());
+            let seen = std::sync::Mutex::default();
             Sweep::new(RunConfig::with_budget(120))
                 .seeds([7, 7])
                 .jobs(jobs)
@@ -632,7 +669,13 @@ mod tests {
                 .run_assignments(
                     "rw",
                     &[HyperMap::new()],
-                    || PeakEnv::new(&[12, 12], vec![4, 7]),
+                    || {
+                        // The two runs start together, on two threads.
+                        if jobs > 1 {
+                            meet(&seen, 2);
+                        }
+                        PeakEnv::new(&[12, 12], vec![4, 7])
+                    },
                     |_hyper, seed| {
                         Ok(RandomWalker::new(
                             PeakEnv::new(&[12, 12], vec![4, 7]).space().clone(),
@@ -645,6 +688,9 @@ mod tests {
         };
         let serial = stats_at(1);
         assert_eq!(serial.inserts, serial.entries);
+        // A private budget has an idle core for the second run whatever
+        // else the process runs.
+        let _core = private_budget(2).hold();
         for rep in 0..20 {
             assert_eq!(stats_at(2), serial, "repetition {rep}");
         }
