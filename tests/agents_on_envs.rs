@@ -277,3 +277,36 @@ fn long_tabular_rl_on_farsi_matches_the_pinned_fingerprint() {
         "farsi/rl (tabular, 512 samples) reward history drifted from the pinned capture"
     );
 }
+
+#[test]
+fn ei_bo_on_farsi_matches_the_pinned_fingerprint() {
+    // 13 dimensions at a 0.25 length scale: most of each candidate pool
+    // sits near the GP prior, so it is the shape where acquisition
+    // pruning drops the most candidates.
+    let mut env = archgym::soc::SocEnv::new(archgym::soc::SocWorkload::EdgeDetection);
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &HyperMap::new(), &mut env, 128),
+        17691450867020103660,
+        "farsi/bo (ei) reward history drifted from the pinned capture"
+    );
+}
+
+#[test]
+fn falling_with_std_ucb_and_pi_bo_on_a_peak_match_the_pinned_fingerprints() {
+    // A negative κ makes UCB, and a negative ξ makes PI wherever the
+    // mean clears the incumbent, fall as the posterior std grows.
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
+    let ucb = HyperMap::new().with("acquisition", "ucb").with("kappa", -1.0);
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &ucb, &mut env, 128),
+        16946745360139226528,
+        "peak/bo (ucb, κ = -1) reward history drifted from the pinned capture"
+    );
+    let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
+    let pi = HyperMap::new().with("acquisition", "pi").with("xi", -1.0);
+    assert_eq!(
+        pinned_run(AgentKind::Bo, &pi, &mut env, 128),
+        4005172380056394508,
+        "peak/bo (pi, ξ = -1) reward history drifted from the pinned capture"
+    );
+}
