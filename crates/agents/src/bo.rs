@@ -22,7 +22,9 @@ use archgym_core::seeded_rng;
 use archgym_core::space::{Action, ParamSpace};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Jitter values tried before the surrogate is declared unusable: the
 /// noise variance, then ×10 per rung.
@@ -30,6 +32,58 @@ const JITTER_RUNGS: usize = 6;
 
 /// Candidates scored side by side in one forward substitution.
 const LANE: usize = 8;
+
+/// Rows of a block's forward substitution between two checks of its
+/// candidates' score bounds.
+const ROW_CHUNK: usize = 16;
+
+/// The posterior variance floor: no std falls below its square root.
+const VAR_FLOOR: f64 = 1e-12;
+
+/// Absolute slack on a score bound, per unit of the score's scale
+/// `1 + std + |mean − best − ξ|`: far above every rounding in `score`
+/// and every departure of the A&S `norm_cdf` from monotone (DESIGN.md,
+/// "Pruned acquisition").
+const BOUND_BAND: f64 = 1e-12;
+
+/// A multiply-rotate hasher for sets of designs. Neither `seen` nor a
+/// pool's first occurrences is ever iterated, so the hasher cannot
+/// change a proposal; it only skips SipHash's cost per probe.
+#[derive(Debug, Default, Clone, Copy)]
+struct DesignHasher(u64);
+
+impl DesignHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for DesignHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The splitmix64 finalizer: the set's buckets take the low bits,
+        // which the multiply alone leaves poorly mixed.
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+type DesignSet<T> = HashSet<T, BuildHasherDefault<DesignHasher>>;
 
 /// Acquisition functions for [`BayesOpt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +161,7 @@ pub struct BayesOpt {
     max_history: usize,
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
-    seen: HashSet<Vec<usize>>,
+    seen: DesignSet<Vec<usize>>,
     /// Kernel matrix over `xs`, packed by rows: row `i` holds
     /// `k(xs[i], xs[j])` for `j ≤ i`, at offset `i·(i+1)/2`.
     kernel_rows: Vec<f64>,
@@ -120,6 +174,20 @@ pub struct BayesOpt {
     rung: usize,
     /// Scratch `[row][candidate]` block reused across proposals.
     lanes: Vec<[f64; LANE]>,
+    #[cfg(test)]
+    pruning: PruneStats,
+}
+
+/// What pruned scoring skipped, so tests can tell the fast path ran.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct PruneStats {
+    /// Candidates scored, and history rows a full solve of each takes.
+    candidates: usize,
+    full_rows: usize,
+    /// Candidates dropped on a bound, and candidate-rows solved.
+    dropped: usize,
+    solved_rows: usize,
 }
 
 impl BayesOpt {
@@ -159,12 +227,14 @@ impl BayesOpt {
             max_history: 192,
             xs: Vec::new(),
             ys: Vec::new(),
-            seen: HashSet::new(),
+            seen: DesignSet::default(),
             kernel_rows: Vec::new(),
             chol: GrowingCholesky::new(),
             jitter: noise_var,
             rung: 0,
             lanes: Vec::new(),
+            #[cfg(test)]
+            pruning: PruneStats::default(),
         }
     }
 
@@ -252,55 +322,198 @@ impl BayesOpt {
         })
     }
 
-    /// Posterior `(mean, std)` at each of `xs`, [`LANE`] candidates per
-    /// block: their cross-kernel laid out `[history row][candidate]`
-    /// and solved in one forward substitution.
-    ///
-    /// Each candidate's sums run in history order from `-0.0`, as
-    /// `Iterator::sum` does, so every result is bit-equal to scoring the
-    /// candidate alone.
-    fn posterior(&mut self, fit: &GpFit, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let mut lanes = std::mem::take(&mut self.lanes);
-        lanes.resize(self.xs.len(), [0.0; LANE]);
-        // The block's coordinates, `[dimension][candidate]`.
-        let mut coords = vec![[0.0; LANE]; self.space.len()];
-        let mut out = Vec::with_capacity(xs.len());
-        for block in xs.chunks(LANE) {
-            for (c, x) in block.iter().enumerate() {
-                for (column, &v) in coords.iter_mut().zip(x) {
-                    column[c] = v;
-                }
+    /// The posterior std left after subtracting `sq`, a sum of squares of
+    /// solved rows, from the prior variance.
+    fn std_of(&self, sq: f64) -> f64 {
+        (self.signal_var - sq).max(VAR_FLOOR).sqrt()
+    }
+
+    /// The kernel between history point `xi` and each candidate of a
+    /// block laid out `[dimension][candidate]`: per candidate, the terms
+    /// of `sq_dist` summed in dimension order from `-0.0`.
+    fn kernel_lane(&self, xi: &[f64], coords: &[[f64; LANE]]) -> [f64; LANE] {
+        let mut d = [-0.0; LANE];
+        for (&x, column) in xi.iter().zip(coords) {
+            for c in 0..LANE {
+                let diff = x - column[c];
+                d[c] += diff * diff;
             }
+        }
+        let mut k = [0.0; LANE];
+        for c in 0..LANE {
+            k[c] = self.kernel_at(d[c]);
+        }
+        k
+    }
+
+    /// Lay out candidates `block` of `xs` (coordinates back to back)
+    /// `[dimension][candidate]`.
+    fn transpose(&self, xs: &[f64], block: impl Iterator<Item = usize>) -> Vec<[f64; LANE]> {
+        let dims = self.space.len();
+        let mut coords = vec![[0.0; LANE]; dims];
+        for (c, i) in block.enumerate() {
+            for (column, &v) in coords.iter_mut().zip(&xs[i * dims..][..dims]) {
+                column[c] = v;
+            }
+        }
+        coords
+    }
+
+    /// Pass 1 of scoring: each candidate's posterior mean and its
+    /// largest kernel value against the history, [`LANE`] candidates per
+    /// block. Each mean is summed in history order from `-0.0`, as
+    /// `Iterator::sum` does, so it is bit-equal to scoring the candidate
+    /// alone.
+    fn means(&self, fit: &GpFit, xs: &[f64]) -> Vec<(f64, f64)> {
+        let count = xs.len() / self.space.len().max(1);
+        let mut out = Vec::with_capacity(count);
+        for start in (0..count).step_by(LANE) {
+            let len = LANE.min(count - start);
+            let coords = self.transpose(xs, start..start + len);
             let mut mean = [-0.0; LANE];
-            for ((lane, xi), a) in lanes.iter_mut().zip(&self.xs).zip(&fit.alpha) {
-                // `sq_dist` for the whole block: per candidate, the same
-                // terms summed in dimension order from -0.0.
-                let mut d = [-0.0; LANE];
-                for (&x, column) in xi.iter().zip(&coords) {
-                    for c in 0..LANE {
-                        let diff = x - column[c];
-                        d[c] += diff * diff;
-                    }
-                }
+            let mut nearest = [0.0f64; LANE];
+            for (xi, a) in self.xs.iter().zip(&fit.alpha) {
+                let k = self.kernel_lane(xi, &coords);
                 for c in 0..LANE {
-                    lane[c] = self.kernel_at(d[c]);
-                    mean[c] += lane[c] * a;
+                    mean[c] += k[c] * a;
+                    nearest[c] = nearest[c].max(k[c]);
                 }
             }
-            self.chol.solve_lower_lanes(&mut lanes);
-            let mut sq = [-0.0; LANE];
-            for lane in &lanes {
+            out.extend(mean.into_iter().zip(nearest).take(len));
+        }
+        out
+    }
+
+    /// Pass 2 of scoring: the posterior std of each `(candidate, mean)`
+    /// of `block`, or `None` once the candidate's score bound fell
+    /// strictly below `threshold`.
+    ///
+    /// The block's cross-kernel is recomputed, laid out `[history
+    /// row][candidate]`, and solved [`ROW_CHUNK`] rows at a time. Sums of
+    /// squares of nonnegative terms never decrease, so each partial sum
+    /// gives an upper bound on the std; the full sums run in row order
+    /// from `-0.0`, so every std returned is bit-equal to a lone
+    /// `solve_lower`'s.
+    fn stds(
+        &mut self,
+        fit: &GpFit,
+        xs: &[f64],
+        block: &[(usize, f64)],
+        threshold: f64,
+    ) -> [Option<f64>; LANE] {
+        let coords = self.transpose(xs, block.iter().map(|&(i, _)| i));
+        let mut lanes = std::mem::take(&mut self.lanes);
+        lanes.clear();
+        lanes.extend(self.xs.iter().map(|xi| self.kernel_lane(xi, &coords)));
+        let n = lanes.len();
+        let mut sq = [-0.0; LANE];
+        let mut live = [false; LANE];
+        live[..block.len()].fill(true);
+        let mut start = 0;
+        while start < n && live.contains(&true) {
+            let end = n.min(start + ROW_CHUNK);
+            self.chol.solve_lower_lanes_rows(&mut lanes, start..end);
+            for lane in &lanes[start..end] {
                 for c in 0..LANE {
                     sq[c] += lane[c] * lane[c];
                 }
             }
-            for c in 0..block.len() {
-                let var = (self.signal_var - sq[c]).max(1e-12);
-                out.push((mean[c], var.sqrt()));
+            #[cfg(test)]
+            {
+                self.pruning.solved_rows += (end - start) * block.len();
+            }
+            start = end;
+            if start < n {
+                for (c, &(_, mean)) in block.iter().enumerate() {
+                    if live[c] && self.score_bound(fit, mean, self.std_of(sq[c])) < threshold {
+                        live[c] = false;
+                        #[cfg(test)]
+                        {
+                            self.pruning.dropped += 1;
+                        }
+                    }
+                }
             }
         }
         self.lanes = lanes;
+        let mut out = [None; LANE];
+        for c in 0..LANE {
+            if live[c] {
+                out[c] = Some(self.std_of(sq[c]));
+            }
+        }
         out
+    }
+
+    /// Indices of the `batch` best-scoring candidates of `xs`
+    /// (coordinates back to back), best first, ties in pool order.
+    ///
+    /// Filter then verify: every mean is exact after pass 1, and a
+    /// candidate is solved only while [`score_bound`](Self::score_bound)
+    /// keeps it at or above the `batch`-th best exact score so far. A
+    /// candidate dropped strictly below that score has `batch` better
+    /// ones, so the result is, bit for bit, that of scoring them all.
+    fn best_candidates(&mut self, fit: &GpFit, xs: &[f64], batch: usize) -> Vec<usize> {
+        let means = self.means(fit, xs);
+        // Visit likely winners first, so the threshold rises early: each
+        // candidate scored at its std conditioned on its nearest history
+        // point alone.
+        let guess: Vec<f64> = means
+            .iter()
+            .map(|&(mean, nearest)| {
+                let var = self.signal_var - nearest * nearest / (self.signal_var + self.jitter);
+                self.score(fit, mean, var.max(VAR_FLOOR).sqrt())
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..means.len()).collect();
+        order.sort_by(|&a, &b| guess[b].total_cmp(&guess[a]));
+        #[cfg(test)]
+        {
+            self.pruning.candidates += means.len();
+            self.pruning.full_rows += means.len() * self.xs.len();
+        }
+        let prior = self.std_of(-0.0);
+        let mut best: Vec<(f64, usize)> = Vec::with_capacity(batch + 1);
+        let mut block = Vec::with_capacity(LANE);
+        let mut rest = order.iter().peekable();
+        while let Some(&i) = rest.next() {
+            let threshold = if best.len() == batch {
+                best[batch - 1].0
+            } else {
+                f64::NEG_INFINITY
+            };
+            let mean = means[i].0;
+            if self.score_bound(fit, mean, prior) < threshold {
+                #[cfg(test)]
+                {
+                    self.pruning.dropped += 1;
+                }
+            } else {
+                block.push((i, mean));
+            }
+            if block.len() == LANE || (rest.peek().is_none() && !block.is_empty()) {
+                let stds = self.stds(fit, xs, &block, threshold);
+                for ((i, mean), std) in block.drain(..).zip(stds) {
+                    let Some(std) = std else { continue };
+                    let score = self.score(fit, mean, std);
+                    let at = best
+                        .iter()
+                        .position(
+                            |&(s, j)| match score.partial_cmp(&s).expect("NaN acquisition") {
+                                Ordering::Greater => true,
+                                Ordering::Equal => i < j,
+                                Ordering::Less => false,
+                            },
+                        )
+                        .unwrap_or(best.len());
+                    if at < batch {
+                        best.insert(at, (score, i));
+                        best.truncate(batch);
+                    }
+                }
+            }
+        }
+        best.into_iter().map(|(_, i)| i).collect()
     }
 
     fn score(&self, fit: &GpFit, mean: f64, std: f64) -> f64 {
@@ -317,11 +530,31 @@ impl BayesOpt {
         }
     }
 
-    fn candidate_pool(&mut self) -> Vec<Action> {
-        let mut pool = Vec::with_capacity(self.candidates);
+    /// An upper bound on [`score`](Self::score) at `mean` for every std
+    /// from the floor up to `std_up`.
+    ///
+    /// EI rises with the std, and so do UCB with `κ ≥ 0` and PI where the
+    /// mean falls short of `best + ξ`; UCB with `κ < 0` and PI past
+    /// `best + ξ` fall, so they are bounded at the floor. [`BOUND_BAND`]
+    /// covers the rounding.
+    fn score_bound(&self, fit: &GpFit, mean: f64, std_up: f64) -> f64 {
+        let gain = mean - fit.best_std - self.xi;
+        let falls = match self.acquisition {
+            Acquisition::Ei => false,
+            Acquisition::Ucb => self.kappa < 0.0,
+            Acquisition::Pi => gain > 0.0,
+        };
+        let std = if falls { VAR_FLOOR.sqrt() } else { std_up };
+        self.score(fit, mean, std) + BOUND_BAND * (1.0 + std_up + gain.abs())
+    }
+
+    /// The candidate pool's designs, back to back.
+    fn candidate_pool(&mut self) -> Vec<usize> {
+        let dims = self.space.len();
+        let mut pool = Vec::with_capacity(self.candidates * dims);
         let n_random = self.candidates * 3 / 4;
         for _ in 0..n_random {
-            pool.push(self.space.sample(&mut self.rng));
+            self.space.sample_into(&mut self.rng, &mut pool);
         }
         // Local perturbations of the incumbent best.
         if let Some(best_idx) = self
@@ -333,11 +566,11 @@ impl BayesOpt {
         {
             let base = self.space.denormalize(&self.xs[best_idx]);
             let cards = self.space.cardinalities();
-            while pool.len() < self.candidates {
-                let mut genes = base.as_slice().to_vec();
-                let d = self.rng.gen_range(0..genes.len());
-                genes[d] = self.rng.gen_range(0..cards[d]);
-                pool.push(Action::new(genes));
+            while pool.len() < self.candidates * dims {
+                let genes = pool.len();
+                pool.extend_from_slice(base.as_slice());
+                let d = self.rng.gen_range(0..dims);
+                pool[genes + d] = self.rng.gen_range(0..cards[d]);
             }
         }
         pool
@@ -393,26 +626,23 @@ impl Agent for BayesOpt {
             return vec![self.space.sample(&mut self.rng)];
         };
         // Seen designs are never proposed and a repeat scores exactly as
-        // its first occurrence, which the stable sort below ranks first;
-        // so only first occurrences of unseen designs need scoring.
-        let mut first = HashSet::with_capacity(self.candidates);
-        let pool: Vec<Action> = self
-            .candidate_pool()
+        // its first occurrence, which ranks first among equal scores; so
+        // only first occurrences of unseen designs need scoring.
+        let pool = self.candidate_pool();
+        let dims = self.space.len();
+        let mut first = DesignSet::with_capacity_and_hasher(self.candidates, Default::default());
+        let mut designs: Vec<&[usize]> = Vec::with_capacity(self.candidates);
+        let mut xs = Vec::with_capacity(pool.len());
+        for design in pool.chunks_exact(dims.max(1)) {
+            if !self.seen.contains(design) && first.insert(design) {
+                designs.push(design);
+                self.space.normalize_into(design, &mut xs);
+            }
+        }
+        let mut out: Vec<Action> = self
+            .best_candidates(&fit, &xs, max_batch.clamp(1, 4))
             .into_iter()
-            .filter(|a| !self.seen.contains(a.as_slice()) && first.insert(a.clone()))
-            .collect();
-        let xs: Vec<Vec<f64>> = pool.iter().map(|a| self.space.normalize(a)).collect();
-        let mut scored: Vec<(f64, Action)> = self
-            .posterior(&fit, &xs)
-            .into_iter()
-            .zip(pool)
-            .map(|((mean, std), a)| (self.score(&fit, mean, std), a))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN acquisition"));
-        let mut out: Vec<Action> = scored
-            .into_iter()
-            .take(max_batch.clamp(1, 4))
-            .map(|(_, a)| a)
+            .map(|i| Action::new(designs[i].to_vec()))
             .collect();
         if out.is_empty() {
             out.push(self.space.sample(&mut self.rng));
@@ -500,8 +730,9 @@ mod tests {
         };
         let pool = bo.candidate_pool();
         let mut scored: Vec<(f64, Action)> = pool
-            .into_iter()
-            .map(|a| {
+            .chunks(bo.space.len())
+            .map(|genes| {
+                let a = Action::new(genes.to_vec());
                 let x = bo.space.normalize(&a);
                 let (mean, std) = dense_predict(bo, &chol, &fit, &x);
                 (bo.score(&fit, mean, std), a)
@@ -524,16 +755,37 @@ mod tests {
         out
     }
 
+    impl BayesOpt {
+        /// Every candidate's posterior `(mean, std)`, through the pruned
+        /// path's two passes with nothing dropped.
+        fn posterior(&mut self, fit: &GpFit, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+            let flat = xs.concat();
+            let means = self.means(fit, &flat);
+            let mut out = Vec::with_capacity(xs.len());
+            for (b, block) in means.chunks(LANE).enumerate() {
+                let block: Vec<(usize, f64)> = block
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &(mean, _))| (b * LANE + c, mean))
+                    .collect();
+                let stds = self.stds(fit, &flat, &block, f64::NEG_INFINITY);
+                out.extend(
+                    block
+                        .iter()
+                        .zip(stds)
+                        .map(|(&(_, mean), std)| (mean, std.expect("never dropped"))),
+                );
+            }
+            out
+        }
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Drive a production agent and a twin proposing through the dense
-    /// oracle over the same history, asserting after every observe that
-    /// the grown factor, `alpha`, candidate posteriors and proposed batch
-    /// all equal the oracle's to the bit. Returns how many fits the
-    /// oracle found unusable.
-    #[allow(clippy::too_many_arguments)]
+    /// [`check_twins_against_dense`] for a 64-candidate agent with the
+    /// default κ and ξ.
     fn check_against_dense(
         cards: &[usize],
         noise: f64,
@@ -558,6 +810,20 @@ mod tests {
             bo.max_history = max_history;
             bo
         };
+        check_twins_against_dense(make, rounds, max_obs, seed)
+    }
+
+    /// Drive a production agent and a twin proposing through the dense
+    /// oracle over the same history, both built by `make`, asserting
+    /// after every observe that the grown factor, `alpha`, candidate
+    /// posteriors and proposed batch all equal the oracle's to the bit.
+    /// Returns how many fits the oracle found unusable.
+    fn check_twins_against_dense(
+        make: impl Fn() -> BayesOpt,
+        rounds: usize,
+        max_obs: usize,
+        seed: u64,
+    ) -> usize {
         let (mut fast, mut oracle) = (make(), make());
         let mut rng = archgym_core::seeded_rng(seed ^ 0x5eed);
         let mut unusable = 0;
@@ -657,6 +923,115 @@ mod tests {
             seed in 0u64..1_000_000,
         ) {
             check_against_dense(&[6, 6, 6], 1e-4, Acquisition::Ei, max_history, 24, 4, seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn prop_high_dim_pools_match_the_dense_oracle(
+            dims in 8usize..16,
+            acq in 0usize..3,
+            kappa in 0usize..4,
+            xi in 0usize..3,
+            capped in 0usize..2,
+            cap in 16usize..48,
+            seed in 0u64..1_000_000,
+        ) {
+            // The pruning regime: 256 candidates in 8–15 dimensions sit
+            // mostly near the GP prior, so most are dropped on a bound.
+            // Negative κ and ξ make UCB and PI fall as the std grows.
+            let acquisition = [Acquisition::Ei, Acquisition::Ucb, Acquisition::Pi][acq];
+            let kappa = [-1.0, 0.0, 2.0, 4.0][kappa];
+            let xi = [-1.0, 0.01, 1.0][xi];
+            let make = || {
+                let mut bo =
+                    BayesOpt::new(space(&vec![16; dims]), 0.25, 1e-4, acquisition, kappa, xi, 8, 256, seed);
+                if capped == 1 {
+                    bo.max_history = cap;
+                }
+                bo
+            };
+            // About 130 rows after 52 rounds of up to four observations.
+            check_twins_against_dense(make, 52, 4, seed);
+        }
+    }
+
+    #[test]
+    fn pruning_drops_most_candidates_on_a_high_dim_pool() {
+        let mut env = PeakEnv::new(&[16; 13], vec![3, 9, 0, 15, 7, 7, 2, 11, 5, 1, 14, 8, 6]);
+        let mut bo = BayesOpt::with_defaults(env.space().clone(), 7);
+        SearchLoop::new(RunConfig::with_budget(128).batch(0)).run(&mut bo, &mut env);
+        let p = &bo.pruning;
+        assert!(p.candidates > 0, "no guided proposal scored");
+        assert!(
+            p.dropped * 2 > p.candidates,
+            "only {} of {} candidates dropped",
+            p.dropped,
+            p.candidates
+        );
+        assert!(
+            p.solved_rows * 2 < p.full_rows,
+            "{} candidate-rows solved of {}",
+            p.solved_rows,
+            p.full_rows
+        );
+    }
+
+    /// A [`GpFit`] with only the incumbent set, for scoring alone.
+    fn incumbent(best_std: f64) -> GpFit {
+        GpFit {
+            alpha: Vec::new(),
+            y_mean: 0.0,
+            y_std: 1.0,
+            best_std,
+        }
+    }
+
+    #[test]
+    fn norm_cdf_is_monotone_on_a_fine_grid() {
+        let mut last = norm_cdf(-40.0);
+        for i in 1..=800_000 {
+            let x = -40.0 + f64::from(i) * 1e-4;
+            let y = norm_cdf(x);
+            assert!(y >= last, "norm_cdf({x}) = {y} fell below {last}");
+            last = y;
+        }
+    }
+
+    #[test]
+    fn score_bounds_cover_every_smaller_std() {
+        let mut rng = archgym_core::seeded_rng(11);
+        let floor = VAR_FLOOR.sqrt();
+        for acq in [Acquisition::Ei, Acquisition::Ucb, Acquisition::Pi] {
+            for (kappa, xi) in [(-1.0, -1.0), (0.0, 0.0), (2.0, 0.01), (4.0, 1.0)] {
+                let bo = BayesOpt::new(space(&[4]), 0.25, 1e-4, acq, kappa, xi, 1, 1, 0);
+                let fit = incumbent(rng.gen_range(-2.0..3.0));
+                for draw in 0..20_000 {
+                    // Stds log-uniform from the floor to the prior, some
+                    // pairs one ulp apart, some at the floor itself.
+                    let hi = floor * 1e6f64.powf(rng.gen_range(0.0..1.0));
+                    let lo = match draw % 4 {
+                        0 => f64::from_bits(hi.to_bits() - 1).max(floor),
+                        1 => floor,
+                        _ => hi * rng.gen_range(0.0..1.0f64).max(floor / hi),
+                    };
+                    // Gains up to ±40 stds, and deep in EI's tail, where
+                    // γΦ(γ) + φ(γ) cancels below γ = −8.
+                    let gain = if draw % 3 == 0 {
+                        -hi * rng.gen_range(8.0..40.0)
+                    } else {
+                        hi * rng.gen_range(-40.0..40.0)
+                    };
+                    let mean = fit.best_std + xi + gain;
+                    let (bound, score) = (bo.score_bound(&fit, mean, hi), bo.score(&fit, mean, lo));
+                    assert!(
+                        bound >= score,
+                        "{acq:?} κ {kappa} ξ {xi}: bound {bound} at std {hi} below score {score} at std {lo}, mean {mean}"
+                    );
+                }
+            }
         }
     }
 

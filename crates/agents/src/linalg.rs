@@ -149,8 +149,25 @@ impl GrowingCholesky {
     ///
     /// Panics if `lanes.len() != self.rows()`.
     pub fn solve_lower_lanes<const W: usize>(&self, lanes: &mut [[f64; W]]) {
+        self.solve_lower_lanes_rows(lanes, 0..self.rows);
+    }
+
+    /// Rows `rows` of [`solve_lower_lanes`](Self::solve_lower_lanes),
+    /// given rows `..rows.start` already solved: solving `0..a`, then
+    /// `a..b`, then `b..n` is, bit for bit, solving `0..n` at once, and
+    /// leaves each row solved as soon as its range returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len() != self.rows()` or `rows` ends past it.
+    pub fn solve_lower_lanes_rows<const W: usize>(
+        &self,
+        lanes: &mut [[f64; W]],
+        rows: std::ops::Range<usize>,
+    ) {
         assert_eq!(lanes.len(), self.rows, "dimension mismatch");
-        for i in 0..self.rows {
+        assert!(rows.end <= self.rows, "rows {rows:?} out of bounds");
+        for i in rows {
             let li = self.row(i);
             let (solved, rest) = lanes.split_at_mut(i);
             let mut acc = rest[0];
@@ -491,7 +508,17 @@ mod tests {
                 let mut lanes: Vec<[f64; 3]> = (0..n)
                     .map(|i| [b[i], (i as f64).cos(), -(i as f64)])
                     .collect();
+                let mut chunked = lanes.clone();
                 grown.solve_lower_lanes(&mut lanes);
+                // Row ranges solved one after another, as pruned BO
+                // scoring does, give the same block to the bit.
+                let mut start = 0;
+                for end in [n / 3, n / 2, n] {
+                    grown.solve_lower_lanes_rows(&mut chunked, start..end.max(start));
+                    start = end.max(start);
+                }
+                let block_bits = |b: &[[f64; 3]]| b.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(block_bits(&chunked), block_bits(&lanes));
                 for c in 0..3 {
                     let column: Vec<f64> = (0..n)
                         .map(|i| [b[i], (i as f64).cos(), -(i as f64)][c])

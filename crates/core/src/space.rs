@@ -476,12 +476,19 @@ impl ParamSpace {
 
     /// Draw a uniformly random action.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Action {
-        Action(
+        let mut indices = Vec::with_capacity(self.params.len());
+        self.sample_into(rng, &mut indices);
+        Action(indices)
+    }
+
+    /// [`ParamSpace::sample`] appending the indices to `out`: the same
+    /// draws in the same order, without an allocation per action.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<usize>) {
+        out.extend(
             self.params
                 .iter()
-                .map(|p| rng.gen_range(0..p.domain.cardinality()))
-                .collect(),
-        )
+                .map(|p| rng.gen_range(0..p.domain.cardinality())),
+        );
     }
 
     /// Map an action to the normalized unit hypercube `[0, 1]^d`.
@@ -490,18 +497,22 @@ impl ParamSpace {
     /// encoding used by the Bayesian-optimization surrogate and the proxy
     /// cost models.
     pub fn normalize(&self, action: &Action) -> Vec<f64> {
-        self.params
-            .iter()
-            .zip(action.iter())
-            .map(|(p, &idx)| {
-                let card = p.domain.cardinality();
-                if card <= 1 {
-                    0.5
-                } else {
-                    idx as f64 / (card - 1) as f64
-                }
-            })
-            .collect()
+        let mut point = Vec::with_capacity(self.params.len());
+        self.normalize_into(action.as_slice(), &mut point);
+        point
+    }
+
+    /// [`ParamSpace::normalize`] of raw indices, appending the
+    /// coordinates to `out`.
+    pub fn normalize_into(&self, indices: &[usize], out: &mut Vec<f64>) {
+        out.extend(self.params.iter().zip(indices).map(|(p, &idx)| {
+            let card = p.domain.cardinality();
+            if card <= 1 {
+                0.5
+            } else {
+                idx as f64 / (card - 1) as f64
+            }
+        }));
     }
 
     /// Inverse of [`ParamSpace::normalize`]: snap a unit-hypercube point to

@@ -296,7 +296,9 @@ fn falling_with_std_ucb_and_pi_bo_on_a_peak_match_the_pinned_fingerprints() {
     // A negative κ makes UCB, and a negative ξ makes PI wherever the
     // mean clears the incumbent, fall as the posterior std grows.
     let mut env = archgym::core::toy::PeakEnv::new(&[8, 8, 8, 8], vec![5, 2, 6, 1]);
-    let ucb = HyperMap::new().with("acquisition", "ucb").with("kappa", -1.0);
+    let ucb = HyperMap::new()
+        .with("acquisition", "ucb")
+        .with("kappa", -1.0);
     assert_eq!(
         pinned_run(AgentKind::Bo, &ucb, &mut env, 128),
         16946745360139226528,
