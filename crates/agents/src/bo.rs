@@ -552,10 +552,8 @@ impl BayesOpt {
     fn candidate_pool(&mut self) -> Vec<usize> {
         let dims = self.space.len();
         let mut pool = Vec::with_capacity(self.candidates * dims);
-        let n_random = self.candidates * 3 / 4;
-        for _ in 0..n_random {
-            self.space.sample_into(&mut self.rng, &mut pool);
-        }
+        self.space
+            .sample_into(&mut self.rng, self.candidates * 3 / 4, &mut pool);
         // Local perturbations of the incumbent best.
         if let Some(best_idx) = self
             .ys
@@ -631,18 +629,18 @@ impl Agent for BayesOpt {
         let pool = self.candidate_pool();
         let dims = self.space.len();
         let mut first = DesignSet::with_capacity_and_hasher(self.candidates, Default::default());
-        let mut designs: Vec<&[usize]> = Vec::with_capacity(self.candidates);
-        let mut xs = Vec::with_capacity(pool.len());
+        let mut unseen = Vec::with_capacity(pool.len());
         for design in pool.chunks_exact(dims.max(1)) {
             if !self.seen.contains(design) && first.insert(design) {
-                designs.push(design);
-                self.space.normalize_into(design, &mut xs);
+                unseen.extend_from_slice(design);
             }
         }
+        let mut xs = Vec::with_capacity(unseen.len());
+        self.space.normalize_into(&unseen, &mut xs);
         let mut out: Vec<Action> = self
             .best_candidates(&fit, &xs, max_batch.clamp(1, 4))
             .into_iter()
-            .map(|i| Action::new(designs[i].to_vec()))
+            .map(|i| Action::new(unseen[i * dims..][..dims].to_vec()))
             .collect();
         if out.is_empty() {
             out.push(self.space.sample(&mut self.rng));

@@ -312,6 +312,16 @@ impl fmt::Display for Action {
     }
 }
 
+/// Index `idx` of a domain with `card` values on `[0, 1]`; a lone value
+/// maps to `0.5`.
+fn unit_coordinate(idx: usize, card: usize) -> f64 {
+    if card <= 1 {
+        0.5
+    } else {
+        idx as f64 / (card - 1) as f64
+    }
+}
+
 /// A finite Cartesian design space: an ordered list of named domains.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParamSpace {
@@ -476,19 +486,22 @@ impl ParamSpace {
 
     /// Draw a uniformly random action.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Action {
-        let mut indices = Vec::with_capacity(self.params.len());
-        self.sample_into(rng, &mut indices);
-        Action(indices)
-    }
-
-    /// [`ParamSpace::sample`] appending the indices to `out`: the same
-    /// draws in the same order, without an allocation per action.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<usize>) {
-        out.extend(
+        Action(
             self.params
                 .iter()
-                .map(|p| rng.gen_range(0..p.domain.cardinality())),
-        );
+                .map(|p| rng.gen_range(0..p.domain.cardinality()))
+                .collect(),
+        )
+    }
+
+    /// Append the indices of `count` random actions to `out`, back to
+    /// back: the draws `count` calls of [`ParamSpace::sample`] make, in
+    /// the same order, with one allocation in all.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, count: usize, out: &mut Vec<usize>) {
+        let cards = self.cardinalities();
+        for _ in 0..count {
+            out.extend(cards.iter().map(|&card| rng.gen_range(0..card)));
+        }
     }
 
     /// Map an action to the normalized unit hypercube `[0, 1]^d`.
@@ -497,22 +510,25 @@ impl ParamSpace {
     /// encoding used by the Bayesian-optimization surrogate and the proxy
     /// cost models.
     pub fn normalize(&self, action: &Action) -> Vec<f64> {
-        let mut point = Vec::with_capacity(self.params.len());
-        self.normalize_into(action.as_slice(), &mut point);
-        point
+        self.params
+            .iter()
+            .zip(action.iter())
+            .map(|(p, &idx)| unit_coordinate(idx, p.domain.cardinality()))
+            .collect()
     }
 
-    /// [`ParamSpace::normalize`] of raw indices, appending the
-    /// coordinates to `out`.
+    /// [`ParamSpace::normalize`] of actions whose indices lie back to
+    /// back in `indices`, appending their coordinates to `out`.
     pub fn normalize_into(&self, indices: &[usize], out: &mut Vec<f64>) {
-        out.extend(self.params.iter().zip(indices).map(|(p, &idx)| {
-            let card = p.domain.cardinality();
-            if card <= 1 {
-                0.5
-            } else {
-                idx as f64 / (card - 1) as f64
-            }
-        }));
+        let cards = self.cardinalities();
+        for action in indices.chunks_exact(cards.len().max(1)) {
+            out.extend(
+                action
+                    .iter()
+                    .zip(&cards)
+                    .map(|(&idx, &card)| unit_coordinate(idx, card)),
+            );
+        }
     }
 
     /// Inverse of [`ParamSpace::normalize`]: snap a unit-hypercube point to
@@ -762,6 +778,22 @@ mod tests {
         let point = space.normalize(&action);
         assert_eq!(point, vec![1.0, 0.0, 1.0]);
         assert_eq!(space.denormalize(&point), action);
+    }
+
+    #[test]
+    fn batched_sample_and_normalize_match_one_action_at_a_time() {
+        let s = small_space();
+        let (mut one, mut many) = (seeded_rng(5), seeded_rng(5));
+        let actions: Vec<Action> = (0..20).map(|_| s.sample(&mut one)).collect();
+        let mut flat = Vec::new();
+        s.sample_into(&mut many, 20, &mut flat);
+        let want: Vec<usize> = actions.iter().flat_map(|a| a.iter().copied()).collect();
+        assert_eq!(flat, want);
+        assert_eq!(one.gen::<u64>(), many.gen::<u64>(), "rng streams diverged");
+        let mut xs = Vec::new();
+        s.normalize_into(&flat, &mut xs);
+        let want: Vec<f64> = actions.iter().flat_map(|a| s.normalize(a)).collect();
+        assert_eq!(xs, want);
     }
 
     #[test]
