@@ -24,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Jitter values tried before the surrogate is declared unusable: the
 /// noise variance, then ×10 per rung.
@@ -45,45 +44,6 @@ const VAR_FLOOR: f64 = 1e-12;
 /// and every departure of the A&S `norm_cdf` from monotone (DESIGN.md,
 /// "Pruned acquisition").
 const BOUND_BAND: f64 = 1e-12;
-
-/// A multiply-rotate hasher for sets of designs. Neither `seen` nor a
-/// pool's first occurrences is ever iterated, so the hasher cannot
-/// change a proposal; it only skips SipHash's cost per probe.
-#[derive(Debug, Default, Clone, Copy)]
-struct DesignHasher(u64);
-
-impl DesignHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for DesignHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The splitmix64 finalizer: the set's buckets take the low bits,
-        // which the multiply alone leaves poorly mixed.
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-type DesignSet<T> = HashSet<T, BuildHasherDefault<DesignHasher>>;
 
 /// Acquisition functions for [`BayesOpt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +121,7 @@ pub struct BayesOpt {
     max_history: usize,
     xs: Vec<Vec<f64>>,
     ys: Vec<f64>,
-    seen: DesignSet<Vec<usize>>,
+    seen: HashSet<Vec<usize>>,
     /// Kernel matrix over `xs`, packed by rows: row `i` holds
     /// `k(xs[i], xs[j])` for `j ≤ i`, at offset `i·(i+1)/2`.
     kernel_rows: Vec<f64>,
@@ -227,7 +187,7 @@ impl BayesOpt {
             max_history: 192,
             xs: Vec::new(),
             ys: Vec::new(),
-            seen: DesignSet::default(),
+            seen: HashSet::new(),
             kernel_rows: Vec::new(),
             chol: GrowingCholesky::new(),
             jitter: noise_var,
@@ -628,7 +588,7 @@ impl Agent for BayesOpt {
         // only first occurrences of unseen designs need scoring.
         let pool = self.candidate_pool();
         let dims = self.space.len();
-        let mut first = DesignSet::with_capacity_and_hasher(self.candidates, Default::default());
+        let mut first = HashSet::with_capacity(self.candidates);
         let mut unseen = Vec::with_capacity(pool.len());
         for design in pool.chunks_exact(dims.max(1)) {
             if !self.seen.contains(design) && first.insert(design) {

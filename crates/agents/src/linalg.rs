@@ -137,25 +137,16 @@ impl GrowingCholesky {
         self.solve_upper(&self.solve_lower(b))
     }
 
-    /// Solve `L·X = B` in place for `W` right-hand sides at once, laid out
-    /// `[row][column]`: on return `lanes[i][c]` holds `X[i][c]`.
+    /// Rows `rows` of `L·X = B`, solved in place for `W` right-hand sides
+    /// at once, laid out `[row][column]`, given rows `..rows.start`
+    /// already solved: on return `lanes[i][c]` holds `X[i][c]` for each
+    /// `i` in `rows`.
     ///
     /// Every column sees exactly the operation sequence of
     /// [`solve_lower`](Self::solve_lower), so each column of `X` is bit-equal
     /// to solving for it alone; the block only lets the `W` independent
-    /// columns share each load of `L` and run side by side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != self.rows()`.
-    pub fn solve_lower_lanes<const W: usize>(&self, lanes: &mut [[f64; W]]) {
-        self.solve_lower_lanes_rows(lanes, 0..self.rows);
-    }
-
-    /// Rows `rows` of [`solve_lower_lanes`](Self::solve_lower_lanes),
-    /// given rows `..rows.start` already solved: solving `0..a`, then
-    /// `a..b`, then `b..n` is, bit for bit, solving `0..n` at once, and
-    /// leaves each row solved as soon as its range returns.
+    /// columns share each load of `L` and run side by side. Solving `0..a`,
+    /// then `a..b`, then `b..n` is, bit for bit, solving `0..n` at once.
     ///
     /// # Panics
     ///
@@ -509,13 +500,13 @@ mod tests {
                     .map(|i| [b[i], (i as f64).cos(), -(i as f64)])
                     .collect();
                 let mut chunked = lanes.clone();
-                grown.solve_lower_lanes(&mut lanes);
+                grown.solve_lower_lanes_rows(&mut lanes, 0..n);
                 // Row ranges solved one after another, as pruned BO
                 // scoring does, give the same block to the bit.
                 let mut start = 0;
                 for end in [n / 3, n / 2, n] {
-                    grown.solve_lower_lanes_rows(&mut chunked, start..end.max(start));
-                    start = end.max(start);
+                    grown.solve_lower_lanes_rows(&mut chunked, start..end);
+                    start = end;
                 }
                 let block_bits = |b: &[[f64; 3]]| b.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(block_bits(&chunked), block_bits(&lanes));
