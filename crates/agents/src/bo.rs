@@ -93,6 +93,25 @@ fn norm_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf)
 }
 
+/// Insert candidate `i`, scoring `score`, into `best`: the `batch` best
+/// so far, highest score first, ties in index order.
+fn rank(best: &mut Vec<(f64, usize)>, batch: usize, score: f64, i: usize) {
+    let at = best
+        .iter()
+        .position(
+            |&(s, j)| match score.partial_cmp(&s).expect("NaN acquisition") {
+                Ordering::Greater => true,
+                Ordering::Equal => i < j,
+                Ordering::Less => false,
+            },
+        )
+        .unwrap_or(best.len());
+    if at < batch {
+        best.insert(at, (score, i));
+        best.truncate(batch);
+    }
+}
+
 /// The per-proposal part of the GP fit; the factor lives in the agent.
 struct GpFit {
     alpha: Vec<f64>,
@@ -142,11 +161,12 @@ pub struct BayesOpt {
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct PruneStats {
-    /// Candidates scored, and history rows a full solve of each takes.
+    /// Candidates in the pools, and those whose score was computed.
     candidates: usize,
+    scored: usize,
+    /// Candidate-rows a full solve of every candidate takes, and those
+    /// solved.
     full_rows: usize,
-    /// Candidates dropped on a bound, and candidate-rows solved.
-    dropped: usize,
     solved_rows: usize,
 }
 
@@ -319,27 +339,24 @@ impl BayesOpt {
         coords
     }
 
-    /// Pass 1 of scoring: each candidate's posterior mean and its
-    /// largest kernel value against the history, [`LANE`] candidates per
-    /// block. Each mean is summed in history order from `-0.0`, as
-    /// `Iterator::sum` does, so it is bit-equal to scoring the candidate
-    /// alone.
-    fn means(&self, fit: &GpFit, xs: &[f64]) -> Vec<(f64, f64)> {
+    /// Pass 1 of scoring: each candidate's posterior mean, [`LANE`]
+    /// candidates per block. Each mean is summed in history order from
+    /// `-0.0`, as `Iterator::sum` does, so it is bit-equal to scoring the
+    /// candidate alone.
+    fn means(&self, fit: &GpFit, xs: &[f64]) -> Vec<f64> {
         let count = xs.len() / self.space.len().max(1);
         let mut out = Vec::with_capacity(count);
         for start in (0..count).step_by(LANE) {
             let len = LANE.min(count - start);
             let coords = self.transpose(xs, start..start + len);
             let mut mean = [-0.0; LANE];
-            let mut nearest = [0.0f64; LANE];
             for (xi, a) in self.xs.iter().zip(&fit.alpha) {
                 let k = self.kernel_lane(xi, &coords);
                 for c in 0..LANE {
                     mean[c] += k[c] * a;
-                    nearest[c] = nearest[c].max(k[c]);
                 }
             }
-            out.extend(mean.into_iter().zip(nearest).take(len));
+            out.extend(&mean[..len]);
         }
         out
     }
@@ -387,10 +404,6 @@ impl BayesOpt {
                 for (c, &(_, mean)) in block.iter().enumerate() {
                     if live[c] && self.score_bound(fit, mean, self.std_of(sq[c])) < threshold {
                         live[c] = false;
-                        #[cfg(test)]
-                        {
-                            self.pruning.dropped += 1;
-                        }
                     }
                 }
             }
@@ -415,65 +428,57 @@ impl BayesOpt {
     /// ones, so the result is, bit for bit, that of scoring them all.
     fn best_candidates(&mut self, fit: &GpFit, xs: &[f64], batch: usize) -> Vec<usize> {
         let means = self.means(fit, xs);
-        // Visit likely winners first, so the threshold rises early: each
-        // candidate scored at its std conditioned on its nearest history
-        // point alone.
-        let guess: Vec<f64> = means
+        // Visit candidates by their bound at the prior std, highest
+        // first: likely winners come early, so the threshold rises early,
+        // and once one bound falls below it every later one does too.
+        let prior = self.std_of(-0.0);
+        let bounds: Vec<f64> = means
             .iter()
-            .map(|&(mean, nearest)| {
-                let var = self.signal_var - nearest * nearest / (self.signal_var + self.jitter);
-                self.score(fit, mean, var.max(VAR_FLOOR).sqrt())
-            })
+            .map(|&mean| self.score_bound(fit, mean, prior))
             .collect();
         let mut order: Vec<usize> = (0..means.len()).collect();
-        order.sort_by(|&a, &b| guess[b].total_cmp(&guess[a]));
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
         #[cfg(test)]
         {
             self.pruning.candidates += means.len();
             self.pruning.full_rows += means.len() * self.xs.len();
         }
-        let prior = self.std_of(-0.0);
         let mut best: Vec<(f64, usize)> = Vec::with_capacity(batch + 1);
         let mut block = Vec::with_capacity(LANE);
-        let mut rest = order.iter().peekable();
-        while let Some(&i) = rest.next() {
+        let mut order = order.into_iter();
+        loop {
             let threshold = if best.len() == batch {
                 best[batch - 1].0
             } else {
                 f64::NEG_INFINITY
             };
-            let mean = means[i].0;
-            if self.score_bound(fit, mean, prior) < threshold {
-                #[cfg(test)]
-                {
-                    self.pruning.dropped += 1;
+            // Only a bound strictly below the threshold drops: ties keep
+            // pool order, and a NaN score still reaches the sort's check.
+            let next = order
+                .next()
+                .filter(|&i| bounds[i] >= threshold || bounds[i].is_nan());
+            if let Some(i) = next {
+                block.push((i, means[i]));
+                if block.len() < LANE {
+                    continue;
                 }
-            } else {
-                block.push((i, mean));
             }
-            if block.len() == LANE || (rest.peek().is_none() && !block.is_empty()) {
+            if !block.is_empty() {
                 let stds = self.stds(fit, xs, &block, threshold);
                 for ((i, mean), std) in block.drain(..).zip(stds) {
-                    let Some(std) = std else { continue };
-                    let score = self.score(fit, mean, std);
-                    let at = best
-                        .iter()
-                        .position(
-                            |&(s, j)| match score.partial_cmp(&s).expect("NaN acquisition") {
-                                Ordering::Greater => true,
-                                Ordering::Equal => i < j,
-                                Ordering::Less => false,
-                            },
-                        )
-                        .unwrap_or(best.len());
-                    if at < batch {
-                        best.insert(at, (score, i));
-                        best.truncate(batch);
+                    if let Some(std) = std {
+                        #[cfg(test)]
+                        {
+                            self.pruning.scored += 1;
+                        }
+                        rank(&mut best, batch, self.score(fit, mean, std), i);
                     }
                 }
             }
+            if next.is_none() {
+                return best.into_iter().map(|(_, i)| i).collect();
+            }
         }
-        best.into_iter().map(|(_, i)| i).collect()
     }
 
     fn score(&self, fit: &GpFit, mean: f64, std: f64) -> f64 {
@@ -724,7 +729,7 @@ mod tests {
                 let block: Vec<(usize, f64)> = block
                     .iter()
                     .enumerate()
-                    .map(|(c, &(mean, _))| (b * LANE + c, mean))
+                    .map(|(c, &mean)| (b * LANE + c, mean))
                     .collect();
                 let stds = self.stds(fit, &flat, &block, f64::NEG_INFINITY);
                 out.extend(
@@ -924,9 +929,9 @@ mod tests {
         let p = &bo.pruning;
         assert!(p.candidates > 0, "no guided proposal scored");
         assert!(
-            p.dropped * 2 > p.candidates,
-            "only {} of {} candidates dropped",
-            p.dropped,
+            p.scored * 2 < p.candidates,
+            "{} of {} candidates scored",
+            p.scored,
             p.candidates
         );
         assert!(
