@@ -49,7 +49,8 @@ use crate::env::{Environment, Observation, StepResult};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::ThreadId;
@@ -89,12 +90,78 @@ impl CacheStats {
     }
 }
 
-/// One lock stripe: the stored results, plus the keys being simulated
-/// now and the thread simulating each.
+/// A stored [`StepResult`], packed: boxed slices in place of the `Vec`
+/// and the `BTreeMap`, and info names shared through the shard's
+/// [`Shard::names`].
+#[derive(Debug)]
+struct Packed {
+    observation: Box<[f64]>,
+    reward: f64,
+    done: bool,
+    feasible: bool,
+    /// In the info map's (sorted) order.
+    info: Box<[(Arc<str>, f64)]>,
+}
+
+impl Packed {
+    /// The result as the simulator returned it: the same values, bits
+    /// and allocations as a clone of the original.
+    fn unpack(&self) -> StepResult {
+        let mut info = BTreeMap::new();
+        for (name, value) in self.info.iter() {
+            info.insert(String::from(&**name), *value);
+        }
+        StepResult {
+            observation: Observation::new(self.observation.to_vec()),
+            reward: self.reward,
+            done: self.done,
+            feasible: self.feasible,
+            info,
+        }
+    }
+}
+
+/// A key's state: simulated now by the owning thread, or stored.
+#[derive(Debug)]
+enum Slot {
+    InFlight(ThreadId),
+    Done(Packed),
+}
+
+/// One lock stripe: every stored or in-flight key of the stripe, in one
+/// map.
 #[derive(Debug, Default)]
 struct Shard {
-    done: HashMap<Vec<usize>, StepResult>,
-    in_flight: HashMap<Vec<usize>, ThreadId>,
+    slots: HashMap<Box<[usize]>, Slot>,
+    /// Number of [`Slot::Done`] slots.
+    stored: usize,
+    /// Every info name stored in the stripe, each allocated once.
+    names: HashSet<Arc<str>>,
+}
+
+impl Shard {
+    fn pack(&mut self, result: &StepResult) -> Packed {
+        Packed {
+            observation: result.observation.as_slice().into(),
+            reward: result.reward,
+            done: result.done,
+            feasible: result.feasible,
+            info: result
+                .info
+                .iter()
+                .map(|(name, &value)| (self.intern(name), value))
+                .collect(),
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.names.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.names.insert(Arc::clone(&shared));
+        shared
+    }
 }
 
 /// A sharded, lock-striped memo table: canonical action encoding →
@@ -163,41 +230,56 @@ impl EvalCache {
         let mut shard = lock.lock().expect("cache shard poisoned");
         let me = std::thread::current().id();
         loop {
-            if let Some(result) = shard.done.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Hit(result.clone());
-            }
-            // A thread that meets its own in-flight key (one cache
-            // wrapped twice) simulates it again rather than wait for
-            // itself.
-            match shard.in_flight.get(key) {
-                Some(&owner) if owner != me => {
+            match shard.slots.get(key) {
+                Some(Slot::Done(packed)) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Lookup::Hit(packed.unpack());
+                }
+                // A thread that meets its own in-flight key (one cache
+                // wrapped twice) simulates it again rather than wait for
+                // itself.
+                Some(&Slot::InFlight(owner)) if owner != me => {
                     shard = filled.wait(shard).expect("cache shard poisoned");
                 }
                 _ => break,
             }
         }
-        shard.in_flight.insert(key.to_vec(), me);
+        let key: Box<[usize]> = key.into();
+        shard.slots.insert(key.clone(), Slot::InFlight(me));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Lookup::Miss(Fill {
             cache: self,
             shard: index,
-            key: Some(key.to_vec()),
+            key: Some(key),
         })
     }
 
-    /// Clear `key`'s in-flight mark, storing `result` if there is one,
-    /// and wake the lookups waiting on the shard.
-    fn settle(&self, index: usize, key: Vec<usize>, result: Option<StepResult>) {
+    /// Settle `key`'s in-flight slot: store `result` if there is one,
+    /// else clear the slot, and wake the lookups waiting on the shard.
+    /// A slot another fill of the same thread already stored is only
+    /// ever overwritten, never cleared.
+    fn settle(&self, index: usize, key: Box<[usize]>, result: Option<&StepResult>) {
         let (lock, filled) = &self.shards[index];
         // Never panic here: this runs from `Fill::drop`, on unwind too.
-        let mut shard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        shard.in_flight.remove(&key);
-        if let Some(result) = result {
-            shard.done.insert(key, result);
-            self.inserts.fetch_add(1, Ordering::Relaxed);
+        let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let shard = &mut *guard;
+        match result {
+            Some(result) => {
+                let packed = Slot::Done(shard.pack(result));
+                if !matches!(shard.slots.insert(key, packed), Some(Slot::Done(_))) {
+                    shard.stored += 1;
+                }
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
+                if let Entry::Occupied(slot) = shard.slots.entry(key) {
+                    if matches!(slot.get(), Slot::InFlight(_)) {
+                        slot.remove();
+                    }
+                }
+            }
         }
-        drop(shard);
+        drop(guard);
         filled.notify_all();
     }
 
@@ -205,7 +287,7 @@ impl EvalCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|(s, _)| s.lock().expect("cache shard poisoned").done.len())
+            .map(|(s, _)| s.lock().expect("cache shard poisoned").stored)
             .sum()
     }
 
@@ -251,12 +333,17 @@ pub struct Fill<'a> {
     cache: &'a EvalCache,
     shard: usize,
     /// `None` once completed.
-    key: Option<Vec<usize>>,
+    key: Option<Box<[usize]>>,
 }
 
 impl Fill<'_> {
     /// Store the key's simulated result.
-    pub fn complete(mut self, result: StepResult) {
+    pub fn complete(self, result: StepResult) {
+        self.store(&result);
+    }
+
+    /// Store a borrowed result, packed straight into the cache.
+    fn store(mut self, result: &StepResult) {
         let key = self.key.take().expect("a fill completes once");
         self.cache.settle(self.shard, key, Some(result));
     }
@@ -323,7 +410,7 @@ impl<E: Environment> CachedEnv<E> {
     /// telemetry; an uncacheable result abandons the fill instead.
     fn remember(&self, fill: Fill<'_>, result: &StepResult) {
         if cacheable(result) {
-            fill.complete(result.clone());
+            fill.store(result);
             self.telemetry.incr(Counter::CacheInserts);
         }
     }
@@ -402,6 +489,26 @@ fn cacheable(result: &StepResult) -> bool {
         && result.observation.as_slice().iter().all(|v| v.is_finite())
         && !result.info.contains_key("degraded")
         && !result.info.contains_key("eval_degraded")
+}
+
+#[cfg(test)]
+impl EvalCache {
+    /// The shared name `name` in `action`'s stored info, if stored.
+    fn stored_info_name(&self, action: &Action, name: &str) -> Option<Arc<str>> {
+        let key = action.as_slice();
+        let shard = self.shards[self.shard_of(key)]
+            .0
+            .lock()
+            .expect("cache shard poisoned");
+        let Some(Slot::Done(packed)) = shard.slots.get(key) else {
+            return None;
+        };
+        packed
+            .info
+            .iter()
+            .find(|(stored, _)| &**stored == name)
+            .map(|(stored, _)| Arc::clone(stored))
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +726,60 @@ mod tests {
         drop(miss(&cache, 6));
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.inserts, stats.entries), (4, 0, 0));
+    }
+
+    /// Store `result` under `action(i)` and serve it back.
+    fn round_trip(cache: &EvalCache, i: usize, result: &StepResult) -> StepResult {
+        miss(cache, i).complete(result.clone());
+        match cache.lookup(&action(i)) {
+            Lookup::Hit(served) => served,
+            Lookup::Miss(_) => panic!("{i} was stored"),
+        }
+    }
+
+    #[test]
+    fn entries_share_one_interned_name() {
+        let cache = EvalCache::with_shards(1);
+        for i in 0..2 {
+            let result = StepResult::terminal(Observation::new(vec![i as f64]), 1.0)
+                .with_info("energy", 2.0 * i as f64)
+                .with_info("area", 3.0);
+            assert_eq!(round_trip(&cache, i, &result), result);
+        }
+        for name in ["energy", "area"] {
+            let first = cache.stored_info_name(&action(0), name).unwrap();
+            let second = cache.stored_info_name(&action(1), name).unwrap();
+            assert!(Arc::ptr_eq(&first, &second), "`{name}` stored twice");
+        }
+        assert!(cache.stored_info_name(&action(0), "latency").is_none());
+    }
+
+    #[test]
+    fn an_empty_info_round_trips_exactly() {
+        let cache = EvalCache::new();
+        let result = StepResult::infeasible(Observation::new(vec![0.0; 3]), -1.0);
+        let served = round_trip(&cache, 0, &result);
+        assert_eq!(served, result);
+        assert!(served.info.is_empty());
+        assert!(!served.feasible);
+    }
+
+    #[test]
+    fn a_negative_zero_observation_round_trips_exactly() {
+        let cache = EvalCache::new();
+        let result = StepResult::terminal(Observation::new(vec![-0.0, 0.0, -1.5]), -0.0)
+            .with_info("slack", -0.0);
+        let served = round_trip(&cache, 4, &result);
+        let bits = |r: &StepResult| -> Vec<u64> {
+            let info = r.info.values().map(|v| v.to_bits());
+            let observation = r.observation.as_slice().iter().map(|v| v.to_bits());
+            observation
+                .chain(info)
+                .chain([r.reward.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&served), bits(&result));
+        assert_eq!(served, result);
     }
 
     #[test]

@@ -35,18 +35,11 @@ impl ParamDomain {
     pub fn cardinality(&self) -> usize {
         match self {
             ParamDomain::Int { min, max, step } => ((max - min) / step + 1) as usize,
-            ParamDomain::Pow2 { min, max } => {
-                let mut count = 0usize;
-                let mut v = *min;
-                while v <= *max {
-                    count += 1;
-                    match v.checked_mul(2) {
-                        Some(next) => v = next,
-                        None => break,
-                    }
-                }
-                count
+            // `min · 2^k ≤ max` exactly when `2^k ≤ ⌊max / min⌋`.
+            ParamDomain::Pow2 { min, max } if 1 <= *min && min <= max => {
+                (max / min).ilog2() as usize + 1
             }
+            ParamDomain::Pow2 { .. } => 0,
             ParamDomain::Categorical { choices } => choices.len(),
         }
     }
@@ -715,6 +708,33 @@ mod tests {
         assert_eq!(d.value(6), ParamValue::Int(65536));
     }
 
+    /// The doubling count `cardinality` computed before its closed form.
+    fn pow2_cardinality_by_doubling(min: u64, max: u64) -> usize {
+        let mut count = 0usize;
+        let mut v = min;
+        while v <= max {
+            count += 1;
+            match v.checked_mul(2) {
+                Some(next) => v = next,
+                None => break,
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn pow2_domains_without_a_value_are_empty() {
+        // The doubling loop never ended on `min: 0` (`0 * 2 == 0`).
+        assert_eq!(ParamDomain::Pow2 { min: 0, max: 0 }.cardinality(), 0);
+        assert_eq!(ParamDomain::Pow2 { min: 0, max: 64 }.cardinality(), 0);
+        assert_eq!(ParamDomain::Pow2 { min: 8, max: 4 }.cardinality(), 0);
+        let top = ParamDomain::Pow2 {
+            min: 1,
+            max: u64::MAX,
+        };
+        assert_eq!(top.cardinality(), 64);
+    }
+
     #[test]
     fn categorical_domain_roundtrip() {
         let d = ParamDomain::Categorical {
@@ -856,6 +876,26 @@ mod tests {
             let idx = pick % d.cardinality();
             let v = d.value(idx);
             prop_assert_eq!(d.index_of(&v), Some(idx));
+        }
+
+        #[test]
+        fn prop_pow2_cardinality_matches_doubling(exp_min in 0u32..64, max in any::<u64>(), shift in 0u32..64) {
+            // Power-of-two `min` against every `max`, including those
+            // close to a power-of-two multiple of it.
+            let min = 1u64 << exp_min;
+            let multiple = min << (shift % (64 - exp_min));
+            for max in [max, max >> shift, multiple, multiple - 1] {
+                let d = ParamDomain::Pow2 { min, max };
+                prop_assert_eq!(d.cardinality(), pow2_cardinality_by_doubling(min, max));
+            }
+        }
+
+        #[test]
+        fn prop_pow2_cardinality_matches_doubling_for_any_min(min in 1u64..=u64::MAX, max in any::<u64>(), shift in 0u32..64) {
+            for (min, max) in [(min, max), (min >> shift | 1, max >> shift), (min >> shift | 1, max)] {
+                let d = ParamDomain::Pow2 { min, max };
+                prop_assert_eq!(d.cardinality(), pow2_cardinality_by_doubling(min, max));
+            }
         }
 
         #[test]
