@@ -7,14 +7,23 @@
 //! action always yields the same [`StepResult`] — so a revisit can be
 //! answered from a hash map instead of a full simulation.
 //!
-//! [`EvalCache`] is a sharded, lock-striped map from the canonical
-//! action encoding (the per-dimension index vector) to the full step
-//! result (cost-vector observation, reward, feasibility and diagnostic
-//! stats). Sharding keeps lock contention negligible when a parallel
+//! [`EvalCache`] is a sharded, lock-striped map from an action encoding
+//! (the per-dimension index vector) to the full step result (cost-vector
+//! observation, reward, feasibility and diagnostic stats). Sharding
+//! keeps lock contention negligible when a parallel
 //! [`Executor`](crate::executor::Executor) sweep shares one cache across
 //! workers. [`CachedEnv`] wraps any [`Environment`] to consult the cache
 //! on every step; built without a cache it is a zero-cost passthrough,
 //! which lets sweep infrastructure keep a single code path.
+//!
+//! Keys are *canonical* actions: [`CachedEnv`] looks up
+//! [`Environment::canonical`] of each action, so twins that differ only
+//! in dimensions the cost model ignores there share one entry (on DRAM,
+//! for example, `RefreshMaxPostponed` under `NoRefresh`). The stored
+//! result is the one the first twin's simulation returned, which is bit
+//! for bit what every twin's would be. Entries therefore count distinct
+//! simulated designs, not distinct actions. The inner environment still
+//! steps the raw action on a miss.
 //!
 //! Misses are *single-flight*: [`EvalCache::lookup`] marks a missed key
 //! as in flight, and a concurrent lookup of that key waits for the first
@@ -25,7 +34,10 @@
 //! wait for it in turn.
 //!
 //! Each shard is one map from the boxed index vector to a slot that is
-//! either in flight (with the simulating thread's id) or done. A done
+//! either in flight (with the simulating thread's id) or done. A miss
+//! allocates its key once, for the table; the [`Fill`] borrows the
+//! caller's action to find the slot again, and settling turns the slot
+//! done in place. A done
 //! slot packs its result: the observation as a boxed slice, the reward,
 //! the two flags, and `info` as a boxed slice of `(name, value)` pairs
 //! whose names are interned once per shard. A hit rebuilds the
@@ -61,7 +73,7 @@ use crate::env::{Environment, Observation, StepResult};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -86,7 +98,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Results written into the cache.
     pub inserts: u64,
-    /// Distinct design points currently stored.
+    /// Distinct canonical design points currently stored: one per
+    /// simulated behaviour, however many twin actions it answered.
     pub entries: u64,
 }
 
@@ -233,8 +246,29 @@ impl EvalCache {
     /// Look up a design point for evaluation. A stored result is a hit.
     /// If another thread is simulating the key, wait for it: its result
     /// is a hit too. Otherwise the lookup is a miss, and the key stays
-    /// in flight until the returned [`Fill`] completes or drops.
+    /// in flight until the returned [`Fill`] completes or drops. The fill
+    /// keeps its own copy of a missed key, so it may outlive `action`.
     pub fn lookup(&self, action: &Action) -> Lookup<'_> {
+        match self.lookup_borrowed(action) {
+            Lookup::Hit(result) => Lookup::Hit(result),
+            Lookup::Miss(mut borrowed) => {
+                // Hand the in-flight mark to a fill that owns its key.
+                borrowed.settled = true;
+                Lookup::Miss(Fill {
+                    cache: self,
+                    shard: borrowed.shard,
+                    key: Cow::Owned(borrowed.key.to_vec()),
+                    settled: false,
+                })
+            }
+        }
+    }
+
+    /// [`EvalCache::lookup`] for a caller that keeps `action` alive until
+    /// the fill settles, as [`CachedEnv`] does: the fill borrows the key
+    /// to find its slot again, so the table holds the only copy of a
+    /// missed key.
+    fn lookup_borrowed<'a>(&'a self, action: &'a Action) -> Lookup<'a> {
         let key = action.as_slice();
         let index = self.shard_of(key);
         let (lock, filled) = &self.shards[index];
@@ -246,24 +280,25 @@ impl EvalCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Lookup::Hit(packed.unpack());
                 }
-                // A thread that meets its own in-flight key (one cache
-                // wrapped twice) simulates it again rather than wait for
-                // itself.
                 Some(&Slot::InFlight(owner)) if owner != me => {
                     shard = filled.wait(shard).expect("cache shard poisoned");
                 }
-                _ => break,
+                // A thread that meets its own in-flight key (one cache
+                // wrapped twice) simulates it again rather than wait for
+                // itself.
+                Some(Slot::InFlight(_)) => break,
+                None => {
+                    shard.slots.insert(key.into(), Slot::InFlight(me));
+                    break;
+                }
             }
         }
-        // The fill keeps a copy of the key: a settle finds the slot by
-        // its key, and cannot borrow the table's across the unlock.
-        let key: Box<[usize]> = key.into();
-        shard.slots.insert(key.clone(), Slot::InFlight(me));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Lookup::Miss(Fill {
             cache: self,
             shard: index,
-            key: Some(key),
+            key: Cow::Borrowed(key),
+            settled: false,
         })
     }
 
@@ -271,21 +306,25 @@ impl EvalCache {
     /// else clear the slot, and wake the lookups waiting on the shard.
     /// A slot another fill of the same thread already stored is only
     /// ever overwritten, never cleared.
-    fn settle(&self, index: usize, key: Box<[usize]>, result: Option<&StepResult>) {
+    fn settle(&self, index: usize, key: &[usize], result: Option<&StepResult>) {
         let (lock, filled) = &self.shards[index];
         // Never panic here: this runs from `Fill::drop`, on unwind too.
         let mut shard = lock.lock().unwrap_or_else(PoisonError::into_inner);
         match result {
             Some(result) => {
-                let packed = shard.pack(result);
-                shard.slots.insert(key, Slot::Done(packed));
+                let packed = Slot::Done(shard.pack(result));
+                match shard.slots.get_mut(key) {
+                    Some(slot) => *slot = packed,
+                    // A nested fill of this thread abandoned the key.
+                    None => {
+                        shard.slots.insert(key.into(), packed);
+                    }
+                }
                 self.inserts.fetch_add(1, Ordering::Relaxed);
             }
             None => {
-                if let Entry::Occupied(slot) = shard.slots.entry(key) {
-                    if matches!(slot.get(), Slot::InFlight(_)) {
-                        slot.remove();
-                    }
+                if let Some(Slot::InFlight(_)) = shard.slots.get(key) {
+                    shard.slots.remove(key);
                 }
             }
         }
@@ -293,7 +332,9 @@ impl EvalCache {
         filled.notify_all();
     }
 
-    /// Number of distinct design points stored.
+    /// Number of distinct canonical design points stored (keys are the
+    /// actions [`CachedEnv`] looked up, after
+    /// [`Environment::canonical`]).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -349,8 +390,9 @@ pub enum Lookup<'a> {
 pub struct Fill<'a> {
     cache: &'a EvalCache,
     shard: usize,
-    /// `None` once completed.
-    key: Option<Box<[usize]>>,
+    key: Cow<'a, [usize]>,
+    /// Set once the slot is stored or handed on; the drop then leaves it.
+    settled: bool,
 }
 
 impl Fill<'_> {
@@ -361,21 +403,21 @@ impl Fill<'_> {
 
     /// Store a borrowed result, packed straight into the cache.
     fn store(mut self, result: &StepResult) {
-        let key = self.key.take().expect("a fill completes once");
-        self.cache.settle(self.shard, key, Some(result));
+        self.settled = true;
+        self.cache.settle(self.shard, &self.key, Some(result));
     }
 }
 
 impl Drop for Fill<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.cache.settle(self.shard, key, None);
+        if !self.settled {
+            self.cache.settle(self.shard, &self.key, None);
         }
     }
 }
 
 /// An [`Environment`] wrapper that answers repeated design points from
-/// an [`EvalCache`].
+/// an [`EvalCache`], keyed by [`Environment::canonical`] of each action.
 ///
 /// Built with [`CachedEnv::uncached`] the wrapper is a passthrough, so
 /// callers like [`Sweep`](crate::sweep::Sweep) can always wrap and let
@@ -412,9 +454,9 @@ impl<E: Environment> CachedEnv<E> {
     /// because each probe counts one lookup and exactly one of the
     /// two outcomes). The span includes any wait for another thread's
     /// simulation of the same key.
-    fn probe<'c>(&self, cache: &'c EvalCache, action: &Action) -> Lookup<'c> {
+    fn probe<'c>(&self, cache: &'c EvalCache, action: &'c Action) -> Lookup<'c> {
         let _span = self.telemetry.span(Phase::CacheLookup);
-        let found = cache.lookup(action);
+        let found = cache.lookup_borrowed(action);
         self.telemetry.incr(Counter::CacheLookups);
         self.telemetry.incr(match found {
             Lookup::Hit(_) => Counter::CacheHits,
@@ -462,10 +504,12 @@ impl<E: Environment> Environment for CachedEnv<E> {
         self.inner.reset()
     }
     fn step(&mut self, action: &Action) -> StepResult {
-        let Some(cache) = self.cache.clone() else {
+        let Some(cache) = self.cache.as_deref() else {
             return self.inner.step(action);
         };
-        let fill = match self.probe(&cache, action) {
+        let canonical = self.inner.canonical(action);
+        let key = canonical.as_ref().unwrap_or(action);
+        let fill = match self.probe(cache, key) {
             Lookup::Hit(memoized) => return memoized,
             Lookup::Miss(fill) => fill,
         };
@@ -474,10 +518,12 @@ impl<E: Environment> Environment for CachedEnv<E> {
         result
     }
     fn try_step(&mut self, action: &Action) -> crate::error::Result<StepResult> {
-        let Some(cache) = self.cache.clone() else {
+        let Some(cache) = self.cache.as_deref() else {
             return self.inner.try_step(action);
         };
-        let fill = match self.probe(&cache, action) {
+        let canonical = self.inner.canonical(action);
+        let key = canonical.as_ref().unwrap_or(action);
+        let fill = match self.probe(cache, key) {
             Lookup::Hit(memoized) => return Ok(memoized),
             Lookup::Miss(fill) => fill,
         };
@@ -492,6 +538,9 @@ impl<E: Environment> Environment for CachedEnv<E> {
     fn set_telemetry(&mut self, recorder: &Recorder) {
         self.telemetry = recorder.clone();
         self.inner.set_telemetry(recorder);
+    }
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        self.inner.canonical(action)
     }
 }
 

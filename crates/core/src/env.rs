@@ -185,6 +185,31 @@ pub trait Environment {
     /// start, which is how `--metrics` reaches every layer without
     /// construction-site plumbing.
     fn set_telemetry(&mut self, _recorder: &crate::telemetry::Recorder) {}
+
+    /// The canonical twin of `action`, or `None` when `action` already is
+    /// canonical (the default, for every action).
+    ///
+    /// A cost model may have dimensions that are inert in part of its
+    /// space: changing them never changes what `step` computes. Such an
+    /// environment maps every action to one representative of its class
+    /// of twins, and [`CachedEnv`](crate::cache::CachedEnv) keys its
+    /// memo by that representative, so each distinct behaviour is
+    /// simulated once. The contract:
+    ///
+    /// * pure: the answer depends on `action` alone;
+    /// * idempotent: a returned action is its own canonical form
+    ///   (`canonical` of it is `None`);
+    /// * exact: `step` of the returned action gives a bit-identical
+    ///   [`StepResult`] to `step(action)` — observation, reward, flags
+    ///   and every info name and value.
+    ///
+    /// A wrapper forwards this method only if it leaves what `step`
+    /// computes to its inner environment. One whose own output depends on
+    /// the raw indices (a learned surrogate, say) must keep the default,
+    /// because twins differ there.
+    fn canonical(&self, _action: &Action) -> Option<Action> {
+        None
+    }
 }
 
 impl<E: Environment + ?Sized> Environment for Box<E> {
@@ -209,6 +234,9 @@ impl<E: Environment + ?Sized> Environment for Box<E> {
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         (**self).set_telemetry(recorder);
     }
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        (**self).canonical(action)
+    }
 }
 
 impl<E: Environment + ?Sized> Environment for &mut E {
@@ -232,6 +260,9 @@ impl<E: Environment + ?Sized> Environment for &mut E {
     }
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         (**self).set_telemetry(recorder);
+    }
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        (**self).canonical(action)
     }
 }
 
@@ -318,6 +349,9 @@ impl<E: Environment> Environment for CountingEnv<E> {
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         self.inner.set_telemetry(recorder);
     }
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        self.inner.canonical(action)
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +407,83 @@ mod tests {
         let dyn_env: &mut dyn Environment = &mut env;
         let r = dyn_env.step(&Action::new(vec![1]));
         assert_eq!(r.reward, 1.0);
+    }
+
+    /// A peak over two dimensions whose second one is ignored: every
+    /// action's canonical twin has index 0 there.
+    #[derive(Debug, Clone)]
+    struct InertTail(PeakEnv);
+
+    impl InertTail {
+        fn new() -> Self {
+            InertTail(PeakEnv::new(&[4, 3], vec![2, 0]))
+        }
+    }
+
+    impl Environment for InertTail {
+        fn name(&self) -> &str {
+            "inert-tail"
+        }
+        fn space(&self) -> &ParamSpace {
+            self.0.space()
+        }
+        fn observation_labels(&self) -> Vec<String> {
+            self.0.observation_labels()
+        }
+        fn step(&mut self, action: &Action) -> StepResult {
+            self.0.step(&Action::new(vec![action.index(0), 0]))
+        }
+        fn canonical(&self, action: &Action) -> Option<Action> {
+            (action.index(1) != 0).then(|| Action::new(vec![action.index(0), 0]))
+        }
+    }
+
+    #[test]
+    fn canonical_defaults_to_none_and_forwards_through_wrappers() {
+        let twin = Action::new(vec![1, 2]);
+        let canonical = Some(Action::new(vec![1, 0]));
+        assert_eq!(PeakEnv::new(&[4, 3], vec![2, 0]).canonical(&twin), None);
+        let mut plain = InertTail::new();
+        assert_eq!(plain.canonical(&twin), canonical);
+        assert_eq!(plain.canonical(&Action::new(vec![1, 0])), None);
+
+        let boxed: Box<dyn Environment> = Box::new(InertTail::new());
+        assert_eq!(boxed.canonical(&twin), canonical);
+        let cloneable: Box<dyn CloneEnvironment> = Box::new(InertTail::new());
+        assert_eq!(cloneable.canonical(&twin), canonical);
+        let by_ref = &mut plain;
+        assert_eq!(
+            <&mut InertTail as Environment>::canonical(&by_ref, &twin),
+            canonical
+        );
+        let counting = CountingEnv::new(InertTail::new());
+        assert_eq!(counting.canonical(&twin), canonical);
+        assert_eq!(counting.samples(), 0, "canonical is not a query");
+        let faulty = crate::fault::FaultyEnv::new(
+            InertTail::new(),
+            crate::fault::FaultPlan::new(1).transient(0.5),
+        );
+        assert_eq!(faulty.canonical(&twin), canonical);
+        let cached = crate::cache::CachedEnv::uncached(InertTail::new());
+        assert_eq!(cached.canonical(&twin), canonical);
+    }
+
+    #[test]
+    fn twins_share_one_cache_entry_through_a_boxed_env() {
+        use crate::cache::{CachedEnv, EvalCache};
+        use std::sync::Arc;
+        let cache = Arc::new(EvalCache::new());
+        let boxed: Box<dyn CloneEnvironment> = Box::new(InertTail::new());
+        let mut env = CachedEnv::new(CountingEnv::new(boxed), cache.clone());
+        let first = env.step(&Action::new(vec![3, 1]));
+        let second = env.step(&Action::new(vec![3, 2]));
+        assert_eq!(first, second);
+        assert_eq!(env.inner().samples(), 1, "the twin was simulated again");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts, stats.entries),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]

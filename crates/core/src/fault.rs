@@ -422,6 +422,12 @@ impl<E: Environment> Environment for FaultyEnv<E> {
         self.telemetry = recorder.clone();
         self.inner.set_telemetry(recorder);
     }
+    /// Forwarded: a clean step is the inner environment's, and a faulted
+    /// one (an error, a non-finite report or a degraded placeholder) is
+    /// never cached, so twins keyed alike cannot replay a fault.
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        self.inner.canonical(action)
+    }
 }
 
 #[cfg(test)]

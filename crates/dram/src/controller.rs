@@ -126,6 +126,15 @@ pub struct ControllerConfig {
     /// How many due refreshes may be postponed (1–8).
     pub refresh_max_postponed: u32,
     /// How many refreshes may be pulled in early (1–8).
+    ///
+    /// Inert in this model: an opportunistic refresh fires only with
+    /// positive refresh debt, so debt never goes negative and the
+    /// `debt > -max_pulled_in` bound always holds when a refresh can
+    /// fire. One of Fig. 3(a)'s ten parameters therefore changes no
+    /// result, and the DRAM env's cache key ignores it (`dram_space`).
+    /// Letting debt go negative would make it live, change every DRAM
+    /// result and both goldens, and fail the `canonical` proptests that
+    /// pin the rule.
     pub refresh_max_pulled_in: u32,
     /// Scheduler-visible request-buffer entries (1–8).
     pub request_buffer_size: usize,

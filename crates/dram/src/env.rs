@@ -14,7 +14,7 @@ use crate::trace::{generate, DramWorkload, MemoryRequest, TraceConfig};
 use archgym_core::env::{Environment, Observation, StepResult};
 use archgym_core::reward::RewardSpec;
 use archgym_core::seeded_rng;
-use archgym_core::space::{Action, ParamSpace};
+use archgym_core::space::{Action, ParamSpace, ParamValue};
 use archgym_core::telemetry::{Counter, Phase, Recorder};
 use std::sync::{Arc, OnceLock};
 
@@ -29,6 +29,20 @@ pub mod metric {
 }
 
 /// Build the ten-dimensional DRAM memory-controller space of Fig. 3(a).
+///
+/// Three dimensions are inert in part of this space, and
+/// [`DramEnv`]'s [`Environment::canonical`] maps their twins to index 0:
+///
+/// * `RefreshMaxPulledIn` has no effect anywhere in this model: refresh
+///   debt never goes negative, so the pull-in bound never blocks a
+///   refresh (see [`ControllerConfig::refresh_max_pulled_in`]). Making it
+///   live would change every DRAM result and both goldens, and would
+///   fail the `canonical` proptests in this module, which pin the rule.
+/// * `RefreshMaxPostponed` is read only under `RefreshPolicy::AllBank`.
+/// * `SchedulerBuffer` cannot change the pick when `RequestBufferSize`
+///   is 1: the one buffered request is the only candidate.
+///
+/// None of the three enters the power model.
 ///
 /// ```
 /// let space = archgym_dram::dram_space();
@@ -168,10 +182,69 @@ impl Objective {
     }
 }
 
+/// A dimension that is inert where `when` holds (everywhere for
+/// `None`): `when = Some((dim, index))` means "while `dim` is at
+/// `index`". Resolved once per space, so canonicalizing an action
+/// searches no names.
+#[derive(Debug, Clone, Copy)]
+struct InertDim {
+    dim: usize,
+    cardinality: usize,
+    when: Option<(usize, usize)>,
+}
+
+impl InertDim {
+    /// Whether `indices` has a non-canonical, in-range index in this
+    /// dimension where it is inert. An out-of-range index is left alone,
+    /// so an invalid action still reaches `step` and fails there.
+    fn applies(&self, indices: &[usize]) -> bool {
+        let index = indices[self.dim];
+        0 < index
+            && index < self.cardinality
+            && self.when.is_none_or(|(dim, at)| indices[dim] == at)
+    }
+}
+
+/// The rules of [`dram_space`]'s docs, resolved against `space` (either
+/// DRAM space: both carry the ten controller dimensions).
+fn inert_dims(space: &ParamSpace) -> [InertDim; 3] {
+    let dim = |name: &str| {
+        space
+            .dim_of(name)
+            .expect("the DRAM space has every controller dimension")
+    };
+    let inert = |name: &str, when: Option<(usize, usize)>| InertDim {
+        dim: dim(name),
+        cardinality: space.params()[dim(name)].domain().cardinality(),
+        when,
+    };
+    let index_of = |name: &str, value: ParamValue| {
+        space.params()[dim(name)]
+            .domain()
+            .index_of(&value)
+            .expect("the DRAM space holds the value")
+    };
+    let no_refresh = index_of("RefreshPolicy", ParamValue::Cat("NoRefresh".into()));
+    let single_buffer = index_of("RequestBufferSize", ParamValue::Int(1));
+    [
+        inert("RefreshMaxPulledIn", None),
+        inert(
+            "RefreshMaxPostponed",
+            Some((dim("RefreshPolicy"), no_refresh)),
+        ),
+        inert(
+            "SchedulerBuffer",
+            Some((dim("RequestBufferSize"), single_buffer)),
+        ),
+    ]
+}
+
 /// The DRAMGym environment: one workload trace + one objective.
 #[derive(Debug, Clone)]
 pub struct DramEnv {
     space: ParamSpace,
+    /// `space`'s inert dimensions, for [`Environment::canonical`].
+    inert: [InertDim; 3],
     workload: DramWorkload,
     objective: Objective,
     /// Shared, immutable: cloning the env (one clone per `Executor`
@@ -220,8 +293,10 @@ impl DramEnv {
         } else {
             generate(workload, config, &mut seeded_rng(0xD7A3)).into()
         };
+        let space = dram_space();
         DramEnv {
-            space: dram_space(),
+            inert: inert_dims(&space),
+            space,
             workload,
             objective,
             trace,
@@ -237,6 +312,7 @@ impl DramEnv {
     pub fn extended(workload: DramWorkload, objective: Objective) -> Self {
         let mut env = Self::new(workload, objective);
         env.space = dram_space_extended();
+        env.inert = inert_dims(&env.space);
         env.name = format!("dramx/{}", workload.name());
         env
     }
@@ -253,8 +329,10 @@ impl DramEnv {
             !trace.is_empty(),
             "cannot build an environment around an empty trace"
         );
+        let space = dram_space();
         DramEnv {
-            space: dram_space(),
+            inert: inert_dims(&space),
+            space,
             workload: DramWorkload::Random, // nominal; the trace is custom
             objective,
             trace: trace.into(),
@@ -326,13 +404,31 @@ impl Environment for DramEnv {
     fn set_telemetry(&mut self, recorder: &Recorder) {
         self.telemetry = recorder.clone();
     }
+
+    /// Sets each dimension that is inert in `action`'s part of the space
+    /// to index 0 (the rules are listed on [`dram_space`]), or returns
+    /// `None`, without allocating, when none applies.
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        let indices = action.as_slice();
+        if indices.len() != self.space.len() || !self.inert.iter().any(|r| r.applies(indices)) {
+            return None;
+        }
+        let mut canonical = indices.to_vec();
+        for rule in self.inert.iter().filter(|r| r.applies(indices)) {
+            canonical[rule.dim] = 0;
+        }
+        Some(Action::new(canonical))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use archgym_core::agent::RandomWalker;
+    use archgym_core::cache::{CachedEnv, EvalCache};
+    use archgym_core::env::CloneEnvironment;
     use archgym_core::search::{RunConfig, SearchLoop};
+    use proptest::prelude::*;
 
     #[test]
     fn space_matches_fig3a() {
@@ -470,8 +566,6 @@ mod tests {
 
     #[test]
     fn cached_env_is_bit_identical_across_workloads() {
-        use archgym_core::cache::{CachedEnv, EvalCache};
-
         for workload in DramWorkload::ALL {
             let objective = Objective::joint(30.0, 1.0);
             let mut plain = DramEnv::new(workload, objective.clone());
@@ -496,6 +590,200 @@ mod tests {
             assert_eq!(stats.hits + stats.misses, 24, "{}", workload.name());
             assert!(stats.hits >= 12, "{}", workload.name());
         }
+    }
+
+    /// Everything a result carries, floats as their bits.
+    type Bits = (Vec<u64>, u64, bool, bool, Vec<(String, u64)>);
+
+    fn bits(result: &StepResult) -> Bits {
+        (
+            result
+                .observation
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            result.reward.to_bits(),
+            result.done,
+            result.feasible,
+            result
+                .info
+                .iter()
+                .map(|(name, v)| (name.clone(), v.to_bits()))
+                .collect(),
+        )
+    }
+
+    /// A fixed mid-range, canonical design on the plain space: refresh
+    /// on, a four-entry buffer, FR-FCFS, Fifo arbiter.
+    fn fixed_design() -> Vec<usize> {
+        vec![0, 0, 3, 4, 0, 2, 0, 1, 0, 1]
+    }
+
+    fn dim(name: &str) -> usize {
+        dram_space().dim_of(name).unwrap()
+    }
+
+    /// Step `base` with `name` at every index. Where `name` is inert,
+    /// every twin must be canonicalized to index 0 and step exactly as
+    /// the canonical design does; returns how many indices stepped
+    /// differently from index 0 otherwise.
+    fn walk(env: &mut DramEnv, base: &[usize], name: &str) -> usize {
+        let d = dim(name);
+        let at = |i: usize| {
+            let mut action = base.to_vec();
+            action[d] = i;
+            Action::new(action)
+        };
+        let canonical = bits(&env.step(&at(0)));
+        let mut differing = 0;
+        for i in 0..dram_space().cardinalities()[d] {
+            let twin = at(i);
+            let stepped = bits(&env.step(&twin));
+            match env.canonical(&twin) {
+                Some(c) => {
+                    assert_eq!(c, at(0), "{name} = index {i}");
+                    assert_eq!(stepped, canonical, "{name} = index {i}");
+                }
+                None => differing += usize::from(stepped != canonical),
+            }
+        }
+        differing
+    }
+
+    #[test]
+    fn canonical_rule_refresh_max_pulled_in_is_inert_everywhere() {
+        let mut env = DramEnv::new(DramWorkload::Cloud1, Objective::joint(30.0, 1.0));
+        for refresh in [0, 1] {
+            let mut base = fixed_design();
+            base[dim("RefreshPolicy")] = refresh;
+            assert_eq!(walk(&mut env, &base, "RefreshMaxPulledIn"), 0);
+            base[dim("RefreshMaxPulledIn")] = 5;
+            assert!(env.canonical(&Action::new(base)).is_some());
+        }
+    }
+
+    #[test]
+    fn canonical_rule_refresh_max_postponed_is_inert_without_refresh() {
+        let mut env = DramEnv::new(DramWorkload::Cloud1, Objective::joint(30.0, 1.0));
+        let mut base = fixed_design();
+        base[dim("RefreshPolicy")] = 0; // NoRefresh
+        assert_eq!(walk(&mut env, &base, "RefreshMaxPostponed"), 0);
+        // Under AllBank the bound is live: twins are kept apart, and on
+        // a design slow enough to keep requests waiting across refresh
+        // intervals some of them step differently.
+        let slow = [0, 0, 3, 2, 1, 0, 1, 0, 1, 1];
+        assert_eq!(slow[dim("RefreshPolicy")], 1);
+        assert!(walk(&mut env, &slow, "RefreshMaxPostponed") > 0);
+    }
+
+    #[test]
+    fn canonical_rule_scheduler_buffer_is_inert_with_one_buffer_entry() {
+        let mut env = DramEnv::new(DramWorkload::Cloud1, Objective::joint(30.0, 1.0));
+        let mut base = fixed_design();
+        base[dim("RequestBufferSize")] = 0; // one entry
+        assert_eq!(walk(&mut env, &base, "SchedulerBuffer"), 0);
+        // With two entries the organization can change the pick.
+        base[dim("RequestBufferSize")] = 1;
+        assert!(walk(&mut env, &base, "SchedulerBuffer") > 0);
+    }
+
+    #[test]
+    fn canonical_leaves_out_of_range_indices_to_step() {
+        let env = DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
+        let mut invalid = fixed_design();
+        invalid[dim("RefreshMaxPulledIn")] = 8;
+        assert_eq!(env.canonical(&Action::new(invalid)), None);
+        assert_eq!(env.canonical(&Action::new(vec![1; 3])), None);
+    }
+
+    /// A random DRAM objective: power, latency or both.
+    fn objective(kind: usize, target: f64) -> Objective {
+        match kind {
+            0 => Objective::low_power(target / 40.0),
+            1 => Objective::low_latency(target),
+            _ => Objective::joint(target, target / 40.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_canonical_twins_step_bit_identically(
+            seed in 0u64..u64::MAX,
+            wl in 0usize..4,
+            extended in any::<bool>(),
+            kind in 0usize..3,
+            target in 5.0f64..120.0,
+            one_entry in any::<bool>(),
+            no_refresh in any::<bool>(),
+        ) {
+            let workload = DramWorkload::ALL[wl];
+            let objective = objective(kind, target);
+            let mut env = if extended {
+                DramEnv::extended(workload, objective)
+            } else {
+                DramEnv::new(workload, objective)
+            };
+            let space = env.space().clone();
+            let mut action = space.sample(&mut seeded_rng(seed));
+            // Bias toward the conditional rules' regions.
+            if one_entry {
+                action.as_mut_slice()[dim("RequestBufferSize")] = 0;
+            }
+            if no_refresh {
+                action.as_mut_slice()[dim("RefreshPolicy")] = 0;
+            }
+            match env.canonical(&action) {
+                // Canonical already: `RefreshMaxPulledIn`, inert
+                // everywhere, is at index 0.
+                None => prop_assert_eq!(action.index(dim("RefreshMaxPulledIn")), 0),
+                Some(canonical) => {
+                    prop_assert!(space.validate(&canonical).is_ok());
+                    prop_assert_eq!(env.canonical(&canonical), None);
+                    prop_assert_ne!(&canonical, &action);
+                    let inert = ["RefreshMaxPulledIn", "RefreshMaxPostponed", "SchedulerBuffer"]
+                        .map(dim);
+                    for d in 0..space.len() {
+                        if !inert.contains(&d) {
+                            prop_assert_eq!(canonical.index(d), action.index(d));
+                        }
+                    }
+                    prop_assert_eq!(bits(&env.step(&action)), bits(&env.step(&canonical)));
+                }
+            }
+        }
+    }
+
+    /// Two twins that differ only in `RefreshMaxPulledIn`, through a
+    /// cached `env`: one miss, one hit, and the hit is the second twin's
+    /// own simulation.
+    fn assert_twins_share_an_entry<E: Environment>(env: E) {
+        let cache = Arc::new(EvalCache::new());
+        let mut cached = CachedEnv::new(env, cache.clone());
+        let mut first = fixed_design();
+        first[dim("RefreshMaxPulledIn")] = 3;
+        let mut second = fixed_design();
+        second[dim("RefreshMaxPulledIn")] = 6;
+        let (first, second) = (Action::new(first), Action::new(second));
+        cached.step(&first);
+        let served = cached.try_step(&second).unwrap();
+        let mut plain = DramEnv::new(DramWorkload::Random, Objective::low_latency(40.0));
+        assert_eq!(bits(&served), bits(&plain.step(&second)));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts, stats.entries),
+            (1, 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn cached_twins_are_simulated_once_plain_and_boxed() {
+        let env = DramEnv::new(DramWorkload::Random, Objective::low_latency(40.0));
+        assert_twins_share_an_entry(env.clone());
+        // `Sweep` steps boxed prototypes.
+        let boxed: Box<dyn CloneEnvironment> = Box::new(env);
+        assert_twins_share_an_entry(boxed);
     }
 
     #[test]

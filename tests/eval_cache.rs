@@ -95,3 +95,50 @@ fn cached_env_is_bit_identical_on_every_family() {
     let maxed_tiles = maxed(&mapping);
     assert_hits_are_bit_identical(mapping, vec![maxed_tiles]);
 }
+
+#[test]
+fn only_dram_declares_canonical_twins() {
+    use archgym_accel::{AccelEnv, Objective as AccelObjective};
+    use archgym_core::agent::RandomWalker;
+    use archgym_core::search::{RunConfig, SearchLoop};
+    use archgym_dram::{DramEnv, DramWorkload, Objective as DramObjective};
+    use archgym_mapping::{MappingEnv, Objective as MappingObjective};
+    use archgym_proxy::{ForestConfig, ProxyEnv};
+    use archgym_soc::{SocEnv, SocWorkload};
+
+    fn assert_all_canonical(env: &impl Environment) {
+        let mut rng = seeded_rng(8);
+        for _ in 0..32 {
+            let action = env.space().sample(&mut rng);
+            assert_eq!(env.canonical(&action), None, "{} {action:?}", env.name());
+        }
+        assert_eq!(env.canonical(&maxed(env)), None, "{}", env.name());
+    }
+    let net = archgym_models::vgg16();
+    assert_all_canonical(&AccelEnv::new(net.clone(), AccelObjective::latency(5.0)));
+    assert_all_canonical(&SocEnv::new(SocWorkload::EdgeDetection));
+    assert_all_canonical(
+        &MappingEnv::for_layer(&net, "conv1_2", MappingObjective::runtime()).unwrap(),
+    );
+
+    // A proxy of DRAMGym predicts from every raw index, so DRAM twins
+    // differ there: it keeps the default.
+    let mut dram = DramEnv::new(DramWorkload::Stream, DramObjective::low_power(1.0));
+    let space = dram.space().clone();
+    let mut twin = maxed(&dram);
+    twin.as_mut_slice()[space.dim_of("RefreshMaxPulledIn").unwrap()] = 4;
+    assert!(dram.canonical(&twin).is_some());
+    let mut walker = RandomWalker::new(space.clone(), 3);
+    let run = SearchLoop::new(RunConfig::with_budget(60)).run(&mut walker, &mut dram);
+    let proxy = ProxyEnv::train(
+        "dram",
+        space,
+        dram.observation_labels(),
+        &run.dataset,
+        dram.objective().spec().clone(),
+        &ForestConfig::default(),
+        1,
+    )
+    .unwrap();
+    assert_eq!(proxy.canonical(&twin), None);
+}
