@@ -34,10 +34,10 @@
 //! wait for it in turn.
 //!
 //! Each shard is one map from the boxed index vector to a slot that is
-//! either in flight (with the simulating thread's id) or done. A miss
-//! allocates its key once, for the table; the [`Fill`] borrows the
-//! caller's action to find the slot again, and settling turns the slot
-//! done in place. A done
+//! either in flight (with the simulating thread's id) or done. A
+//! [`CachedEnv`] miss allocates its key once, for the table: the
+//! [`Fill`] borrows the looked-up action to find the slot again, and
+//! settling turns the slot done in place. A done
 //! slot packs its result: the observation as a boxed slice, the reward,
 //! the two flags, and `info` as a boxed slice of `(name, value)` pairs
 //! whose names are interned once per shard. A hit rebuilds the

@@ -778,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_twins_are_simulated_once_plain_and_boxed() {
+    fn canonical_twins_are_simulated_once_plain_and_boxed() {
         let env = DramEnv::new(DramWorkload::Random, Objective::low_latency(40.0));
         assert_twins_share_an_entry(env.clone());
         // `Sweep` steps boxed prototypes.
