@@ -5,11 +5,13 @@
 //! the `perfbench/` package, the benchmark of record; this module times
 //! what lies below them:
 //!
-//! * the raw `MemoryController::simulate` inner loop (`simulate-only/*`)
-//!   and the SoA engine's request throughput across four access
-//!   patterns (`dram-engine/*`) — absolute rates, recorded but never
-//!   compared in code: they swing by more than any fixed tolerance
-//!   between runs, even on one host;
+//! * the raw `MemoryController::simulate` inner loop (`simulate-only/*`),
+//!   the SoA engine's request throughput across four access patterns
+//!   (`dram-engine/*`), and fixed GA work with and without a fresh
+//!   [`EvalCache`] on the timeloop, FARSI and MAESTRO families
+//!   (`cache-overhead/*`) — absolute rates, recorded but never compared
+//!   in code: they swing by more than any fixed tolerance between runs,
+//!   even on one host;
 //! * four A/B pairs whose ratio is gated by [`gate`]: the SoA engine vs
 //!   the linear-scan reference, a pooled (jobs 4) run vs the same run
 //!   serially, a live telemetry recorder vs the no-op one, and a cold
@@ -28,8 +30,8 @@
 
 use archgym_agents::factory::{build_agent, default_grid, AgentKind};
 use archgym_core::agent::HyperMap;
-use archgym_core::cache::EvalCache;
-use archgym_core::env::Environment;
+use archgym_core::cache::{CachedEnv, EvalCache};
+use archgym_core::env::{CloneEnvironment, Environment};
 use archgym_core::error::Result;
 use archgym_core::executor::Executor;
 use archgym_core::search::{RunConfig, RunResult, SearchLoop};
@@ -476,6 +478,72 @@ pub fn run(quick: bool) -> Result<PerfReport> {
     scenarios.push(ScenarioResult::new("cached-sweep/cold", runs, cold_seconds));
     scenarios.push(ScenarioResult::new("cached-sweep/warm", runs, warm_seconds));
     let stats = cache.borrow().stats();
+
+    // --- cache-overhead: what a cache costs GA on fixed work ----------
+    // Default GA (auto batch), budget 500, on the three families whose
+    // steps cost microseconds, so the cache path is a visible share of
+    // a sample. Each seed's run gets a fresh cache, so its hits are the
+    // run's own revisits. A rep times every seed uncached, then every
+    // seed cached, and the two must find the same designs the same way.
+    // Recorded, never gated, like `dram-engine/*`.
+    let seeds: u64 = if quick { 10 } else { 40 };
+    let network = |name| archgym_models::by_name(name).expect("bundled model");
+    let families: [(&str, Box<dyn CloneEnvironment>); 3] = [
+        (
+            "timeloop",
+            Box::new(archgym_accel::AccelEnv::new(
+                network("resnet50"),
+                archgym_accel::Objective::latency(15.0),
+            )),
+        ),
+        (
+            "farsi",
+            Box::new(archgym_soc::SocEnv::new(
+                archgym_soc::SocWorkload::EdgeDetection,
+            )),
+        ),
+        (
+            "maestro",
+            Box::new(archgym_mapping::MappingEnv::for_layer(
+                &network("resnet18"),
+                "stage2",
+                archgym_mapping::Objective::runtime(),
+            )?),
+        ),
+    ];
+    for (family, env) in families {
+        let ga_runs = |cached: bool| -> Result<Vec<RunResult>> {
+            (0..seeds)
+                .map(|seed| {
+                    let mut agent =
+                        build_agent(AgentKind::Ga, env.space(), &HyperMap::new(), seed)?;
+                    let cache = cached.then(|| Arc::new(EvalCache::new()));
+                    let mut env = CachedEnv::with_cache(env.clone(), cache);
+                    let driver = SearchLoop::new(RunConfig::with_budget(500).batch(0));
+                    Ok(driver.run(&mut agent, &mut env))
+                })
+                .collect()
+        };
+        let (mut uncached_seconds, mut cached_seconds) = (Vec::new(), Vec::new());
+        for _ in 0..REPS {
+            let (uncached_s, uncached) = timed(|| ga_runs(false));
+            let (cached_s, cached) = timed(|| ga_runs(true));
+            let (uncached, cached) = (uncached?, cached?);
+            assert!(
+                uncached.iter().zip(&cached).all(|(a, b)| same_run(a, b)),
+                "cache-overhead/{family}: the cached runs diverged"
+            );
+            uncached_seconds.push(uncached_s);
+            cached_seconds.push(cached_s);
+        }
+        for (side, seconds) in [("uncached", uncached_seconds), ("cached", cached_seconds)] {
+            scenarios.push(ScenarioResult::new(
+                format!("cache-overhead/{family}/{side}"),
+                seeds * 500,
+                summarize(&seconds).median,
+            ));
+        }
+    }
 
     Ok(PerfReport {
         rev: "unknown".into(),

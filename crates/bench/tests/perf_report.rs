@@ -29,6 +29,12 @@ fn quick_report_covers_every_scenario_and_ratio() {
             "telemetry/on",
             "cached-sweep/cold",
             "cached-sweep/warm",
+            "cache-overhead/timeloop/uncached",
+            "cache-overhead/timeloop/cached",
+            "cache-overhead/farsi/uncached",
+            "cache-overhead/farsi/cached",
+            "cache-overhead/maestro/uncached",
+            "cache-overhead/maestro/cached",
         ]
     );
     assert!(report

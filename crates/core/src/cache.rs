@@ -33,20 +33,38 @@
 //! clears the mark; one waiter then simulates the key, and the others
 //! wait for it in turn.
 //!
-//! Each shard is one map from the boxed index vector to a slot that is
-//! either in flight (with the simulating thread's id) or done. A
+//! A lookup hashes its key once, with a keyed SipHash seeded per cache
+//! (as `HashMap` seeds its own), since designs may come from outside a
+//! run, as in a warm start. That one hash picks the shard by its middle
+//! bits and files the key in the shard's table, whose hasher passes it
+//! through; the [`Fill`] carries it to settle, so a miss hashes its key
+//! once too. The table stores each key's hash in front of its indices,
+//! in one boxed slice, and compares the indices after a hash match, so
+//! a collision costs a comparison, never a wrong result.
+//!
+//! Each shard is one map from the key to a slot that is either in
+//! flight (with the simulating thread's id) or done, plus the shard's
+//! share of the hit, miss and insert counters, kept under its lock;
+//! [`EvalCache::stats`] sums them. A lookup that waits for an in-flight
+//! key counts itself as waiting on the shard, and a settle signals the
+//! shard's condition variable only if some lookup waits. A
 //! [`CachedEnv`] miss allocates its key once, for the table: the
 //! [`Fill`] borrows the looked-up action to find the slot again, and
-//! settling turns the slot done in place. A done
-//! slot packs its result: the observation as a boxed slice, the reward,
-//! the two flags, and `info` as a boxed slice of `(name, value)` pairs
-//! whose names are interned once per shard. A hit rebuilds the
-//! [`StepResult`] with the same bits and the same allocations as a
-//! clone of the simulator's. Counted with a tracking allocator over
-//! 100,000 stored DRAM results (10-index keys, three info values), an
-//! entry takes 261 B of heap, table included, or about 293 B once the
-//! allocator rounds each block; a `Vec` key and a whole `StepResult` in
-//! a separate done map took 627 B (about 725 B).
+//! settling turns the slot done in place. A done slot packs its result:
+//! the observation as a boxed slice, the reward, the two flags, and
+//! `info` as a boxed slice of `(&'static str, value)` pairs. Simulators
+//! name their values with literals, so a stored name is the literal
+//! itself, with nothing to intern or allocate; a result with a name made
+//! at run time keeps its whole [`Info`](crate::env::Info) instead. A hit
+//! rebuilds the [`StepResult`] with the same bits and names as the
+//! simulator's, in two allocations (the observation and the info list).
+//! Counted with a tracking allocator over 100,000 stored DRAM results
+//! (10-index keys, three info values), an entry takes 269 B of heap,
+//! table included, or about 293 B once the allocator rounds each block,
+//! as before the hash was stored: it fits the key block's rounding slack
+//! (261 B and 293 B with interned names and no stored hash; a `Vec` key
+//! and a whole `StepResult` in a separate done map took 627 B, about
+//! 725 B).
 //!
 //! Caching is only sound for environments whose `step` is a pure
 //! function of the action — true for every bundled ArchGym cost model.
@@ -69,13 +87,14 @@
 //! assert_eq!(cache.stats().misses, 1);
 //! ```
 
-use crate::env::{Environment, Observation, StepResult};
+use crate::env::{Environment, Info, Observation, StepResult};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::{Borrow, Cow};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::ThreadId;
 
@@ -90,7 +109,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// as hits), so `inserts == entries`, except when one cache is wrapped
 /// twice: the inner and the outer fill of a key then both count an
 /// insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -115,33 +134,61 @@ impl CacheStats {
     }
 }
 
-/// A stored [`StepResult`], packed: boxed slices in place of the `Vec`
-/// and the `BTreeMap`, and info names shared through the shard's
-/// [`Shard::names`].
+/// A stored [`StepResult`], packed: boxed slices in place of the `Vec`s.
 #[derive(Debug)]
 struct Packed {
     observation: Box<[f64]>,
     reward: f64,
     done: bool,
     feasible: bool,
-    /// In the info map's (sorted) order.
-    info: Box<[(Arc<str>, f64)]>,
+    info: PackedInfo,
+}
+
+/// A stored result's info. Simulators name their values with literals,
+/// so the usual form keeps each name as its `&'static str`: nothing is
+/// allocated or freed per name. A result with a name made at run time
+/// keeps its whole [`Info`] instead. Either form is 16 B.
+#[derive(Debug)]
+enum PackedInfo {
+    Static(Box<[(&'static str, f64)]>),
+    Owned(Box<Info>),
 }
 
 impl Packed {
-    /// The result as the simulator returned it: the same values, bits
-    /// and allocations as a clone of the original.
-    fn unpack(&self) -> StepResult {
-        let mut info = BTreeMap::new();
-        for (name, value) in self.info.iter() {
-            info.insert(String::from(&**name), *value);
+    fn pack(result: &StepResult) -> Packed {
+        let names: Option<Box<[(&'static str, f64)]>> = result
+            .info
+            .entries()
+            .iter()
+            .map(|(name, value)| match name {
+                Cow::Borrowed(name) => Some((*name, *value)),
+                Cow::Owned(_) => None,
+            })
+            .collect();
+        Packed {
+            observation: result.observation.as_slice().into(),
+            reward: result.reward,
+            done: result.done,
+            feasible: result.feasible,
+            info: match names {
+                Some(names) => PackedInfo::Static(names),
+                None => PackedInfo::Owned(Box::new(result.info.clone())),
+            },
         }
+    }
+
+    /// The result as the simulator returned it: the same values, bits
+    /// and names.
+    fn unpack(&self) -> StepResult {
         StepResult {
             observation: Observation::new(self.observation.to_vec()),
             reward: self.reward,
             done: self.done,
             feasible: self.feasible,
-            info,
+            info: match &self.info {
+                PackedInfo::Static(names) => names.iter().copied().collect(),
+                PackedInfo::Owned(info) => Info::clone(info),
+            },
         }
     }
 }
@@ -153,39 +200,117 @@ enum Slot {
     Done(Packed),
 }
 
-/// One lock stripe: every stored or in-flight key of the stripe, in one
-/// map.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: HashMap<Box<[usize]>, Slot>,
-    /// Every info name stored in the stripe, each allocated once.
-    names: HashSet<Arc<str>>,
+/// A stored key: the keyed hash it was filed under, then the index
+/// vector, in one boxed slice. Keeping the hash means no probe or
+/// resize hashes the indices again; keeping it in the key's block
+/// rather than beside it leaves each table bucket as small as a bare
+/// boxed key's.
+#[derive(Debug)]
+struct Key(Box<[usize]>);
+
+impl Key {
+    fn new(hash: usize, indices: &[usize]) -> Self {
+        Key(std::iter::once(hash)
+            .chain(indices.iter().copied())
+            .collect())
+    }
 }
 
-impl Shard {
-    /// Pack `result`, sharing its info names with the stripe's.
-    fn pack(&mut self, result: &StepResult) -> Packed {
-        Packed {
-            observation: result.observation.as_slice().into(),
-            reward: result.reward,
-            done: result.done,
-            feasible: result.feasible,
-            info: result
-                .info
-                .iter()
-                .map(|(name, &value)| (self.intern(name), value))
-                .collect(),
-        }
-    }
+/// A looked-up key, borrowed from the action.
+struct Probe<'k> {
+    hash: usize,
+    indices: &'k [usize],
+}
 
-    fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(shared) = self.names.get(name) {
-            return Arc::clone(shared);
-        }
-        let shared: Arc<str> = Arc::from(name);
-        self.names.insert(Arc::clone(&shared));
-        shared
+/// What the table hashes and compares, for a stored [`Key`] and a
+/// borrowed [`Probe`] alike, so that a lookup needs no owned key.
+trait KeyView {
+    fn filed_hash(&self) -> usize;
+    fn indices(&self) -> &[usize];
+}
+
+impl KeyView for Key {
+    fn filed_hash(&self) -> usize {
+        self.0[0]
     }
+    fn indices(&self) -> &[usize] {
+        &self.0[1..]
+    }
+}
+
+impl KeyView for Probe<'_> {
+    fn filed_hash(&self) -> usize {
+        self.hash
+    }
+    fn indices(&self) -> &[usize] {
+        self.indices
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.filed_hash());
+    }
+}
+
+/// Equal hashes are not enough: two keys match only if their indices
+/// do, so a hash collision costs a comparison, never a wrong result.
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.filed_hash() == other.filed_hash() && self.indices() == other.indices()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl<'k> Borrow<dyn KeyView + 'k> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'k) {
+        self
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for Key {}
+
+/// The table's hasher. Keys arrive hashed, so it passes their one
+/// word through.
+#[derive(Debug, Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cache keys hash as one word");
+    }
+    fn write_usize(&mut self, hash: usize) {
+        self.0 = hash as u64;
+    }
+}
+
+/// One lock stripe: every stored or in-flight key of the stripe, in one
+/// map, and the stripe's share of the counters.
+#[derive(Debug, Default)]
+struct Shard {
+    slots: HashMap<Key, Slot, BuildHasherDefault<Prehashed>>,
+    /// Lookups asleep on the stripe's condition variable, waiting for
+    /// an in-flight key; a settle wakes them only if there are any.
+    waiting: usize,
+    hits: u64,
+    misses: u64,
+    inserts: u64,
 }
 
 /// A sharded, lock-striped memo table: canonical action encoding →
@@ -198,9 +323,13 @@ pub struct EvalCache {
     /// Each stripe's condition variable wakes the lookups waiting for
     /// one of its in-flight keys.
     shards: Vec<(Mutex<Shard>, Condvar)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+    /// Keys this cache's hash with a random seed, as `HashMap` does:
+    /// designs may come from outside (a warm start), so nobody can pick
+    /// keys that all land in one bucket.
+    hasher: RandomState,
+    /// Sends every key to one hash, so tests can collide keys at will.
+    #[cfg(test)]
+    colliding: bool,
 }
 
 impl EvalCache {
@@ -220,27 +349,27 @@ impl EvalCache {
             shards: (0..shards)
                 .map(|_| (Mutex::default(), Condvar::new()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            hasher: RandomState::new(),
+            #[cfg(test)]
+            colliding: false,
         }
     }
 
-    /// FNV-1a over the index vector — deterministic across processes
-    /// (unlike `DefaultHasher`'s randomized state) and plenty uniform
-    /// for shard selection.
-    fn shard_of(&self, key: &[usize]) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &index in key {
-            let mut value = index as u64;
-            // Hash each index one byte at a time, LSB first.
-            for _ in 0..8 {
-                hash ^= value & 0xff;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                value >>= 8;
-            }
+    /// The keyed hash of `key`: the one hash a lookup computes. It picks
+    /// the shard and files the key in the shard's table.
+    fn hash(&self, key: &[usize]) -> usize {
+        #[cfg(test)]
+        if self.colliding {
+            return 0x5eed;
         }
-        (hash % self.shards.len() as u64) as usize
+        self.hasher.hash_one(key) as usize
+    }
+
+    /// The shard of a key hashed to `hash`, picked by its middle bits:
+    /// the table indexes buckets by the low bits and tags them with the
+    /// top seven, so neither loses entropy within a shard.
+    fn shard_index(&self, hash: usize) -> usize {
+        hash.rotate_left(usize::BITS / 2) % self.shards.len()
     }
 
     /// Look up a design point for evaluation. A stored result is a hit.
@@ -257,6 +386,7 @@ impl EvalCache {
                 Lookup::Miss(Fill {
                     cache: self,
                     shard: borrowed.shard,
+                    hash: borrowed.hash,
                     key: Cow::Owned(borrowed.key.to_vec()),
                     settled: false,
                 })
@@ -270,83 +400,83 @@ impl EvalCache {
     /// missed key.
     fn lookup_borrowed<'a>(&'a self, action: &'a Action) -> Lookup<'a> {
         let key = action.as_slice();
-        let index = self.shard_of(key);
+        let hash = self.hash(key);
+        let index = self.shard_index(hash);
+        let probe = Probe { hash, indices: key };
         let (lock, filled) = &self.shards[index];
         let mut shard = lock.lock().expect("cache shard poisoned");
         let me = std::thread::current().id();
         loop {
-            match shard.slots.get(key) {
+            match shard.slots.get(&probe as &dyn KeyView) {
                 Some(Slot::Done(packed)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Hit(packed.unpack());
+                    let result = packed.unpack();
+                    shard.hits += 1;
+                    return Lookup::Hit(result);
                 }
                 Some(&Slot::InFlight(owner)) if owner != me => {
+                    shard.waiting += 1;
                     shard = filled.wait(shard).expect("cache shard poisoned");
+                    shard.waiting -= 1;
                 }
                 // A thread that meets its own in-flight key (one cache
                 // wrapped twice) simulates it again rather than wait for
                 // itself.
                 Some(Slot::InFlight(_)) => break,
                 None => {
-                    shard.slots.insert(key.into(), Slot::InFlight(me));
+                    shard.slots.insert(Key::new(hash, key), Slot::InFlight(me));
                     break;
                 }
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        shard.misses += 1;
         Lookup::Miss(Fill {
             cache: self,
             shard: index,
+            hash,
             key: Cow::Borrowed(key),
             settled: false,
         })
     }
 
     /// Settle `key`'s in-flight slot: store `result` if there is one,
-    /// else clear the slot, and wake the lookups waiting on the shard.
-    /// A slot another fill of the same thread already stored is only
-    /// ever overwritten, never cleared.
-    fn settle(&self, index: usize, key: &[usize], result: Option<&StepResult>) {
+    /// else clear the slot, and wake the lookups waiting on the shard,
+    /// if any. A slot another fill of the same thread already stored is
+    /// only ever overwritten, never cleared.
+    fn settle(&self, index: usize, hash: usize, key: &[usize], result: Option<&StepResult>) {
+        let packed = result.map(|result| Slot::Done(Packed::pack(result)));
+        let probe = Probe { hash, indices: key };
         let (lock, filled) = &self.shards[index];
         // Never panic here: this runs from `Fill::drop`, on unwind too.
         let mut shard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        match result {
-            Some(result) => {
-                let packed = Slot::Done(shard.pack(result));
-                match shard.slots.get_mut(key) {
+        match packed {
+            Some(packed) => {
+                match shard.slots.get_mut(&probe as &dyn KeyView) {
                     Some(slot) => *slot = packed,
                     // A nested fill of this thread abandoned the key.
                     None => {
-                        shard.slots.insert(key.into(), packed);
+                        shard.slots.insert(Key::new(hash, key), packed);
                     }
                 }
-                self.inserts.fetch_add(1, Ordering::Relaxed);
+                shard.inserts += 1;
             }
             None => {
-                if let Some(Slot::InFlight(_)) = shard.slots.get(key) {
-                    shard.slots.remove(key);
+                if let Some(Slot::InFlight(_)) = shard.slots.get(&probe as &dyn KeyView) {
+                    shard.slots.remove(&probe as &dyn KeyView);
                 }
             }
         }
+        let wake = shard.waiting > 0;
         drop(shard);
-        filled.notify_all();
+        if wake {
+            filled.notify_all();
+        }
     }
 
     /// Number of distinct canonical design points stored (keys are the
     /// actions [`CachedEnv`] looked up, after
     /// [`Environment::canonical`]).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|(s, _)| {
-                let shard = s.lock().expect("cache shard poisoned");
-                shard
-                    .slots
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Done(_)))
-                    .count()
-            })
-            .sum()
+        self.stats().entries as usize
     }
 
     /// Whether the cache holds no entries.
@@ -354,14 +484,21 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Snapshot the hit/miss/insert counters.
+    /// Snapshot the counters, summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.len() as u64,
+        let mut stats = CacheStats::default();
+        for (lock, _) in &self.shards {
+            let shard = lock.lock().expect("cache shard poisoned");
+            stats.hits += shard.hits;
+            stats.misses += shard.misses;
+            stats.inserts += shard.inserts;
+            stats.entries += shard
+                .slots
+                .values()
+                .filter(|slot| matches!(slot, Slot::Done(_)))
+                .count() as u64;
         }
+        stats
     }
 }
 
@@ -390,6 +527,8 @@ pub enum Lookup<'a> {
 pub struct Fill<'a> {
     cache: &'a EvalCache,
     shard: usize,
+    /// The key's hash, from the lookup: settling does not hash again.
+    hash: usize,
     key: Cow<'a, [usize]>,
     /// Set once the slot is stored or handed on; the drop then leaves it.
     settled: bool,
@@ -404,14 +543,15 @@ impl Fill<'_> {
     /// Store a borrowed result, packed straight into the cache.
     fn store(mut self, result: &StepResult) {
         self.settled = true;
-        self.cache.settle(self.shard, &self.key, Some(result));
+        self.cache
+            .settle(self.shard, self.hash, &self.key, Some(result));
     }
 }
 
 impl Drop for Fill<'_> {
     fn drop(&mut self) {
         if !self.settled {
-            self.cache.settle(self.shard, &self.key, None);
+            self.cache.settle(self.shard, self.hash, &self.key, None);
         }
     }
 }
@@ -559,21 +699,58 @@ fn cacheable(result: &StepResult) -> bool {
 
 #[cfg(test)]
 impl EvalCache {
-    /// The shared name `name` in `action`'s stored info, if stored.
-    fn stored_info_name(&self, action: &Action, name: &str) -> Option<Arc<str>> {
+    /// A cache whose every key hashes alike: each lookup meets every
+    /// stored key of the table, and only the index comparison tells
+    /// them apart.
+    fn colliding(shards: usize) -> Self {
+        EvalCache {
+            colliding: true,
+            ..Self::with_shards(shards)
+        }
+    }
+
+    /// Lookups waiting on any shard.
+    fn waiters(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|(lock, _)| lock.lock().expect("cache shard poisoned").waiting)
+            .sum()
+    }
+
+    /// Spin until `n` lookups wait on the cache's shards.
+    fn await_waiters(&self, n: usize) {
+        while self.waiters() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The shard `key` lives in.
+    fn shard_of(&self, key: &[usize]) -> usize {
+        self.shard_index(self.hash(key))
+    }
+
+    /// The stored name `name` in `action`'s info, if the result is
+    /// stored and its names are static.
+    fn stored_info_name(&self, action: &Action, name: &str) -> Option<&'static str> {
         let key = action.as_slice();
+        let probe = Probe {
+            hash: self.hash(key),
+            indices: key,
+        };
         let shard = self.shards[self.shard_of(key)]
             .0
             .lock()
             .expect("cache shard poisoned");
-        let Some(Slot::Done(packed)) = shard.slots.get(key) else {
+        let Some(Slot::Done(packed)) = shard.slots.get(&probe as &dyn KeyView) else {
             return None;
         };
-        packed
-            .info
+        let PackedInfo::Static(names) = &packed.info else {
+            return None;
+        };
+        names
             .iter()
-            .find(|(stored, _)| &**stored == name)
-            .map(|(stored, _)| Arc::clone(stored))
+            .find(|(stored, _)| *stored == name)
+            .map(|&(stored, _)| stored)
     }
 }
 
@@ -804,20 +981,136 @@ mod tests {
     }
 
     #[test]
-    fn entries_share_one_interned_name() {
+    fn stored_names_are_the_simulators_static_strings() {
+        // The literals a simulator names its values with; the cache
+        // must keep these very strings, not copies of them.
+        const ENERGY: &str = "energy";
+        const AREA: &str = "area";
         let cache = EvalCache::with_shards(1);
         for i in 0..2 {
             let result = StepResult::terminal(Observation::new(vec![i as f64]), 1.0)
-                .with_info("energy", 2.0 * i as f64)
-                .with_info("area", 3.0);
+                .with_info(ENERGY, 2.0 * i as f64)
+                .with_info(AREA, 3.0);
             assert_eq!(round_trip(&cache, i, &result), result);
         }
-        for name in ["energy", "area"] {
-            let first = cache.stored_info_name(&action(0), name).unwrap();
-            let second = cache.stored_info_name(&action(1), name).unwrap();
-            assert!(Arc::ptr_eq(&first, &second), "`{name}` stored twice");
+        for (name, literal) in [("energy", ENERGY), ("area", AREA)] {
+            for i in 0..2 {
+                let stored = cache.stored_info_name(&action(i), name).unwrap();
+                assert!(std::ptr::eq(stored, literal), "`{name}` was copied");
+            }
         }
         assert!(cache.stored_info_name(&action(0), "latency").is_none());
+        // A hit hands the same static strings back.
+        let Lookup::Hit(served) = cache.lookup(&action(1)) else {
+            panic!("1 was stored");
+        };
+        for (entry, literal) in served.info.entries().iter().zip([AREA, ENERGY]) {
+            assert!(matches!(entry.0, Cow::Borrowed(name) if std::ptr::eq(name, literal)));
+        }
+    }
+
+    #[test]
+    fn a_packed_info_is_two_words_either_way() {
+        assert_eq!(std::mem::size_of::<PackedInfo>(), 16);
+        assert_eq!(std::mem::size_of::<&'static str>(), 16);
+    }
+
+    #[test]
+    fn an_owned_info_name_round_trips_as_exact_bits() {
+        let cache = EvalCache::new();
+        let made_at_run_time = format!("lane{}_energy", 3);
+        let result = StepResult::terminal(Observation::new(vec![-0.0, 1.5]), -0.0)
+            .with_info(
+                made_at_run_time.clone(),
+                f64::from_bits(0x8000_0000_0000_0001),
+            )
+            .with_info("area", -0.0)
+            .with_info("zeta", f64::MIN_POSITIVE);
+        let served = round_trip(&cache, 2, &result);
+        assert_eq!(served, result);
+        let entries = |r: &StepResult| -> Vec<(String, u64, bool)> {
+            r.info
+                .entries()
+                .iter()
+                .map(|(name, v)| (name.to_string(), v.to_bits(), matches!(name, Cow::Owned(_))))
+                .collect()
+        };
+        assert_eq!(entries(&served), entries(&result));
+        assert_eq!(
+            served.info.keys().collect::<Vec<_>>(),
+            ["area", "lane3_energy", "zeta"]
+        );
+        assert_eq!(served.reward.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(served.observation.get(0).to_bits(), (-0.0f64).to_bits());
+        // A second lookup is served from the same stored copy.
+        let Lookup::Hit(again) = cache.lookup(&action(2)) else {
+            panic!("2 was stored");
+        };
+        assert_eq!(entries(&again), entries(&result));
+    }
+
+    #[test]
+    fn colliding_hashes_still_serve_each_key_its_own_result() {
+        let cache = EvalCache::colliding(4);
+        let keys: Vec<Action> = (0..40)
+            .map(|i| Action::new(vec![i % 5, i / 5, 7]))
+            .collect();
+        let hashes: std::collections::HashSet<usize> =
+            keys.iter().map(|k| cache.hash(k.as_slice())).collect();
+        assert_eq!(hashes.len(), 1, "the test hasher must collide every key");
+        for (i, key) in keys.iter().enumerate() {
+            let Lookup::Miss(fill) = cache.lookup(key) else {
+                panic!("{key:?} hit before it was stored");
+            };
+            fill.complete(
+                StepResult::terminal(Observation::new(vec![i as f64]), -(i as f64))
+                    .with_info("index", i as f64),
+            );
+        }
+        for (i, key) in keys.iter().enumerate().rev() {
+            let Lookup::Hit(served) = cache.lookup(key) else {
+                panic!("{key:?} was stored");
+            };
+            assert_eq!(served.observation.get(0), i as f64, "{key:?}");
+            assert_eq!(served.info["index"], i as f64);
+        }
+        // An abandoned key leaves its colliding neighbours in place.
+        drop(miss_on(&cache, &Action::new(vec![9, 9, 9])));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts, stats.entries),
+            (40, 41, 40, 40)
+        );
+    }
+
+    #[test]
+    fn a_waiter_on_a_colliding_shard_is_woken_by_its_own_key() {
+        let cache = EvalCache::colliding(1);
+        let fill = miss(&cache, 3);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.lookup(&action(3)));
+            cache.await_waiters(1);
+            // Settling another key of the shard wakes the waiter, which
+            // finds its own key still in flight and waits again.
+            miss(&cache, 4).complete(StepResult::terminal(Observation::new(vec![4.0]), 4.0));
+            cache.await_waiters(1);
+            fill.complete(StepResult::terminal(Observation::new(vec![3.0]), 3.0));
+            match waiter.join().unwrap() {
+                Lookup::Hit(result) => assert_eq!(result.reward, 3.0),
+                Lookup::Miss(_) => panic!("the waiter simulated the key again"),
+            }
+        });
+        assert_eq!(cache.waiters(), 0);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 2, 2));
+    }
+
+    /// Miss on `key` through `lookup`, returning the fill.
+    fn miss_on<'c>(cache: &'c EvalCache, key: &Action) -> Fill<'c> {
+        match cache.lookup(key) {
+            Lookup::Miss(fill) => fill,
+            Lookup::Hit(_) => panic!("expected a miss on {key:?}"),
+        }
     }
 
     #[test]

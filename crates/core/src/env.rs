@@ -8,8 +8,9 @@
 use crate::error::Result;
 use crate::space::{Action, ParamSpace};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Index;
 
 /// The state information an environment reports back to the agent.
 ///
@@ -75,6 +76,107 @@ impl fmt::Display for Observation {
     }
 }
 
+/// A step's named diagnostics ([`StepResult::info`]): a short list of
+/// `(name, value)` pairs, kept sorted by name, one entry per name.
+///
+/// Simulators name their diagnostics with string literals, so building
+/// an `Info` allocates the list and nothing per name. A name is owned
+/// only where it is made at run time, as when a journal is read back;
+/// a static and an owned name with the same text compare equal.
+/// Iteration runs in name order, which is the order a
+/// `BTreeMap<String, f64>` would give, so journals and reports read the
+/// same whichever kind of name a result holds.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Info(Vec<(Cow<'static, str>, f64)>);
+
+impl Info {
+    /// An empty list.
+    pub fn new() -> Self {
+        Info(Vec::new())
+    }
+
+    /// Set `name` to `value`, keeping the list sorted; returns the value
+    /// it replaced, if `name` was present.
+    pub fn insert(&mut self, name: impl Into<Cow<'static, str>>, value: f64) -> Option<f64> {
+        let name = name.into();
+        match self.position(&name) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (name, value));
+                None
+            }
+        }
+    }
+
+    fn position(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.0.binary_search_by(|(stored, _)| (**stored).cmp(name))
+    }
+
+    /// The value named `name`.
+    pub fn get(&self, name: &str) -> Option<&f64> {
+        self.position(name).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Whether a value is named `name`.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.position(name).is_ok()
+    }
+
+    /// The `(name, value)` pairs in name order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&str, &f64)> + ExactSizeIterator {
+        self.0.iter().map(|(name, value)| (&**name, value))
+    }
+
+    /// The names, in order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &str> + ExactSizeIterator {
+        self.0.iter().map(|(name, _)| &**name)
+    }
+
+    /// The values, in name order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &f64> + ExactSizeIterator {
+        self.0.iter().map(|(_, value)| value)
+    }
+
+    /// The entries as stored, static and owned names alike.
+    pub fn entries(&self) -> &[(Cow<'static, str>, f64)] {
+        &self.0
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the list holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<N: Into<Cow<'static, str>>> FromIterator<(N, f64)> for Info {
+    /// Insert each pair in turn: a later duplicate name wins.
+    fn from_iter<I: IntoIterator<Item = (N, f64)>>(pairs: I) -> Self {
+        let pairs = pairs.into_iter();
+        let mut info = Info(Vec::with_capacity(pairs.size_hint().0));
+        for (name, value) in pairs {
+            info.insert(name, value);
+        }
+        info
+    }
+}
+
+impl Index<&str> for Info {
+    type Output = f64;
+
+    /// # Panics
+    ///
+    /// Panics if no value is named `name`.
+    fn index(&self, name: &str) -> &f64 {
+        self.get(name)
+            .unwrap_or_else(|| panic!("no info value named `{name}`"))
+    }
+}
+
 /// Everything `step()` returns: observation, reward/fitness, episode-done
 /// flag and free-form diagnostic info.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,7 +194,7 @@ pub struct StepResult {
     /// reward so that agents can learn to avoid them.
     pub feasible: bool,
     /// Free-form named diagnostics (e.g. per-component energies).
-    pub info: BTreeMap<String, f64>,
+    pub info: Info,
 }
 
 impl StepResult {
@@ -103,7 +205,7 @@ impl StepResult {
             reward,
             done: true,
             feasible: true,
-            info: BTreeMap::new(),
+            info: Info::new(),
         }
     }
 
@@ -114,13 +216,14 @@ impl StepResult {
             reward: penalty_reward,
             done: true,
             feasible: false,
-            info: BTreeMap::new(),
+            info: Info::new(),
         }
     }
 
-    /// Attach a named diagnostic value, builder-style.
-    pub fn with_info(mut self, key: &str, value: f64) -> Self {
-        self.info.insert(key.to_owned(), value);
+    /// Attach a named diagnostic value, builder-style. A literal name is
+    /// kept as the `&'static str` itself; any other is owned.
+    pub fn with_info(mut self, key: impl Into<Cow<'static, str>>, value: f64) -> Self {
+        self.info.insert(key, value);
         self
     }
 }
@@ -374,6 +477,84 @@ mod tests {
         let bad = StepResult::infeasible(Observation::new(vec![0.0]), -1.0).with_info("why", 3.0);
         assert!(!bad.feasible);
         assert_eq!(bad.info["why"], 3.0);
+    }
+
+    #[test]
+    fn info_names_are_sorted_whatever_the_insertion_order() {
+        let names = [
+            "energy",
+            "area",
+            "p95_latency_ns",
+            "row_hit_rate",
+            "a",
+            "zeta",
+        ];
+        let mut expected: Vec<&str> = names.to_vec();
+        expected.sort_unstable();
+        for rotation in 0..names.len() {
+            let mut order = names.to_vec();
+            order.rotate_left(rotation);
+            if rotation % 2 == 1 {
+                order.reverse();
+            }
+            let mut info = Info::new();
+            for (i, name) in order.iter().enumerate() {
+                assert_eq!(info.insert(*name, i as f64), None);
+            }
+            assert_eq!(info.keys().collect::<Vec<_>>(), expected, "{order:?}");
+            assert_eq!(info.len(), names.len());
+            for (i, name) in order.iter().enumerate() {
+                assert_eq!(info[*name], i as f64);
+                assert_eq!(info.get(name), Some(&(i as f64)));
+            }
+        }
+        // The same order a `BTreeMap<String, f64>` gives, byte-wise.
+        let map: std::collections::BTreeMap<String, f64> =
+            names.iter().map(|n| (n.to_string(), 0.0)).collect();
+        let info: Info = names.iter().map(|&n| (n, 0.0)).collect();
+        assert!(map.keys().map(String::as_str).eq(info.keys()));
+    }
+
+    #[test]
+    fn info_insert_replaces_an_existing_name() {
+        let mut info = Info::new();
+        assert_eq!(info.insert("energy", 1.0), None);
+        assert_eq!(info.insert("area", 2.0), None);
+        assert_eq!(info.insert("energy", -3.0), Some(1.0));
+        assert_eq!(info.insert(String::from("area"), 4.0), Some(2.0));
+        assert_eq!(info.len(), 2);
+        assert_eq!(info.values().copied().collect::<Vec<_>>(), [4.0, -3.0]);
+        let built = StepResult::terminal(Observation::new(vec![]), 0.0)
+            .with_info("x", 1.0)
+            .with_info("x", 2.0);
+        assert_eq!(built.info.len(), 1);
+        assert_eq!(built.info["x"], 2.0);
+        assert!(built.info.contains_key("x") && !built.info.contains_key("y"));
+        assert_eq!(built.info.get("y"), None);
+    }
+
+    #[test]
+    fn static_and_owned_info_names_compare_equal() {
+        let with_static: Info = [("area", 1.5), ("energy", -0.0)].into_iter().collect();
+        let with_owned: Info = [("energy".to_string(), -0.0), ("area".to_string(), 1.5)]
+            .into_iter()
+            .collect();
+        assert!(matches!(with_static.entries()[0].0, Cow::Borrowed(_)));
+        assert!(matches!(with_owned.entries()[0].0, Cow::Owned(_)));
+        assert_eq!(with_static, with_owned);
+        let a = StepResult::terminal(Observation::new(vec![1.0]), 1.0).with_info("area", 1.5);
+        let b = StepResult::terminal(Observation::new(vec![1.0]), 1.0)
+            .with_info(format!("ar{}", "ea"), 1.5);
+        assert_eq!(a, b);
+        assert_ne!(a, b.clone().with_info("area", 1.25));
+        assert!(Info::new().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "no info value named `latency`")]
+    fn info_index_panics_on_a_missing_name() {
+        let info: Info = [("area", 1.0)].into_iter().collect();
+        let _ = info["latency"];
     }
 
     #[test]

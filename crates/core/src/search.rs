@@ -270,7 +270,8 @@ impl Settled {
                 reward: step.reward,
                 done: step.done,
                 feasible: step.feasible,
-                info: step.info,
+                // Read back from text, the names are owned here.
+                info: step.info.into_iter().collect(),
             },
             retries: step.retries,
             faults: step.faults,
@@ -285,7 +286,12 @@ impl Settled {
             observation: self.result.observation.as_slice().to_vec(),
             done: self.result.done,
             feasible: self.result.feasible,
-            info: self.result.info.clone(),
+            info: self
+                .result
+                .info
+                .iter()
+                .map(|(name, &value)| (name.to_owned(), value))
+                .collect(),
             retries: self.retries,
             faults: self.faults,
             degraded: self.degraded,
@@ -480,8 +486,10 @@ impl SearchLoop {
     {
         let _settle_span = rec.span(Phase::Settle);
         let n = actions.len();
-        let width = eval.observation_width();
-        let degraded_result = || {
+        // The placeholder of a position that exhausts its retries. The
+        // width is asked for only then: it builds the label list.
+        let degraded_result = |eval: &E| {
+            let width = eval.observation_width();
             StepResult::infeasible(Observation::new(vec![0.0; width]), policy.penalty)
                 .with_info("degraded", 1.0)
         };
@@ -505,7 +513,7 @@ impl SearchLoop {
             }
             if round > max_rounds {
                 for &i in &pending {
-                    slots[i] = Some(degraded_result());
+                    slots[i] = Some(degraded_result(eval));
                     degraded[i] = true;
                 }
                 break;
@@ -525,10 +533,15 @@ impl SearchLoop {
                     retries[i] += 1;
                 }
             }
-            let subset: Vec<Action> = pending.iter().map(|&i| actions[i].clone()).collect();
             let outcomes = {
                 let _eval_span = rec.span(Phase::Evaluate);
-                eval.try_eval_batch(&subset)
+                if round == 0 {
+                    // Every position is pending: evaluate the batch in place.
+                    eval.try_eval_batch(actions)
+                } else {
+                    let subset: Vec<Action> = pending.iter().map(|&i| actions[i].clone()).collect();
+                    eval.try_eval_batch(&subset)
+                }
             };
             debug_assert_eq!(outcomes.len(), pending.len());
             for (&i, outcome) in pending.iter().zip(outcomes) {
@@ -559,7 +572,7 @@ impl SearchLoop {
             }
             for &i in &pending {
                 if slots[i].is_none() && charges[i] > policy.max_retries {
-                    slots[i] = Some(degraded_result());
+                    slots[i] = Some(degraded_result(eval));
                     degraded[i] = true;
                 }
             }
@@ -718,6 +731,9 @@ impl SearchLoop {
         let mut best_observation = Vec::new();
         let mut reward_history = Vec::new();
         let mut dataset = Dataset::new();
+        // Every recorded transition shares these two labels.
+        let env_label: std::sync::Arc<str> = eval.env_name().into();
+        let agent_label: std::sync::Arc<str> = agent.name().into();
         let mut eval_retries = 0u64;
         let mut eval_failures = 0u64;
         let mut degraded_samples = 0u64;
@@ -941,8 +957,8 @@ impl SearchLoop {
                 if self.config.record {
                     reward_history.push(result.reward);
                     dataset.push(Transition::new(
-                        eval.env_name(),
-                        agent.name(),
+                        std::sync::Arc::clone(&env_label),
+                        std::sync::Arc::clone(&agent_label),
                         action.clone(),
                         &result,
                     ));

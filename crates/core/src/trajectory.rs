@@ -17,15 +17,20 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// One recorded agent↔environment interaction.
+///
+/// The two labels are shared: a run allocates each once and every
+/// transition it records points at it. Each row still carries its own
+/// labels, so merged datasets keep their sources apart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Transition {
     /// Environment identifier (e.g. `"dram"`).
-    pub env: String,
+    pub env: Arc<str>,
     /// Agent identifier (e.g. `"aco"`). This is the *source* label that
     /// dataset-diversity experiments stratify on.
-    pub agent: String,
+    pub agent: Arc<str>,
     /// Index-encoded design point.
     pub action: Action,
     /// Raw observation metrics.
@@ -37,11 +42,17 @@ pub struct Transition {
 }
 
 impl Transition {
-    /// Record a step outcome.
-    pub fn new(env: &str, agent: &str, action: Action, result: &StepResult) -> Self {
+    /// Record a step outcome. Pass `Arc<str>` labels to share them
+    /// across a run's transitions; a `&str` is copied into a new one.
+    pub fn new(
+        env: impl Into<Arc<str>>,
+        agent: impl Into<Arc<str>>,
+        action: Action,
+        result: &StepResult,
+    ) -> Self {
         Transition {
-            env: env.to_owned(),
-            agent: agent.to_owned(),
+            env: env.into(),
+            agent: agent.into(),
             action,
             observation: result.observation.as_slice().to_vec(),
             reward: result.reward,
@@ -54,8 +65,8 @@ impl Transition {
     /// values.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("env".into(), Json::Str(self.env.clone())),
-            ("agent".into(), Json::Str(self.agent.clone())),
+            ("env".into(), Json::Str(self.env.to_string())),
+            ("agent".into(), Json::Str(self.agent.to_string())),
             (
                 "action".into(),
                 Json::Arr(
@@ -81,8 +92,8 @@ impl Transition {
     /// Returns a human-readable message on schema mismatches.
     pub fn from_json(value: &Json) -> std::result::Result<Self, String> {
         Ok(Transition {
-            env: value.field("env")?.as_str()?.to_owned(),
-            agent: value.field("agent")?.as_str()?.to_owned(),
+            env: value.field("env")?.as_str()?.into(),
+            agent: value.field("agent")?.as_str()?.into(),
             action: Action::new(
                 value
                     .field("action")?
@@ -167,7 +178,7 @@ impl Dataset {
     pub fn composition(&self) -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
         for t in &self.transitions {
-            *counts.entry(t.agent.clone()).or_insert(0) += 1;
+            *counts.entry(t.agent.to_string()).or_insert(0) += 1;
         }
         counts
     }
@@ -179,7 +190,7 @@ impl Dataset {
             transitions: self
                 .transitions
                 .iter()
-                .filter(|t| t.agent == agent)
+                .filter(|t| &*t.agent == agent)
                 .cloned()
                 .collect(),
         }
@@ -320,7 +331,7 @@ impl Dataset {
                     "inconsistent widths: expected {ad} action / {od} observation columns"
                 )));
             }
-            let mut row = vec![t.env.clone(), t.agent.clone()];
+            let mut row = vec![t.env.to_string(), t.agent.to_string()];
             row.extend(t.action.iter().map(|i| i.to_string()));
             row.extend(t.observation.iter().map(|v| format!("{v}")));
             row.push(format!("{}", t.reward));
@@ -425,8 +436,8 @@ impl Dataset {
             .parse()
             .map_err(|_| bad("bad feasible flag"))?;
         Ok(Transition {
-            env: fields[0].to_owned(),
-            agent: fields[1].to_owned(),
+            env: fields[0].into(),
+            agent: fields[1].into(),
             action: Action::new(action),
             observation,
             reward,
@@ -533,7 +544,7 @@ mod tests {
         let d = sample_dataset();
         let aco = d.filter_agent("aco");
         assert_eq!(aco.len(), 5);
-        assert!(aco.iter().all(|t| t.agent == "aco"));
+        assert!(aco.iter().all(|t| &*t.agent == "aco"));
     }
 
     #[test]

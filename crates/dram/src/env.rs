@@ -609,7 +609,7 @@ mod tests {
             result
                 .info
                 .iter()
-                .map(|(name, v)| (name.clone(), v.to_bits()))
+                .map(|(name, v)| (name.to_owned(), v.to_bits()))
                 .collect(),
         )
     }

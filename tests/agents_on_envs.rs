@@ -104,8 +104,8 @@ fn trajectories_are_recorded_identically_across_agents() {
         assert_eq!(result.dataset.len(), 32);
         for t in result.dataset.iter() {
             widths.insert((t.action.len(), t.observation.len()));
-            assert_eq!(t.agent, kind.name());
-            assert_eq!(t.env, "dram/stream");
+            assert_eq!(&*t.agent, kind.name());
+            assert_eq!(&*t.env, "dram/stream");
         }
     }
     assert_eq!(

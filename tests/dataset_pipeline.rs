@@ -80,7 +80,7 @@ fn diversity_tiers_partition_by_source_agent() {
     let mut rng = archgym::core::seeded_rng(4);
     let tiers = DatasetTiers::build(&pool, "rl", &[50], &mut rng).unwrap();
     let (_, single, diverse) = &tiers.tiers[0];
-    assert!(single.iter().all(|t| t.agent == "rl"));
+    assert!(single.iter().all(|t| &*t.agent == "rl"));
     assert!(diverse.composition().len() > 1);
     assert_eq!(single.len(), 50);
     assert_eq!(diverse.len(), 50);

@@ -27,7 +27,7 @@ fn bits(result: &StepResult) -> Bits {
         result
             .info
             .iter()
-            .map(|(name, v)| (name.clone(), v.to_bits()))
+            .map(|(name, v)| (name.to_owned(), v.to_bits()))
             .collect(),
     )
 }
