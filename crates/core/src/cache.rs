@@ -1036,10 +1036,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(entries(&served), entries(&result));
-        assert_eq!(
-            served.info.keys().collect::<Vec<_>>(),
-            ["area", "lane3_energy", "zeta"]
-        );
+        let names: Vec<&str> = served.info.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["area", "lane3_energy", "zeta"]);
         assert_eq!(served.reward.to_bits(), (-0.0f64).to_bits());
         assert_eq!(served.observation.get(0).to_bits(), (-0.0f64).to_bits());
         // A second lookup is served from the same stored copy.

@@ -127,11 +127,6 @@ impl Info {
         self.0.iter().map(|(name, value)| (&**name, value))
     }
 
-    /// The names, in order.
-    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &str> + ExactSizeIterator {
-        self.0.iter().map(|(name, _)| &**name)
-    }
-
     /// The values, in name order.
     pub fn values(&self) -> impl DoubleEndedIterator<Item = &f64> + ExactSizeIterator {
         self.0.iter().map(|(_, value)| value)
@@ -501,7 +496,8 @@ mod tests {
             for (i, name) in order.iter().enumerate() {
                 assert_eq!(info.insert(*name, i as f64), None);
             }
-            assert_eq!(info.keys().collect::<Vec<_>>(), expected, "{order:?}");
+            let names: Vec<&str> = info.iter().map(|(name, _)| name).collect();
+            assert_eq!(names, expected, "{order:?}");
             assert_eq!(info.len(), names.len());
             for (i, name) in order.iter().enumerate() {
                 assert_eq!(info[*name], i as f64);
@@ -512,7 +508,10 @@ mod tests {
         let map: std::collections::BTreeMap<String, f64> =
             names.iter().map(|n| (n.to_string(), 0.0)).collect();
         let info: Info = names.iter().map(|&n| (n, 0.0)).collect();
-        assert!(map.keys().map(String::as_str).eq(info.keys()));
+        assert!(map
+            .keys()
+            .map(String::as_str)
+            .eq(info.iter().map(|(name, _)| name)));
     }
 
     #[test]

@@ -1081,6 +1081,20 @@ mod tests {
     }
 
     #[test]
+    fn a_run_shares_its_two_labels_across_its_transitions() {
+        let mut env = PeakEnv::new(&[6, 6], vec![2, 5]);
+        let mut agent = RandomWalker::new(env.space().clone(), 4);
+        let result = SearchLoop::new(RunConfig::with_budget(40)).run(&mut agent, &mut env);
+        let rows = result.dataset.transitions();
+        assert_eq!(rows.len(), 40);
+        assert_eq!((&*rows[0].env, &*rows[0].agent), ("peak", "rw"));
+        for row in rows {
+            assert!(std::sync::Arc::ptr_eq(&row.env, &rows[0].env));
+            assert!(std::sync::Arc::ptr_eq(&row.agent, &rows[0].agent));
+        }
+    }
+
+    #[test]
     fn best_so_far_is_monotone() {
         let mut env = PeakEnv::new(&[20], vec![11]);
         let mut agent = RandomWalker::new(env.space().clone(), 1);
