@@ -63,6 +63,9 @@ pub struct ScenarioResult {
     pub wall_seconds: f64,
     /// Work units per second at the median rep.
     pub per_second: f64,
+    /// Simulations one rep ran, where the scenario counts them (the
+    /// `cache-overhead/*` rows: cache misses, or every sample uncached).
+    pub simulations: Option<u64>,
 }
 
 impl ScenarioResult {
@@ -72,6 +75,7 @@ impl ScenarioResult {
             work_units,
             wall_seconds,
             per_second: work_units as f64 / wall_seconds,
+            simulations: None,
         }
     }
 }
@@ -168,8 +172,12 @@ impl PerfReport {
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(out, "  \"reps\": {REPS},");
         array(&mut out, "scenarios", &self.scenarios, |s| {
+            let simulations = s
+                .simulations
+                .map(|n| format!(", \"simulations\": {n}"))
+                .unwrap_or_default();
             format!(
-                "{{\"name\": \"{}\", \"work_units\": {}, \"wall_seconds\": {:.6}, \"per_second\": {:.3}}}",
+                "{{\"name\": \"{}\", \"work_units\": {}, \"wall_seconds\": {:.6}, \"per_second\": {:.3}{simulations}}}",
                 s.name, s.work_units, s.wall_seconds, s.per_second
             )
         });
@@ -482,13 +490,15 @@ pub fn run(quick: bool) -> Result<PerfReport> {
     // --- cache-overhead: what a cache costs GA on fixed work ----------
     // Default GA (auto batch), budget 500, on the three families whose
     // steps cost microseconds, so the cache path is a visible share of
-    // a sample. Each seed's run gets a fresh cache, so its hits are the
-    // run's own revisits. A rep times every seed uncached, then every
+    // a sample, and on `dram/stream`, whose cached side is answered by
+    // twin sets too. Each seed's run gets a fresh cache, so its hits are
+    // the run's own revisits. A rep times every seed uncached, then every
     // seed cached, and the two must find the same designs the same way.
-    // Recorded, never gated, like `dram-engine/*`.
+    // Each row counts the simulations of one rep. Recorded, never gated,
+    // like `dram-engine/*`.
     let seeds: u64 = if quick { 10 } else { 40 };
     let network = |name| archgym_models::by_name(name).expect("bundled model");
-    let families: [(&str, Box<dyn CloneEnvironment>); 3] = [
+    let families: [(&str, Box<dyn CloneEnvironment>); 4] = [
         (
             "timeloop",
             Box::new(archgym_accel::AccelEnv::new(
@@ -510,38 +520,59 @@ pub fn run(quick: bool) -> Result<PerfReport> {
                 archgym_mapping::Objective::runtime(),
             )?),
         ),
+        (
+            "dram",
+            Box::new(DramEnv::new(
+                DramWorkload::Stream,
+                Objective::low_power(1.0),
+            )),
+        ),
     ];
     for (family, env) in families {
-        let ga_runs = |cached: bool| -> Result<Vec<RunResult>> {
-            (0..seeds)
+        // Every seed's run, and the simulations they took: each sample
+        // uncached, each miss cached.
+        let ga_runs = |cached: bool| -> Result<(Vec<RunResult>, u64)> {
+            let mut simulations = 0;
+            let runs = (0..seeds)
                 .map(|seed| {
                     let mut agent =
                         build_agent(AgentKind::Ga, env.space(), &HyperMap::new(), seed)?;
                     let cache = cached.then(|| Arc::new(EvalCache::new()));
-                    let mut env = CachedEnv::with_cache(env.clone(), cache);
+                    let mut env = CachedEnv::with_cache(env.clone(), cache.clone());
                     let driver = SearchLoop::new(RunConfig::with_budget(500).batch(0));
-                    Ok(driver.run(&mut agent, &mut env))
+                    let run = driver.run(&mut agent, &mut env);
+                    simulations += cache.map_or(run.samples_used, |c| c.stats().misses);
+                    Ok(run)
                 })
-                .collect()
+                .collect::<Result<_>>()?;
+            Ok((runs, simulations))
         };
         let (mut uncached_seconds, mut cached_seconds) = (Vec::new(), Vec::new());
+        let mut simulations = (0, 0);
         for _ in 0..REPS {
             let (uncached_s, uncached) = timed(|| ga_runs(false));
             let (cached_s, cached) = timed(|| ga_runs(true));
-            let (uncached, cached) = (uncached?, cached?);
+            let ((uncached, uncached_sims), (cached, cached_sims)) = (uncached?, cached?);
             assert!(
                 uncached.iter().zip(&cached).all(|(a, b)| same_run(a, b)),
                 "cache-overhead/{family}: the cached runs diverged"
             );
             uncached_seconds.push(uncached_s);
             cached_seconds.push(cached_s);
+            simulations = (uncached_sims, cached_sims);
         }
-        for (side, seconds) in [("uncached", uncached_seconds), ("cached", cached_seconds)] {
-            scenarios.push(ScenarioResult::new(
-                format!("cache-overhead/{family}/{side}"),
-                seeds * 500,
-                summarize(&seconds).median,
-            ));
+        for (side, seconds, sims) in [
+            ("uncached", uncached_seconds, simulations.0),
+            ("cached", cached_seconds, simulations.1),
+        ] {
+            scenarios.push(ScenarioResult {
+                simulations: Some(sims),
+                ..ScenarioResult::new(
+                    format!("cache-overhead/{family}/{side}"),
+                    seeds * 500,
+                    summarize(&seconds).median,
+                )
+            });
         }
     }
 
@@ -608,13 +639,14 @@ pub fn print(report: &PerfReport) {
         report.rev, report.date, report.cores, report.quick
     );
     println!(
-        "{:<30} {:>12} {:>14} {:>14}",
-        "scenario", "work units", "rep seconds", "per second"
+        "{:<30} {:>12} {:>14} {:>14} {:>12}",
+        "scenario", "work units", "rep seconds", "per second", "simulations"
     );
     for s in &report.scenarios {
+        let simulations = s.simulations.map(|n| n.to_string()).unwrap_or_default();
         println!(
-            "{:<30} {:>12} {:>14.6} {:>14.1}",
-            s.name, s.work_units, s.wall_seconds, s.per_second
+            "{:<30} {:>12} {:>14.6} {:>14.1} {:>12}",
+            s.name, s.work_units, s.wall_seconds, s.per_second, simulations
         );
     }
     println!(

@@ -35,6 +35,8 @@ fn quick_report_covers_every_scenario_and_ratio() {
             "cache-overhead/farsi/cached",
             "cache-overhead/maestro/uncached",
             "cache-overhead/maestro/cached",
+            "cache-overhead/dram/uncached",
+            "cache-overhead/dram/cached",
         ]
     );
     assert!(report
@@ -42,6 +44,26 @@ fn quick_report_covers_every_scenario_and_ratio() {
         .iter()
         .all(|s| s.work_units > 0 && s.per_second.is_finite() && s.per_second > 0.0));
     assert!(report.cores >= 1);
+    // The cache-overhead rows count their simulations: every sample
+    // uncached, fewer cached.
+    let overhead: Vec<_> = report
+        .scenarios
+        .iter()
+        .filter(|s| s.name.starts_with("cache-overhead/"))
+        .collect();
+    assert_eq!(overhead.len(), 8);
+    for pair in overhead.chunks(2) {
+        let (uncached, cached) = (pair[0], pair[1]);
+        assert_eq!(
+            uncached.simulations,
+            Some(uncached.work_units),
+            "{uncached:?}"
+        );
+        assert!(
+            cached.simulations.is_some_and(|n| n < uncached.work_units),
+            "{cached:?}"
+        );
+    }
 
     let ratios: Vec<&str> = report.ratios.iter().map(|r| r.name).collect();
     assert_eq!(

@@ -727,11 +727,12 @@ fn write_cache_line(out: &mut String, cache: &EvalCache) {
     let s = cache.stats();
     let _ = writeln!(
         out,
-        "cache: {} hits / {} lookups ({:.1}% hit rate, {} distinct designs)",
+        "cache: {} hits / {} lookups ({:.1}% hit rate, {} distinct designs), {} by twin sets",
         s.hits,
         s.hits + s.misses,
         s.hit_rate() * 100.0,
-        s.entries
+        s.entries,
+        s.twin_hits
     );
 }
 

@@ -25,6 +25,27 @@
 //! simulated designs, not distinct actions. The inner environment still
 //! steps the raw action on a miss.
 //!
+//! A miss may also be answered by a *twin set*: the designs that an
+//! earlier simulation's own run proved to step bit-identically to it
+//! ([`Environment::try_step_with_twins`], a [`TwinSet`]). On a miss,
+//! [`CachedEnv`] asks the inner environment for the set along with the
+//! result, stores the result once under its key, and registers the set
+//! against that same packed result (shared, not copied). When a later
+//! lookup finds no exact entry, it probes the twin index with the raw
+//! action: sets are filed by their action's indices outside the free
+//! dimensions, so a probe scans only the sets that agree with it there,
+//! and a member found is a hit, counted in [`CacheStats::twin_hits`],
+//! that inserts nothing. So `entries == misses` still, and each entry is
+//! one simulation. Single-flight covers one key, not one class: two
+//! concurrent misses inside one class may both simulate, and their
+//! results are identical. On DRAM the witness rules subsume
+//! [`Environment::canonical`]'s three static ones (every set holds its
+//! action's canonical twin). Plain `step` registers no set, and uncached
+//! callers never compute one. `Box`, `&mut`,
+//! [`CountingEnv`](crate::env::CountingEnv) and [`CachedEnv`] forward
+//! the method; [`FaultyEnv`](crate::fault::FaultyEnv) forwards it on
+//! clean attempts only, and a learned surrogate keeps the default.
+//!
 //! Misses are *single-flight*: [`EvalCache::lookup`] marks a missed key
 //! as in flight, and a concurrent lookup of that key waits for the first
 //! simulation and counts as a hit. So a parallel sweep simulates each
@@ -87,7 +108,7 @@
 //! assert_eq!(cache.stats().misses, 1);
 //! ```
 
-use crate::env::{Environment, Info, Observation, StepResult};
+use crate::env::{Environment, Info, Observation, StepResult, TwinSet};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
@@ -95,6 +116,7 @@ use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::ThreadId;
 
@@ -108,11 +130,15 @@ const DEFAULT_SHARDS: usize = 16;
 /// misses on one key simulate it once (the later lookups wait and count
 /// as hits), so `inserts == entries`, except when one cache is wrapped
 /// twice: the inner and the outer fill of a key then both count an
-/// insert.
+/// insert. A hit answered by a stored twin set inserts nothing, so with
+/// no failed simulation `entries == misses` as well.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
+    /// Of the hits, those answered by a stored twin set rather than by
+    /// the looked-up key's own entry (at most `hits`).
+    pub twin_hits: u64,
     /// Lookups that fell through to a simulation.
     pub misses: u64,
     /// Results written into the cache.
@@ -193,11 +219,24 @@ impl Packed {
     }
 }
 
-/// A key's state: simulated now by the owning thread, or stored.
+/// A key's state: simulated now by the owning thread, or stored: on its
+/// own, or shared with the twin set its simulation registered.
 #[derive(Debug)]
 enum Slot {
     InFlight(ThreadId),
     Done(Packed),
+    Shared(Arc<Packed>),
+}
+
+impl Slot {
+    /// The stored result, if the slot is done.
+    fn packed(&self) -> Option<&Packed> {
+        match self {
+            Slot::InFlight(_) => None,
+            Slot::Done(packed) => Some(packed),
+            Slot::Shared(packed) => Some(packed),
+        }
+    }
 }
 
 /// A stored key: the keyed hash it was filed under, then the index
@@ -309,8 +348,63 @@ struct Shard {
     /// an in-flight key; a settle wakes them only if there are any.
     waiting: usize,
     hits: u64,
+    twin_hits: u64,
     misses: u64,
     inserts: u64,
+}
+
+/// The stored twin sets, filed by the *bucket* of their stepped action:
+/// its indices outside the set's free dimensions, after the position of
+/// the free-dimension list in `free_lists`. A probe computes its own
+/// bucket under each list, so it scans only the sets that agree with it
+/// on every exact dimension.
+#[derive(Debug, Default)]
+struct TwinIndex {
+    /// Each distinct list of free dimensions registered, in first-seen
+    /// order; one environment names one.
+    free_lists: Vec<Box<[usize]>>,
+    buckets: HashMap<Key, Vec<TwinEntry>, BuildHasherDefault<Prehashed>>,
+}
+
+/// One stored twin set: a mask per free dimension, in its list's order,
+/// and the result it shares with its simulated key's slot.
+#[derive(Debug)]
+struct TwinEntry {
+    masks: Box<[u64]>,
+    result: Arc<Packed>,
+}
+
+impl TwinEntry {
+    /// Whether `action`, already in this entry's bucket, is a member.
+    fn admits(&self, free: &[usize], action: &[usize]) -> bool {
+        free.iter()
+            .zip(self.masks.iter())
+            .all(|(&dim, &mask)| action[dim] < 64 && mask >> action[dim] & 1 == 1)
+    }
+
+    /// Whether every member of a set with `masks` is a member here.
+    fn covers(&self, masks: &[u64]) -> bool {
+        self.masks
+            .iter()
+            .zip(masks)
+            .all(|(&own, &other)| other & !own == 0)
+    }
+}
+
+/// `action`'s bucket under the free-dimension list at `list`: the list's
+/// position, then `action`'s indices outside `free`, or `None` if a free
+/// dimension is past the action's end.
+fn bucket(list: usize, free: &[usize], action: &[usize]) -> Option<Vec<usize>> {
+    if free.last().is_some_and(|&dim| dim >= action.len()) {
+        return None;
+    }
+    let mut free = free.iter().peekable();
+    let exact = action
+        .iter()
+        .enumerate()
+        .filter(|&(dim, _)| free.next_if_eq(&&dim).is_none())
+        .map(|(_, &index)| index);
+    Some(std::iter::once(list).chain(exact).collect())
 }
 
 /// A sharded, lock-striped memo table: canonical action encoding →
@@ -327,6 +421,13 @@ pub struct EvalCache {
     /// designs may come from outside (a warm start), so nobody can pick
     /// keys that all land in one bucket.
     hasher: RandomState,
+    /// The stored twin sets. Lookups take this lock only after missing
+    /// their exact key, inside their shard's lock; registering a set takes
+    /// it alone.
+    twins: Mutex<TwinIndex>,
+    /// Whether any twin set is stored: until one is, a miss skips the
+    /// twin index.
+    has_twins: AtomicBool,
     /// Sends every key to one hash, so tests can collide keys at will.
     #[cfg(test)]
     colliding: bool,
@@ -350,6 +451,8 @@ impl EvalCache {
                 .map(|_| (Mutex::default(), Condvar::new()))
                 .collect(),
             hasher: RandomState::new(),
+            twins: Mutex::default(),
+            has_twins: AtomicBool::new(false),
             #[cfg(test)]
             colliding: false,
         }
@@ -372,13 +475,14 @@ impl EvalCache {
         hash.rotate_left(usize::BITS / 2) % self.shards.len()
     }
 
-    /// Look up a design point for evaluation. A stored result is a hit.
-    /// If another thread is simulating the key, wait for it: its result
-    /// is a hit too. Otherwise the lookup is a miss, and the key stays
-    /// in flight until the returned [`Fill`] completes or drops. The fill
-    /// keeps its own copy of a missed key, so it may outlive `action`.
+    /// Look up a design point for evaluation. A stored result is a hit,
+    /// and so is a stored twin set that holds `action`. If another thread
+    /// is simulating the key, wait for it: its result is a hit too.
+    /// Otherwise the lookup is a miss, and the key stays in flight until
+    /// the returned [`Fill`] completes or drops. The fill keeps its own
+    /// copy of a missed key, so it may outlive `action`.
     pub fn lookup(&self, action: &Action) -> Lookup<'_> {
-        match self.lookup_borrowed(action) {
+        match self.lookup_borrowed(action, action) {
             Lookup::Hit(result) => Lookup::Hit(result),
             Lookup::Miss(mut borrowed) => {
                 // Hand the in-flight mark to a fill that owns its key.
@@ -397,8 +501,9 @@ impl EvalCache {
     /// [`EvalCache::lookup`] for a caller that keeps `action` alive until
     /// the fill settles, as [`CachedEnv`] does: the fill borrows the key
     /// to find its slot again, so the table holds the only copy of a
-    /// missed key.
-    fn lookup_borrowed<'a>(&'a self, action: &'a Action) -> Lookup<'a> {
+    /// missed key. `raw` is the action the caller will step, which is
+    /// what the twin sets are probed with; `action` is its canonical key.
+    fn lookup_borrowed<'a>(&'a self, action: &'a Action, raw: &Action) -> Lookup<'a> {
         let key = action.as_slice();
         let hash = self.hash(key);
         let index = self.shard_index(hash);
@@ -407,12 +512,13 @@ impl EvalCache {
         let mut shard = lock.lock().expect("cache shard poisoned");
         let me = std::thread::current().id();
         loop {
-            match shard.slots.get(&probe as &dyn KeyView) {
-                Some(Slot::Done(packed)) => {
-                    let result = packed.unpack();
-                    shard.hits += 1;
-                    return Lookup::Hit(result);
-                }
+            let slot = shard.slots.get(&probe as &dyn KeyView);
+            if let Some(packed) = slot.and_then(Slot::packed) {
+                let result = packed.unpack();
+                shard.hits += 1;
+                return Lookup::Hit(result);
+            }
+            match slot {
                 Some(&Slot::InFlight(owner)) if owner != me => {
                     shard.waiting += 1;
                     shard = filled.wait(shard).expect("cache shard poisoned");
@@ -421,8 +527,13 @@ impl EvalCache {
                 // A thread that meets its own in-flight key (one cache
                 // wrapped twice) simulates it again rather than wait for
                 // itself.
-                Some(Slot::InFlight(_)) => break,
+                Some(_) => break,
                 None => {
+                    if let Some(result) = self.twin_lookup(raw.as_slice()) {
+                        shard.hits += 1;
+                        shard.twin_hits += 1;
+                        return Lookup::Hit(result);
+                    }
                     shard.slots.insert(Key::new(hash, key), Slot::InFlight(me));
                     break;
                 }
@@ -438,12 +549,84 @@ impl EvalCache {
         })
     }
 
+    /// The result of a stored twin set that holds `action`, if any.
+    fn twin_lookup(&self, action: &[usize]) -> Option<StepResult> {
+        if !self.has_twins.load(Ordering::Relaxed) {
+            return None;
+        }
+        let twins = self.twins.lock().expect("twin index poisoned");
+        twins
+            .free_lists
+            .iter()
+            .enumerate()
+            .find_map(|(list, free)| {
+                let bucket = bucket(list, free, action)?;
+                let probe = Probe {
+                    hash: self.hash(&bucket),
+                    indices: &bucket,
+                };
+                let entries = twins.buckets.get(&probe as &dyn KeyView)?;
+                let entry = entries.iter().find(|e| e.admits(free, action))?;
+                Some(entry.result.unpack())
+            })
+    }
+
+    /// File `set` under its bucket, sharing `result`, unless a stored set
+    /// already holds every member.
+    fn register(&self, set: &TwinSet, result: Arc<Packed>) {
+        let free: Box<[usize]> = set.free().iter().map(|&(dim, _)| dim).collect();
+        let masks: Box<[u64]> = set.free().iter().map(|&(_, mask)| mask).collect();
+        // Never panic here: this runs from a settle.
+        let mut twins = self.twins.lock().unwrap_or_else(PoisonError::into_inner);
+        let list = match twins.free_lists.iter().position(|known| *known == free) {
+            Some(list) => list,
+            None => {
+                twins.free_lists.push(free.clone());
+                twins.free_lists.len() - 1
+            }
+        };
+        let bucket = bucket(list, &free, set.action().as_slice())
+            .expect("a twin set's free dimensions lie inside its action");
+        let hash = self.hash(&bucket);
+        let probe = Probe {
+            hash,
+            indices: &bucket,
+        };
+        let entry = TwinEntry { masks, result };
+        match twins.buckets.get_mut(&probe as &dyn KeyView) {
+            Some(entries) => {
+                if !entries.iter().any(|e| e.covers(&entry.masks)) {
+                    entries.push(entry);
+                }
+            }
+            None => {
+                twins.buckets.insert(Key::new(hash, &bucket), vec![entry]);
+            }
+        }
+        self.has_twins.store(true, Ordering::Relaxed);
+    }
+
     /// Settle `key`'s in-flight slot: store `result` if there is one,
     /// else clear the slot, and wake the lookups waiting on the shard,
-    /// if any. A slot another fill of the same thread already stored is
-    /// only ever overwritten, never cleared.
-    fn settle(&self, index: usize, hash: usize, key: &[usize], result: Option<&StepResult>) {
-        let packed = result.map(|result| Slot::Done(Packed::pack(result)));
+    /// if any; then register the result's twin set, if it has one. A
+    /// slot another fill of the same thread already stored is only ever
+    /// overwritten, never cleared.
+    fn settle(
+        &self,
+        index: usize,
+        hash: usize,
+        key: &[usize],
+        result: Option<(&StepResult, Option<&TwinSet>)>,
+    ) {
+        let mut twins = None;
+        let packed = result.map(|(result, set)| match set {
+            Some(set) => {
+                let shared = Arc::new(Packed::pack(result));
+                twins = Some((set, Arc::clone(&shared)));
+                Slot::Shared(shared)
+            }
+            None => Slot::Done(Packed::pack(result)),
+        });
         let probe = Probe { hash, indices: key };
         let (lock, filled) = &self.shards[index];
         // Never panic here: this runs from `Fill::drop`, on unwind too.
@@ -470,6 +653,9 @@ impl EvalCache {
         if wake {
             filled.notify_all();
         }
+        if let Some((set, shared)) = twins {
+            self.register(set, shared);
+        }
     }
 
     /// Number of distinct canonical design points stored (keys are the
@@ -490,12 +676,13 @@ impl EvalCache {
         for (lock, _) in &self.shards {
             let shard = lock.lock().expect("cache shard poisoned");
             stats.hits += shard.hits;
+            stats.twin_hits += shard.twin_hits;
             stats.misses += shard.misses;
             stats.inserts += shard.inserts;
             stats.entries += shard
                 .slots
                 .values()
-                .filter(|slot| matches!(slot, Slot::Done(_)))
+                .filter(|slot| slot.packed().is_some())
                 .count() as u64;
         }
         stats
@@ -537,14 +724,16 @@ pub struct Fill<'a> {
 impl Fill<'_> {
     /// Store the key's simulated result.
     pub fn complete(self, result: StepResult) {
-        self.store(&result);
+        self.store(&result, None);
     }
 
-    /// Store a borrowed result, packed straight into the cache.
-    fn store(mut self, result: &StepResult) {
+    /// Store a borrowed result, packed straight into the cache, and
+    /// register its twin set, if it has one: later lookups of any member
+    /// are hits on this result.
+    fn store(mut self, result: &StepResult, twins: Option<&TwinSet>) {
         self.settled = true;
         self.cache
-            .settle(self.shard, self.hash, &self.key, Some(result));
+            .settle(self.shard, self.hash, &self.key, Some((result, twins)));
     }
 }
 
@@ -593,10 +782,10 @@ impl<E: Environment> CachedEnv<E> {
     /// telemetry recorder (`lookups == hits + misses` holds exactly
     /// because each probe counts one lookup and exactly one of the
     /// two outcomes). The span includes any wait for another thread's
-    /// simulation of the same key.
-    fn probe<'c>(&self, cache: &'c EvalCache, action: &'c Action) -> Lookup<'c> {
+    /// simulation of the same key. `key` is `raw`'s canonical form.
+    fn probe<'c>(&self, cache: &'c EvalCache, key: &'c Action, raw: &Action) -> Lookup<'c> {
         let _span = self.telemetry.span(Phase::CacheLookup);
-        let found = cache.lookup_borrowed(action);
+        let found = cache.lookup_borrowed(key, raw);
         self.telemetry.incr(Counter::CacheLookups);
         self.telemetry.incr(match found {
             Lookup::Hit(_) => Counter::CacheHits,
@@ -605,11 +794,12 @@ impl<E: Environment> CachedEnv<E> {
         found
     }
 
-    /// Complete a miss with its settled result, mirroring the write into
-    /// telemetry; an uncacheable result abandons the fill instead.
-    fn remember(&self, fill: Fill<'_>, result: &StepResult) {
+    /// Complete a miss with its settled result and twin set, mirroring
+    /// the write into telemetry; an uncacheable result abandons the fill
+    /// instead.
+    fn remember(&self, fill: Fill<'_>, result: &StepResult, twins: Option<&TwinSet>) {
         if cacheable(result) {
-            fill.store(result);
+            fill.store(result, twins);
             self.telemetry.incr(Counter::CacheInserts);
         }
     }
@@ -649,31 +839,44 @@ impl<E: Environment> Environment for CachedEnv<E> {
         };
         let canonical = self.inner.canonical(action);
         let key = canonical.as_ref().unwrap_or(action);
-        let fill = match self.probe(cache, key) {
+        let fill = match self.probe(cache, key, action) {
             Lookup::Hit(memoized) => return memoized,
             Lookup::Miss(fill) => fill,
         };
         let result = self.inner.step(action);
-        self.remember(fill, &result);
+        self.remember(fill, &result, None);
         result
     }
+    /// With a cache, a miss asks the inner environment for its twin set
+    /// ([`Environment::try_step_with_twins`]), so that later lookups it
+    /// covers are hits.
     fn try_step(&mut self, action: &Action) -> crate::error::Result<StepResult> {
-        let Some(cache) = self.cache.as_deref() else {
+        if self.cache.is_none() {
             return self.inner.try_step(action);
+        }
+        self.try_step_with_twins(action).map(|(result, _)| result)
+    }
+    /// A hit reports no twin set; a miss reports the inner environment's.
+    fn try_step_with_twins(
+        &mut self,
+        action: &Action,
+    ) -> crate::error::Result<(StepResult, Option<TwinSet>)> {
+        let Some(cache) = self.cache.as_deref() else {
+            return self.inner.try_step_with_twins(action);
         };
         let canonical = self.inner.canonical(action);
         let key = canonical.as_ref().unwrap_or(action);
-        let fill = match self.probe(cache, key) {
-            Lookup::Hit(memoized) => return Ok(memoized),
+        let fill = match self.probe(cache, key, action) {
+            Lookup::Hit(memoized) => return Ok((memoized, None)),
             Lookup::Miss(fill) => fill,
         };
         // A failed attempt must never poison the memo: errors propagate
         // uncached (the `?` drops the fill, and the retry machinery will
         // probe again), and corrupted non-finite results are likewise
         // not worth remembering.
-        let result = self.inner.try_step(action)?;
-        self.remember(fill, &result);
-        Ok(result)
+        let (result, twins) = self.inner.try_step_with_twins(action)?;
+        self.remember(fill, &result, twins.as_ref());
+        Ok((result, twins))
     }
     fn set_telemetry(&mut self, recorder: &Recorder) {
         self.telemetry = recorder.clone();
@@ -741,9 +944,7 @@ impl EvalCache {
             .0
             .lock()
             .expect("cache shard poisoned");
-        let Some(Slot::Done(packed)) = shard.slots.get(&probe as &dyn KeyView) else {
-            return None;
-        };
+        let packed = shard.slots.get(&probe as &dyn KeyView)?.packed()?;
         let PackedInfo::Static(names) = &packed.info else {
             return None;
         };
@@ -1137,6 +1338,201 @@ mod tests {
         };
         assert_eq!(bits(&served), bits(&result));
         assert_eq!(served, result);
+    }
+
+    /// A peak over `[4, 3, 5]` that ignores its second dimension and
+    /// reports it free in every twin set; its third dimension is free
+    /// only at indices 0 and 1 (it is read only from index 2 up).
+    #[derive(Debug, Clone)]
+    struct Twinned(PeakEnv);
+
+    impl Twinned {
+        fn new() -> Self {
+            Twinned(PeakEnv::new(&[4, 3, 5], vec![2, 0, 4]))
+        }
+    }
+
+    impl Environment for Twinned {
+        fn name(&self) -> &str {
+            "twinned"
+        }
+        fn space(&self) -> &ParamSpace {
+            self.0.space()
+        }
+        fn observation_labels(&self) -> Vec<String> {
+            self.0.observation_labels()
+        }
+        fn step(&mut self, action: &Action) -> StepResult {
+            let third = action.index(2).max(1);
+            self.0
+                .step(&Action::new(vec![action.index(0), 0, third]))
+                .with_info("seen", third as f64)
+        }
+        fn try_step_with_twins(
+            &mut self,
+            action: &Action,
+        ) -> crate::error::Result<(StepResult, Option<TwinSet>)> {
+            let third = if action.index(2) < 2 {
+                0b11
+            } else {
+                1 << action.index(2)
+            };
+            let set = TwinSet::new(action.clone(), [(1, 0b111), (2, third)]);
+            Ok((self.step(action), Some(set)))
+        }
+    }
+
+    fn twinned(cache: &Arc<EvalCache>) -> CachedEnv<crate::env::CountingEnv<Twinned>> {
+        CachedEnv::new(crate::env::CountingEnv::new(Twinned::new()), cache.clone())
+    }
+
+    fn a(indices: [usize; 3]) -> Action {
+        Action::new(indices.to_vec())
+    }
+
+    #[test]
+    fn a_twin_hit_is_bit_identical_counted_and_inserts_nothing() {
+        let cache = Arc::new(EvalCache::new());
+        let mut env = twinned(&cache);
+        let mut plain = Twinned::new();
+        let first = env.try_step(&a([3, 0, 1])).unwrap();
+        for twin in [[3, 1, 0], [3, 2, 1], [3, 0, 0]] {
+            let served = env.try_step(&a(twin)).unwrap();
+            assert_eq!(served, plain.step(&a(twin)), "{twin:?}");
+            assert_eq!(served, first);
+        }
+        assert_eq!(env.inner().samples(), 1, "a twin was simulated");
+        let stats = cache.stats();
+        assert_eq!(
+            (
+                stats.hits,
+                stats.twin_hits,
+                stats.misses,
+                stats.inserts,
+                stats.entries
+            ),
+            (3, 3, 1, 1, 1)
+        );
+        // The stepped key itself is still an exact hit.
+        env.try_step(&a([3, 0, 1])).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.twin_hits, stats.entries), (4, 3, 1));
+    }
+
+    #[test]
+    fn designs_outside_every_set_are_simulated() {
+        let cache = Arc::new(EvalCache::new());
+        let mut env = twinned(&cache);
+        env.try_step(&a([1, 2, 0])).unwrap();
+        // Another exact index, and a masked-out free index.
+        for other in [[2, 2, 0], [1, 2, 2], [1, 0, 3]] {
+            env.try_step(&a(other)).unwrap();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.twin_hits, stats.misses), (0, 0, 4));
+        assert_eq!(env.inner().samples(), 4);
+        // Index 3's own set answers only index 3.
+        env.try_step(&a([1, 1, 3])).unwrap();
+        assert_eq!(cache.stats().twin_hits, 1);
+        assert_eq!(env.inner().samples(), 4);
+    }
+
+    #[test]
+    fn plain_step_answers_from_twin_sets_but_registers_none() {
+        let cache = Arc::new(EvalCache::new());
+        let mut env = twinned(&cache);
+        env.step(&a([0, 0, 4]));
+        env.step(&a([0, 1, 4]));
+        assert_eq!(cache.stats().twin_hits, 0, "step registered a set");
+        env.try_step(&a([0, 2, 4])).unwrap();
+        assert_eq!(env.step(&a([0, 0, 4])), env.step(&a([0, 1, 4])));
+        env.step(&a([2, 1, 0]));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.twin_hits, stats.misses), (2, 0, 4));
+        env.try_step(&a([2, 2, 1])).unwrap();
+        env.step(&a([2, 0, 1]));
+        let stats = cache.stats();
+        assert_eq!((stats.twin_hits, stats.misses, stats.entries), (1, 5, 5));
+    }
+
+    #[test]
+    fn uncacheable_results_register_no_twin_set() {
+        use crate::fault::{FaultPlan, FaultyEnv};
+        let cache = Arc::new(EvalCache::new());
+        let mut env = CachedEnv::new(
+            FaultyEnv::new(Twinned::new(), FaultPlan::new(3).corrupt(1.0)),
+            cache.clone(),
+        );
+        assert!(!env.try_step(&a([1, 0, 0])).unwrap().reward.is_finite());
+        assert!(!env.try_step(&a([1, 1, 0])).unwrap().reward.is_finite());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+    }
+
+    #[test]
+    fn colliding_twin_buckets_still_serve_each_set_its_own_result() {
+        let cache = Arc::new(EvalCache::colliding(2));
+        let mut env = twinned(&cache);
+        let mut plain = Twinned::new();
+        for first in 0..4 {
+            env.try_step(&a([first, 0, 4])).unwrap();
+        }
+        for first in (0..4).rev() {
+            let twin = a([first, 2, 4]);
+            assert_eq!(env.try_step(&twin).unwrap(), plain.step(&twin));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.twin_hits, stats.misses), (4, 4));
+    }
+
+    #[test]
+    fn a_fill_stored_with_twins_answers_its_members() {
+        let cache = EvalCache::new();
+        let stepped = a([2, 1, 3]);
+        let Lookup::Miss(fill) = cache.lookup(&stepped) else {
+            panic!("empty cache hit");
+        };
+        let result = StepResult::terminal(Observation::new(vec![-0.0]), 1.5).with_info("x", 2.0);
+        fill.store(&result, Some(&TwinSet::new(stepped, [(0, 0b0110)])));
+        for (member, hit) in [([1, 1, 3], true), ([2, 1, 3], true), ([0, 1, 3], false)] {
+            match cache.lookup(&a(member)) {
+                Lookup::Hit(served) => {
+                    assert!(hit, "{member:?}");
+                    assert_eq!(served, result);
+                    assert_eq!(served.observation.get(0).to_bits(), (-0.0f64).to_bits());
+                }
+                Lookup::Miss(fill) => {
+                    assert!(!hit, "{member:?}");
+                    drop(fill);
+                }
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.twin_hits, stats.misses, stats.entries),
+            (2, 1, 2, 1)
+        );
+    }
+
+    #[test]
+    fn a_covered_set_is_not_stored_twice() {
+        let cache = EvalCache::new();
+        let wide = TwinSet::new(a([0, 0, 0]), [(1, 0b111)]);
+        let narrow = TwinSet::new(a([0, 2, 0]), [(1, 0b110)]);
+        for (key, set) in [([0, 0, 0], &wide), ([0, 2, 0], &narrow)] {
+            // A raw action outside both sets, so the second key misses.
+            let key = a(key);
+            let Lookup::Miss(fill) = cache.lookup_borrowed(&key, &a([9, 9, 9])) else {
+                panic!("{key:?} hit");
+            };
+            fill.store(
+                &StepResult::terminal(Observation::new(vec![]), 0.0),
+                Some(set),
+            );
+        }
+        let twins = cache.twins.lock().unwrap();
+        assert_eq!(twins.free_lists.len(), 1);
+        assert_eq!(twins.buckets.values().map(Vec::len).sum::<usize>(), 1);
     }
 
     #[test]

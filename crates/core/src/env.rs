@@ -223,6 +223,111 @@ impl StepResult {
     }
 }
 
+/// The designs one simulation proves to step bit-identically to the
+/// action it stepped ([`Environment::try_step_with_twins`]).
+///
+/// A twin set is a product: the stepped action, plus, for each of a few
+/// *free* dimensions the environment names, a mask of the indices that
+/// behave like the stepped one there. Every other dimension is exact. So
+/// an action is a member if it equals the stepped action outside the
+/// free dimensions and its index in each free dimension is in that
+/// dimension's mask. The set always contains the stepped action. Free
+/// dimensions must have at most 64 indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TwinSet {
+    action: Action,
+    /// `(dimension, mask)` in increasing dimension order: bit `i` of the
+    /// mask is set if index `i` of the dimension is a twin.
+    free: Vec<(usize, u64)>,
+}
+
+impl TwinSet {
+    /// The set of `action` and every design that differs from it only in
+    /// the listed `(dimension, mask)` pairs, each at an index whose bit
+    /// is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension is out of range or listed twice, or if a
+    /// mask leaves out `action`'s own index in its dimension.
+    pub fn new(action: Action, free: impl IntoIterator<Item = (usize, u64)>) -> Self {
+        let mut free: Vec<(usize, u64)> = free.into_iter().collect();
+        free.sort_unstable_by_key(|&(dim, _)| dim);
+        for (k, &(dim, mask)) in free.iter().enumerate() {
+            assert!(dim < action.len(), "free dimension {dim} out of range");
+            assert!(
+                k == 0 || free[k - 1].0 != dim,
+                "free dimension {dim} listed twice"
+            );
+            let index = action.index(dim);
+            assert!(
+                index < 64 && mask >> index & 1 == 1,
+                "the mask of dimension {dim} leaves out the stepped index {index}"
+            );
+        }
+        TwinSet { action, free }
+    }
+
+    /// The stepped action.
+    pub fn action(&self) -> &Action {
+        &self.action
+    }
+
+    /// The free dimensions and their masks, in increasing dimension order.
+    pub fn free(&self) -> &[(usize, u64)] {
+        &self.free
+    }
+
+    /// Whether `candidate` is a member.
+    pub fn contains(&self, candidate: &Action) -> bool {
+        let (stepped, candidate) = (self.action.as_slice(), candidate.as_slice());
+        if stepped.len() != candidate.len() {
+            return false;
+        }
+        let mut free = self.free.iter().peekable();
+        stepped
+            .iter()
+            .zip(candidate)
+            .enumerate()
+            .all(|(dim, (&s, &c))| match free.next_if(|&&(d, _)| d == dim) {
+                Some(&(_, mask)) => c < 64 && mask >> c & 1 == 1,
+                None => s == c,
+            })
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.free
+            .iter()
+            .map(|&(_, mask)| mask.count_ones() as usize)
+            .product()
+    }
+
+    /// Whether the set has no members: never, as it holds its action.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Every member, the free dimensions' indices counting up, last
+    /// dimension fastest.
+    pub fn members(&self) -> impl Iterator<Item = Action> + '_ {
+        let choices: Vec<Vec<usize>> = self
+            .free
+            .iter()
+            .map(|&(_, mask)| (0..64).filter(|i| mask >> i & 1 == 1).collect())
+            .collect();
+        (0..self.len()).map(move |mut n| {
+            let mut member = self.action.clone();
+            for (k, &(dim, _)) in self.free.iter().enumerate().rev() {
+                let options = &choices[k];
+                member.as_mut_slice()[dim] = options[n % options.len()];
+                n /= options.len();
+            }
+            member
+        })
+    }
+}
+
 /// An ArchGym environment: an architecture cost model plus workload, behind
 /// the standardized action/observation/reward interface.
 ///
@@ -272,6 +377,35 @@ pub trait Environment {
     /// fails.
     fn try_step(&mut self, action: &Action) -> Result<StepResult> {
         Ok(self.step(action))
+    }
+
+    /// [`Environment::try_step`], plus the [`TwinSet`] that this step's
+    /// own run proves, when the environment can tell (the default, `None`,
+    /// claims nothing).
+    ///
+    /// [`CachedEnv`](crate::cache::CachedEnv) calls this on a miss and
+    /// answers every later lookup inside the set from this result,
+    /// without simulating. The contract:
+    ///
+    /// * exact for this run: every member's `step` gives a bit-identical
+    ///   [`StepResult`] to this one (observation, reward, flags and every
+    ///   info name and value);
+    /// * the set holds the stepped action;
+    /// * the result is the one `try_step` gives; only the set is extra.
+    ///
+    /// Computing a set may cost the simulator some work, so plain `step`
+    /// and `try_step` never do. `Box`, `&mut`,
+    /// [`CountingEnv`] and [`CachedEnv`](crate::cache::CachedEnv)
+    /// forward this method, as they forward [`Environment::canonical`];
+    /// [`FaultyEnv`](crate::fault::FaultyEnv) forwards it only on an
+    /// attempt with no injected fault. A wrapper whose own output depends
+    /// on the raw indices (a learned surrogate, say) keeps the default.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Environment::try_step`] reports.
+    fn try_step_with_twins(&mut self, action: &Action) -> Result<(StepResult, Option<TwinSet>)> {
+        self.try_step(action).map(|result| (result, None))
     }
 
     /// Install a telemetry recorder. Instrumented wrappers
@@ -329,6 +463,9 @@ impl<E: Environment + ?Sized> Environment for Box<E> {
     fn try_step(&mut self, action: &Action) -> Result<StepResult> {
         (**self).try_step(action)
     }
+    fn try_step_with_twins(&mut self, action: &Action) -> Result<(StepResult, Option<TwinSet>)> {
+        (**self).try_step_with_twins(action)
+    }
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         (**self).set_telemetry(recorder);
     }
@@ -355,6 +492,9 @@ impl<E: Environment + ?Sized> Environment for &mut E {
     }
     fn try_step(&mut self, action: &Action) -> Result<StepResult> {
         (**self).try_step(action)
+    }
+    fn try_step_with_twins(&mut self, action: &Action) -> Result<(StepResult, Option<TwinSet>)> {
+        (**self).try_step_with_twins(action)
     }
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         (**self).set_telemetry(recorder);
@@ -443,6 +583,10 @@ impl<E: Environment> Environment for CountingEnv<E> {
         // A failed attempt still consumed a simulator query.
         self.samples += 1;
         self.inner.try_step(action)
+    }
+    fn try_step_with_twins(&mut self, action: &Action) -> Result<(StepResult, Option<TwinSet>)> {
+        self.samples += 1;
+        self.inner.try_step_with_twins(action)
     }
     fn set_telemetry(&mut self, recorder: &crate::telemetry::Recorder) {
         self.inner.set_telemetry(recorder);
@@ -664,6 +808,105 @@ mod tests {
             (stats.hits, stats.misses, stats.inserts, stats.entries),
             (1, 1, 1, 1)
         );
+    }
+
+    /// A peak over `[4, 3]` whose second dimension is ignored, and which
+    /// says so in a twin set.
+    #[derive(Debug, Clone)]
+    struct FreeTail(InertTail);
+
+    impl Environment for FreeTail {
+        fn name(&self) -> &str {
+            "free-tail"
+        }
+        fn space(&self) -> &ParamSpace {
+            self.0.space()
+        }
+        fn observation_labels(&self) -> Vec<String> {
+            self.0.observation_labels()
+        }
+        fn step(&mut self, action: &Action) -> StepResult {
+            self.0.step(action)
+        }
+        fn try_step_with_twins(
+            &mut self,
+            action: &Action,
+        ) -> Result<(StepResult, Option<TwinSet>)> {
+            let set = TwinSet::new(action.clone(), [(1, 0b111)]);
+            Ok((self.step(action), Some(set)))
+        }
+    }
+
+    #[test]
+    fn twin_sets_default_to_none_and_forward_through_wrappers() {
+        let action = Action::new(vec![1, 2]);
+        let set = Some(TwinSet::new(action.clone(), [(1, 0b111)]));
+        let twins = |env: &mut dyn Environment| env.try_step_with_twins(&action).unwrap().1;
+        assert_eq!(twins(&mut PeakEnv::new(&[4, 3], vec![2, 0])), None);
+        let plain = FreeTail(InertTail::new());
+        assert_eq!(twins(&mut plain.clone()), set);
+        let mut boxed: Box<dyn Environment> = Box::new(plain.clone());
+        assert_eq!(twins(&mut boxed), set);
+        let mut cloneable: Box<dyn CloneEnvironment> = Box::new(plain.clone());
+        assert_eq!(twins(&mut cloneable), set);
+        let mut inner = plain.clone();
+        let mut by_ref = &mut inner;
+        assert_eq!(twins(&mut by_ref), set);
+        let mut counting = CountingEnv::new(plain.clone());
+        assert_eq!(twins(&mut counting), set);
+        assert_eq!(counting.samples(), 1, "a witnessed step is a query");
+        assert_eq!(
+            twins(&mut crate::cache::CachedEnv::uncached(plain.clone())),
+            set
+        );
+        use crate::fault::{FaultPlan, FaultyEnv};
+        assert_eq!(
+            twins(&mut FaultyEnv::new(plain.clone(), FaultPlan::new(1))),
+            set
+        );
+        // With faults, only a clean attempt forwards the set.
+        let corrupt = FaultPlan::new(1).corrupt(1.0);
+        assert_eq!(twins(&mut FaultyEnv::new(plain.clone(), corrupt)), None);
+        let flaky = FaultPlan::new(5).transient(0.5);
+        let mut faulty = FaultyEnv::new(plain, flaky);
+        let outcomes: Vec<_> = (0..4)
+            .map(|_| faulty.try_step_with_twins(&action))
+            .collect();
+        assert!(outcomes.iter().any(|o| o.is_err()), "no transient fault");
+        for outcome in outcomes.into_iter().flatten() {
+            assert_eq!(outcome.1, set);
+        }
+    }
+
+    #[test]
+    fn twin_sets_hold_their_action_and_enumerate_their_members() {
+        let set = TwinSet::new(Action::new(vec![2, 1, 0, 5]), [(3, 0b10_0100), (1, 0b11)]);
+        assert_eq!(set.free(), [(1, 0b11), (3, 0b10_0100)]);
+        assert_eq!(set.len(), 4);
+        let members: Vec<Vec<usize>> = set.members().map(Action::into_inner).collect();
+        assert_eq!(
+            members,
+            [[2, 0, 0, 2], [2, 0, 0, 5], [2, 1, 0, 2], [2, 1, 0, 5]]
+        );
+        assert!(members
+            .iter()
+            .all(|m| set.contains(&Action::new(m.clone()))));
+        for outside in [
+            vec![2, 1, 0, 3],
+            vec![1, 1, 0, 5],
+            vec![2, 1, 0],
+            vec![2, 1, 0, 70],
+        ] {
+            assert!(!set.contains(&Action::new(outside.clone())), "{outside:?}");
+        }
+        let exact = TwinSet::new(Action::new(vec![3]), []);
+        assert_eq!((exact.len(), exact.is_empty()), (1, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves out the stepped index 2")]
+    fn a_twin_set_must_hold_its_action() {
+        let _ = TwinSet::new(Action::new(vec![0, 2]), [(1, 0b011)]);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! assert_eq!(failures as u64, env.stats().transient);
 //! ```
 
-use crate::env::{Environment, Observation, StepResult};
+use crate::env::{Environment, Observation, StepResult, TwinSet};
 use crate::error::{ArchGymError, Result};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Recorder};
@@ -359,8 +359,39 @@ impl<E: Environment> Environment for FaultyEnv<E> {
         }
     }
     fn try_step(&mut self, action: &Action) -> Result<StepResult> {
+        self.attempt(action, false).map(|(result, _)| result)
+    }
+    /// Forwarded only on an attempt with no injected fault: a corrupted
+    /// report is not the inner environment's, so no set may claim it.
+    fn try_step_with_twins(&mut self, action: &Action) -> Result<(StepResult, Option<TwinSet>)> {
+        self.attempt(action, true)
+    }
+    fn set_telemetry(&mut self, recorder: &Recorder) {
+        self.telemetry = recorder.clone();
+        self.inner.set_telemetry(recorder);
+    }
+    /// Forwarded: a clean step is the inner environment's, and a faulted
+    /// one (an error, a non-finite report or a degraded placeholder) is
+    /// never cached, so twins keyed alike cannot replay a fault.
+    fn canonical(&self, action: &Action) -> Option<Action> {
+        self.inner.canonical(action)
+    }
+}
+
+impl<E: Environment> FaultyEnv<E> {
+    /// One attempt at `action`, injecting its scheduled fault. With
+    /// `twins`, a clean attempt also asks the inner environment for its
+    /// twin set.
+    fn attempt(&mut self, action: &Action, twins: bool) -> Result<(StepResult, Option<TwinSet>)> {
+        let clean = |inner: &mut E| {
+            if twins {
+                inner.try_step_with_twins(action)
+            } else {
+                inner.try_step(action).map(|result| (result, None))
+            }
+        };
         if self.plan.is_quiet() {
-            return self.inner.try_step(action);
+            return clean(&mut self.inner);
         }
         if self.latch.load(Ordering::Relaxed) {
             self.stats
@@ -374,9 +405,9 @@ impl<E: Environment> Environment for FaultyEnv<E> {
         let attempt = self.next_attempt(action);
         match self.plan.decide(action, attempt) {
             FaultKind::None => {
-                let result = self.inner.try_step(action)?;
+                let stepped = clean(&mut self.inner)?;
                 self.clear_attempts(action);
-                Ok(result)
+                Ok(stepped)
             }
             FaultKind::Transient => {
                 self.stats.transient.fetch_add(1, Ordering::Relaxed);
@@ -406,7 +437,7 @@ impl<E: Environment> Environment for FaultyEnv<E> {
                     };
                     result.observation = Observation::new(values);
                 }
-                Ok(result)
+                Ok((result, None))
             }
             FaultKind::Latched => {
                 self.stats.latched.fetch_add(1, Ordering::Relaxed);
@@ -417,16 +448,6 @@ impl<E: Environment> Environment for FaultyEnv<E> {
                 )))
             }
         }
-    }
-    fn set_telemetry(&mut self, recorder: &Recorder) {
-        self.telemetry = recorder.clone();
-        self.inner.set_telemetry(recorder);
-    }
-    /// Forwarded: a clean step is the inner environment's, and a faulted
-    /// one (an error, a non-finite report or a degraded placeholder) is
-    /// never cached, so twins keyed alike cannot replay a fault.
-    fn canonical(&self, action: &Action) -> Option<Action> {
-        self.inner.canonical(action)
     }
 }
 

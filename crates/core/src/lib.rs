@@ -107,7 +107,7 @@ pub mod trajectory;
 pub use agent::{warm_start, Agent, HyperGrid, HyperMap, HyperValue};
 pub use bundle::DatasetBundle;
 pub use cache::{CacheStats, CachedEnv, EvalCache};
-pub use env::{CloneEnvironment, Environment, Info, Observation, StepResult};
+pub use env::{CloneEnvironment, Environment, Info, Observation, StepResult, TwinSet};
 pub use error::{ArchGymError, Result};
 pub use executor::Executor;
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyEnv};

@@ -91,9 +91,15 @@ impl Transition {
     ///
     /// Returns a human-readable message on schema mismatches.
     pub fn from_json(value: &Json) -> std::result::Result<Self, String> {
+        Self::from_json_sharing(value, &mut Labels::default())
+    }
+
+    /// [`Transition::from_json`], taking each label from `labels` when
+    /// its text matches the previous row's.
+    fn from_json_sharing(value: &Json, labels: &mut Labels) -> std::result::Result<Self, String> {
         Ok(Transition {
-            env: value.field("env")?.as_str()?.into(),
-            agent: value.field("agent")?.as_str()?.into(),
+            env: Labels::share(&mut labels.env, value.field("env")?.as_str()?),
+            agent: Labels::share(&mut labels.agent, value.field("agent")?.as_str()?),
             action: Action::new(
                 value
                     .field("action")?
@@ -124,9 +130,34 @@ impl Transition {
     ///
     /// Returns [`ArchGymError::Dataset`] on malformed lines.
     pub fn from_line(line: &str) -> Result<Self> {
+        Self::from_line_sharing(line, &mut Labels::default())
+    }
+
+    /// [`Transition::from_line`], sharing labels through `labels`.
+    fn from_line_sharing(line: &str, labels: &mut Labels) -> Result<Self> {
         parse_json(line)
-            .and_then(|v| Self::from_json(&v))
+            .and_then(|v| Self::from_json_sharing(&v, labels))
             .map_err(|e| ArchGymError::Dataset(format!("bad line: {e}")))
+    }
+}
+
+/// The labels of the last row read back, so that a row with the same text
+/// shares them instead of allocating its own: a dataset read back from one
+/// run holds one copy of each label, as the run that wrote it did.
+#[derive(Debug, Default)]
+struct Labels {
+    env: Option<Arc<str>>,
+    agent: Option<Arc<str>>,
+}
+
+impl Labels {
+    /// The label in `last` if its text is `text`; otherwise a new one,
+    /// which replaces it.
+    fn share(last: &mut Option<Arc<str>>, text: &str) -> Arc<str> {
+        match last {
+            Some(label) if **label == *text => Arc::clone(label),
+            _ => Arc::clone(last.insert(text.into())),
+        }
     }
 }
 
@@ -293,11 +324,12 @@ impl Dataset {
         let lines: Vec<&str> = text.lines().collect();
         let mut dataset = Dataset::new();
         let mut skipped = 0;
+        let mut labels = Labels::default();
         for (i, line) in lines.iter().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            match Transition::from_line(line) {
+            match Transition::from_line_sharing(line, &mut labels) {
                 Ok(t) => dataset.push(t),
                 Err(_) if !complete_tail && i + 1 == lines.len() => skipped += 1,
                 Err(e) => return Err(e),
@@ -395,11 +427,12 @@ impl Dataset {
         let rows: Vec<&str> = lines.collect();
         let mut dataset = Dataset::new();
         let mut skipped = 0;
+        let mut labels = Labels::default();
         for (i, line) in rows.iter().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            match Self::parse_csv_row(line, i + 2, n_actions, n_obs, expected) {
+            match Self::parse_csv_row(line, i + 2, n_actions, n_obs, expected, &mut labels) {
                 Ok(t) => dataset.push(t),
                 Err(_) if !complete_tail && i + 1 == rows.len() => skipped += 1,
                 Err(e) => return Err(e),
@@ -408,13 +441,15 @@ impl Dataset {
         Ok((dataset, skipped))
     }
 
-    /// Parse one data row of a [`Dataset::write_csv`] stream.
+    /// Parse one data row of a [`Dataset::write_csv`] stream, sharing its
+    /// labels through `labels`.
     fn parse_csv_row(
         line: &str,
         lineno: usize,
         n_actions: usize,
         n_obs: usize,
         expected: usize,
+        labels: &mut Labels,
     ) -> Result<Transition> {
         let bad = |what: &str| ArchGymError::Dataset(format!("CSV row {lineno}: {what}"));
         let fields: Vec<&str> = line.split(',').collect();
@@ -436,8 +471,8 @@ impl Dataset {
             .parse()
             .map_err(|_| bad("bad feasible flag"))?;
         Ok(Transition {
-            env: fields[0].into(),
-            agent: fields[1].into(),
+            env: Labels::share(&mut labels.env, fields[0]),
+            agent: Labels::share(&mut labels.agent, fields[1]),
             action: Action::new(action),
             observation,
             reward,
@@ -590,6 +625,42 @@ mod tests {
         d.write_jsonl(&mut buf).unwrap();
         let back = Dataset::read_jsonl(buf.as_slice()).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn read_back_rows_share_their_labels_and_write_the_same_bytes() {
+        let env: Arc<str> = "dram/stream".into();
+        let agent: Arc<str> = "ga".into();
+        let d: Dataset = (0..6)
+            .map(|i| {
+                let result = StepResult::terminal(Observation::new(vec![i as f64, -0.5]), 1.0);
+                Transition::new(env.clone(), agent.clone(), Action::new(vec![i, 1]), &result)
+            })
+            .collect();
+        let (mut csv, mut jsonl) = (Vec::new(), Vec::new());
+        d.write_csv(&mut csv).unwrap();
+        d.write_jsonl(&mut jsonl).unwrap();
+        for back in [
+            Dataset::read_csv(csv.as_slice()).unwrap(),
+            Dataset::read_jsonl(jsonl.as_slice()).unwrap(),
+        ] {
+            assert_eq!(back, d);
+            let first = &back.transitions()[0];
+            for t in back.iter() {
+                assert!(Arc::ptr_eq(&t.env, &first.env));
+                assert!(Arc::ptr_eq(&t.agent, &first.agent));
+            }
+            let (mut csv_again, mut jsonl_again) = (Vec::new(), Vec::new());
+            back.write_csv(&mut csv_again).unwrap();
+            back.write_jsonl(&mut jsonl_again).unwrap();
+            assert_eq!(csv_again, csv);
+            assert_eq!(jsonl_again, jsonl);
+        }
+        // Alternating agents still read back with their own labels.
+        let mixed = sample_dataset();
+        let mut buf = Vec::new();
+        mixed.write_csv(&mut buf).unwrap();
+        assert_eq!(Dataset::read_csv(buf.as_slice()).unwrap(), mixed);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! engine can postpone or pull in refreshes within configured limits.
 
 use crate::device::{AddressMapping, DeviceTiming, Topology};
-use crate::engine::{EngineCtx, EngineKind, RawRun};
+use crate::engine::{EngineCtx, EngineKind, RawRun, Witness};
 use crate::power::{OpCounts, PowerModel};
 use crate::trace::MemoryRequest;
 use serde::{Deserialize, Serialize};
@@ -314,6 +314,26 @@ impl MemoryController {
         } else {
             self.simulate_channels(kind, trace)
         }
+    }
+
+    /// [`MemoryController::simulate`], plus the engine's [`Witness`] when
+    /// one SoA run produced the result: a single-channel topology whose
+    /// shape the SoA engine supports. Multi-channel runs and reference
+    /// fallbacks give `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` is empty.
+    pub(crate) fn simulate_witnessed(
+        &self,
+        trace: &[MemoryRequest],
+    ) -> (SimStats, Option<Witness>) {
+        if self.topology.channels != 1 {
+            return (self.simulate(trace), None);
+        }
+        assert!(!trace.is_empty(), "cannot simulate an empty trace");
+        let (raw, witness) = self.default_engine().run_witnessed(&self.ctx(), trace);
+        (self.account_single(trace, raw), witness)
     }
 
     /// Simulate a trace on the linear-scan reference engine (the

@@ -73,6 +73,68 @@ impl EngineKind {
             EngineKind::Reference | EngineKind::Soa => reference::run(ctx, trace),
         }
     }
+
+    /// [`EngineKind::run`], plus the run's [`Witness`] when the SoA engine
+    /// ran it; the reference engine and its fallbacks track none.
+    pub(crate) fn run_witnessed(
+        self,
+        ctx: &EngineCtx<'_>,
+        trace: &[MemoryRequest],
+    ) -> (RawRun, Option<Witness>) {
+        match self {
+            EngineKind::Soa if self.supports(ctx) && trace.len() <= u32::MAX as usize => {
+                let (raw, witness) = soa::run_witnessed(ctx, trace);
+                (raw, Some(witness))
+            }
+            EngineKind::Reference | EngineKind::Soa => (reference::run(ctx, trace), None),
+        }
+    }
+}
+
+/// What one SoA run saw at its own decision points: enough to tell which
+/// other values of the refresh, buffer-organization and adaptive-page
+/// parameters would have decided every one of them the same way, and so
+/// would have run bit for bit the same. Each fact is tracked only until
+/// it is settled, and only by [`EngineKind::run_witnessed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Witness {
+    /// Under `AllBank`: the largest refresh debt at a postpone test
+    /// (`debt > max_postponed`, where no opportunistic refresh fired
+    /// regardless) that did not force a refresh; 0 if none did not.
+    pub max_unforced_debt: i64,
+    /// Under `AllBank`: the smallest debt at a postpone test that forced
+    /// a refresh; `i64::MAX` if none did.
+    pub min_forced_debt: i64,
+    /// Under `NoRefresh`: the debt an `AllBank` controller would hold at
+    /// the run's last refresh check, had it never refreshed.
+    pub shadow_debt: i64,
+    /// Under `NoRefresh`: whether that controller would have found an
+    /// opportunistic refresh eligible (buffer empty, requests left, debt
+    /// positive) at some refresh check.
+    pub shadow_opportunity: bool,
+    /// Whether the live entries spanned two banks or more at some pick.
+    pub multi_bank: bool,
+    /// Whether reads and writes were both live at some pick.
+    pub mixed: bool,
+    /// Under an adaptive page policy: whether a bank's hit-rate EWMA fell
+    /// in (0.25, 0.75] at some page decision, where the open- and
+    /// closed-leaning thresholds disagree.
+    pub ewma_between: bool,
+}
+
+impl Default for Witness {
+    /// Nothing seen yet.
+    fn default() -> Self {
+        Witness {
+            max_unforced_debt: 0,
+            min_forced_debt: i64::MAX,
+            shadow_debt: 0,
+            shadow_opportunity: false,
+            multi_bank: false,
+            mixed: false,
+            ewma_between: false,
+        }
+    }
 }
 
 /// Immutable inputs shared by every engine: device timing, address

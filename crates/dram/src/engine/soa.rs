@@ -32,8 +32,12 @@
 //! The controller semantics (steps 1–9 and all timing arithmetic) are
 //! copied verbatim from the reference engine so outputs stay
 //! bit-identical; the equivalence proptests enforce it.
+//!
+//! A witnessed run ([`run_witnessed`]) is a separate instantiation that
+//! also records the [`Witness`] facts at each decision point; the plain
+//! one compiles them away, so it runs exactly the code above.
 
-use super::{EngineCtx, EventWheel, RawRun};
+use super::{EngineCtx, EventWheel, RawRun, Witness};
 use crate::controller::{Arbiter, PagePolicy, RefreshPolicy, Scheduler, SchedulerBuffer};
 use crate::power::OpCounts;
 use crate::trace::MemoryRequest;
@@ -60,12 +64,24 @@ const B_READWRITE: u8 = 1;
 const B_SHARED: u8 = 2;
 
 pub(super) fn run(ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
+    dispatch::<false>(ctx, trace).0
+}
+
+/// [`run`], plus the run's [`Witness`].
+pub(super) fn run_witnessed(ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> (RawRun, Witness) {
+    dispatch::<true>(ctx, trace)
+}
+
+fn dispatch<const WITNESS: bool>(
+    ctx: &EngineCtx<'_>,
+    trace: &[MemoryRequest],
+) -> (RawRun, Witness) {
     macro_rules! arb {
         ($sc:expr, $bc:expr, $ad:expr) => {
             match ctx.config.arbiter {
-                Arbiter::Simple => run_impl::<$sc, A_SIMPLE, $bc, $ad>(ctx, trace),
-                Arbiter::Fifo => run_impl::<$sc, A_FIFO, $bc, $ad>(ctx, trace),
-                Arbiter::Reorder => run_impl::<$sc, A_REORDER, $bc, $ad>(ctx, trace),
+                Arbiter::Simple => run_impl::<$sc, A_SIMPLE, $bc, $ad, WITNESS>(ctx, trace),
+                Arbiter::Fifo => run_impl::<$sc, A_FIFO, $bc, $ad, WITNESS>(ctx, trace),
+                Arbiter::Reorder => run_impl::<$sc, A_REORDER, $bc, $ad, WITNESS>(ctx, trace),
             }
         };
     }
@@ -96,10 +112,16 @@ pub(super) fn run(ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
     }
 }
 
-fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>(
+fn run_impl<
+    const SCHED: u8,
+    const ARB: u8,
+    const BUF: u8,
+    const ADAPTIVE: bool,
+    const WITNESS: bool,
+>(
     ctx: &EngineCtx<'_>,
     trace: &[MemoryRequest],
-) -> RawRun {
+) -> (RawRun, Witness) {
     let t = ctx.timing;
     let cfg = ctx.config;
     let n = trace.len();
@@ -160,6 +182,13 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
     let mut refresh_debt: i64 = 0;
     let mut last_type_write = false;
     let mut rr_bank = 0usize;
+    // Witness facts (see `Witness`), touched only when `WITNESS`.
+    let mut max_unforced_debt = 0i64;
+    let mut min_forced_debt = i64::MAX;
+    let mut shadow_opportunity = false;
+    let mut multi_bank = false;
+    let mut mixed = false;
+    let mut ewma_between = false;
 
     loop {
         // 1. Retire issued requests whose data has returned.
@@ -203,6 +232,15 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
             }
             let forced = refresh_debt > max_postponed;
             let opportunistic = buffered == 0 && next_admit < n && refresh_debt > -max_pulled_in;
+            // A test the postpone bound decided: record which side of
+            // it this debt fell on.
+            if WITNESS && !(opportunistic && refresh_debt > 0) {
+                if forced {
+                    min_forced_debt = min_forced_debt.min(refresh_debt);
+                } else {
+                    max_unforced_debt = max_unforced_debt.max(refresh_debt);
+                }
+            }
             if forced || (opportunistic && refresh_debt > 0) {
                 let mut start = now;
                 for &r in ready.iter().take(nb) {
@@ -226,6 +264,12 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
         if buffered == 0 {
             if next_admit >= n {
                 break; // every request issued; data returns on its own
+            }
+            // Without refresh: an `AllBank` controller that had never
+            // refreshed would owe `now / tREFI` here, and with any debt
+            // it would refresh opportunistically now.
+            if WITNESS && !refresh_on && !shadow_opportunity && now >= t_refi {
+                shadow_opportunity = true;
             }
             let arrival_evt = trace[next_admit].arrival;
             // Admission may also be blocked by the transaction window.
@@ -252,6 +296,23 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
                 occ_banks.trailing_zeros() as usize
             };
             rr_bank = (rr_chosen + 1) % nb;
+        }
+        if WITNESS {
+            if !mixed {
+                mixed = (occ & !writes) != 0 && writes != 0;
+            }
+            // The one-bank check runs only with two entries live, and
+            // only until it first fails.
+            if !multi_bank && buffered >= 2 {
+                multi_bank = if BUF == B_BANKWISE {
+                    occ_banks & (occ_banks - 1) != 0
+                } else {
+                    let first = slot_bank[order[0] as usize & (MAX_SLOTS - 1)];
+                    order[1..buffered]
+                        .iter()
+                        .any(|&s| slot_bank[s as usize & (MAX_SLOTS - 1)] != first)
+                };
+            }
         }
 
         // 6–7. Candidate selection: walk the live slots in arrival
@@ -403,6 +464,9 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
         // 9. Page policy.
         let keep_open = if ADAPTIVE {
             ewma[p_bank] = 0.875 * ewma[p_bank] + 0.125 * f64::from(was_hit);
+            if WITNESS {
+                ewma_between |= ewma[p_bank] > 0.25 && ewma[p_bank] <= 0.75;
+            }
             match page_policy {
                 PagePolicy::OpenAdaptive => ewma[p_bank] > 0.25,
                 _ => ewma[p_bank] > 0.75, // ClosedAdaptive
@@ -425,11 +489,31 @@ fn run_impl<const SCHED: u8, const ARB: u8, const BUF: u8, const ADAPTIVE: bool>
         now = start + 1;
     }
 
-    RawRun {
+    let raw = RawRun {
         completion,
         counts,
         row_hits,
         row_misses,
         row_conflicts,
+    };
+    if !WITNESS {
+        return (raw, Witness::default());
     }
+    // `now` only grows, so the last refresh check saw the largest debt.
+    let shadow_debt = if refresh_on {
+        0
+    } else {
+        now.checked_div(t_refi)
+            .map_or(i64::MAX, |debt| i64::try_from(debt).unwrap_or(i64::MAX))
+    };
+    let witness = Witness {
+        max_unforced_debt,
+        min_forced_debt,
+        shadow_debt,
+        shadow_opportunity,
+        multi_bank,
+        mixed,
+        ewma_between,
+    };
+    (raw, witness)
 }
