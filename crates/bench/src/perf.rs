@@ -9,9 +9,10 @@
 //!   the SoA engine's request throughput across four access patterns
 //!   (`dram-engine/*`), and fixed GA work with and without a fresh
 //!   [`EvalCache`] on the timeloop, FARSI and MAESTRO families
-//!   (`cache-overhead/*`) — absolute rates, recorded but never compared
-//!   in code: they swing by more than any fixed tolerance between runs,
-//!   even on one host;
+//!   (`cache-overhead/*`), and the drop of a recorded sweep's datasets
+//!   and of a filled cache (`teardown/*`) — absolute rates, recorded but
+//!   never compared in code: they swing by more than any fixed tolerance
+//!   between runs, even on one host;
 //! * four A/B pairs whose ratio is gated by [`gate`]: the SoA engine vs
 //!   the linear-scan reference, a pooled (jobs 4) run vs the same run
 //!   serially, a live telemetry recorder vs the no-op one, and a cold
@@ -575,6 +576,55 @@ pub fn run(quick: bool) -> Result<PerfReport> {
             });
         }
     }
+
+    // --- teardown: what freeing a run's samples and a cache costs -----
+    // `lottery` drops every ticket's sweep and retires its caches on one
+    // thread, after other threads wrote them. Each rep builds its subject
+    // on two threads off the clock, then times only the drop. Work units
+    // are the rows or entries freed. Recorded, never gated.
+    let farsi = || archgym_soc::SocEnv::new(archgym_soc::SocWorkload::EdgeDetection);
+    let farsi_space = farsi().space().clone();
+    let ga_sweep = |sweep: Sweep, assignments: &[HyperMap]| {
+        sweep
+            .seeds(0..4)
+            .jobs(2)
+            .run_assignments("ga", assignments, farsi, |hyper, seed| {
+                build_agent(AgentKind::Ga, &farsi_space, hyper, seed)
+            })
+    };
+    let mut teardown = |name: &str, build: &dyn Fn() -> Result<(u64, Box<dyn Send>)>| {
+        let mut seconds = Vec::new();
+        let mut units = 0;
+        for _ in 0..REPS {
+            let (n, subject) = build()?;
+            units = n;
+            seconds.push(timed(|| drop(black_box(subject))).0);
+        }
+        scenarios.push(ScenarioResult::new(name, units, summarize(&seconds).median));
+        Result::Ok(())
+    };
+    // Four 500-sample GA runs, recorded: a lottery ticket's datasets.
+    teardown("teardown/dataset", &|| {
+        let sweep = ga_sweep(
+            Sweep::new(RunConfig::with_budget(500).batch(0)),
+            &[HyperMap::new()],
+        )?;
+        let rows: usize = sweep.points.iter().map(|p| p.result.dataset.len()).sum();
+        Ok((rows as u64, Box::new(sweep)))
+    })?;
+    // A cache filled by one pass of the GA grid over four seeds (the
+    // grid's first nine assignments in a quick run).
+    let grid: Vec<HyperMap> = default_grid(AgentKind::Ga)
+        .iter()
+        .take(if quick { 9 } else { usize::MAX })
+        .collect();
+    teardown("teardown/cache", &|| {
+        let cache = Arc::new(EvalCache::new());
+        let config = RunConfig::with_budget(500).batch(0).record(false);
+        ga_sweep(Sweep::new(config).cache(Arc::clone(&cache)), &grid)?;
+        let cache = Arc::try_unwrap(cache).expect("the sweep released its cache");
+        Ok((cache.len() as u64, Box::new(cache)))
+    })?;
 
     Ok(PerfReport {
         rev: "unknown".into(),

@@ -37,6 +37,8 @@ fn quick_report_covers_every_scenario_and_ratio() {
             "cache-overhead/maestro/cached",
             "cache-overhead/dram/uncached",
             "cache-overhead/dram/cached",
+            "teardown/dataset",
+            "teardown/cache",
         ]
     );
     assert!(report

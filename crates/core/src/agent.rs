@@ -386,13 +386,13 @@ pub fn warm_start<A: Agent + ?Sized>(
     let mut pending: Vec<(Action, StepResult)> = Vec::with_capacity(batch);
     for t in dataset.iter() {
         let result = StepResult {
-            observation: crate::env::Observation::new(t.observation.clone()),
+            observation: crate::env::Observation::new(t.observation.to_vec()),
             reward: t.reward,
             done: true,
             feasible: t.feasible,
             info: Default::default(),
         };
-        pending.push((t.action.clone(), result));
+        pending.push((t.action.to_action(), result));
         if pending.len() >= batch {
             agent.observe(&pending);
             pending.clear();

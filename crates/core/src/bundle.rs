@@ -51,7 +51,7 @@ impl DatasetBundle {
         let n_obs = self.observation_labels.len();
         for (i, t) in self.dataset.iter().enumerate() {
             self.space
-                .validate(&t.action)
+                .validate(&t.action.to_action())
                 .map_err(|e| ArchGymError::Dataset(format!("transition {i}: {e}")))?;
             if t.observation.len() != n_obs {
                 return Err(ArchGymError::Dataset(format!(
@@ -80,7 +80,7 @@ impl DatasetBundle {
             ("note".into(), Json::Str(self.note.clone())),
             (
                 "dataset".into(),
-                Json::Arr(self.dataset.iter().map(Transition::to_json).collect()),
+                Json::Arr(self.dataset.iter().map(|t| t.to_json()).collect()),
             ),
         ])
     }
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn validation_catches_out_of_space_actions() {
         let (_, mut bundle) = explored_bundle(3);
-        let mut bad = bundle.dataset.transitions()[0].clone();
+        let mut bad = bundle.dataset.get(0).unwrap().to_transition();
         bad.action = crate::space::Action::new(vec![99, 0]);
         bundle.dataset.push(bad);
         let err = bundle.validate().unwrap_err();
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn validation_catches_observation_width_drift() {
         let (_, mut bundle) = explored_bundle(4);
-        let mut bad = bundle.dataset.transitions()[0].clone();
+        let mut bad = bundle.dataset.get(0).unwrap().to_transition();
         bad.observation = vec![1.0, 2.0];
         bundle.dataset.push(bad);
         assert!(bundle.validate().is_err());

@@ -59,33 +59,55 @@
 //! run, as in a warm start. That one hash picks the shard by its middle
 //! bits and files the key in the shard's table, whose hasher passes it
 //! through; the [`Fill`] carries it to settle, so a miss hashes its key
-//! once too. The table stores each key's hash in front of its indices,
-//! in one boxed slice, and compares the indices after a hash match, so
-//! a collision costs a comparison, never a wrong result.
+//! once too. The table maps each stored hash to the newest record filed
+//! under it, and each record links to the next one with the same hash,
+//! so a collision costs an index comparison, never a wrong result.
 //!
-//! Each shard is one map from the key to a slot that is either in
-//! flight (with the simulating thread's id) or done, plus the shard's
-//! share of the hit, miss and insert counters, kept under its lock;
-//! [`EvalCache::stats`] sums them. A lookup that waits for an in-flight
-//! key counts itself as waiting on the shard, and a settle signals the
-//! shard's condition variable only if some lookup waits. A
-//! [`CachedEnv`] miss allocates its key once, for the table: the
-//! [`Fill`] borrows the looked-up action to find the slot again, and
-//! settling turns the slot done in place. A done slot packs its result:
-//! the observation as a boxed slice, the reward, the two flags, and
-//! `info` as a boxed slice of `(&'static str, value)` pairs. Simulators
-//! name their values with literals, so a stored name is the literal
-//! itself, with nothing to intern or allocate; a result with a name made
-//! at run time keeps its whole [`Info`](crate::env::Info) instead. A hit
-//! rebuilds the [`StepResult`] with the same bits and names as the
-//! simulator's, in two allocations (the observation and the info list).
-//! Counted with a tracking allocator over 100,000 stored DRAM results
-//! (10-index keys, three info values), an entry takes 269 B of heap,
-//! table included, or about 293 B once the allocator rounds each block,
-//! as before the hash was stored: it fits the key block's rounding slack
-//! (261 B and 293 B with interned names and no stored hash; a `Vec` key
-//! and a whole `StepResult` in a separate done map took 627 B, about
-//! 725 B).
+//! Each shard keeps its entries in a few flat vectors, its *arena*,
+//! rather than in blocks of their own:
+//!
+//! * one fixed-size record per stored entry (24 B): where its key and
+//!   its values start, the next record with the same hash, the key's
+//!   length and the result's flags;
+//! * the key indices, one `u32` each, or two (low and high half) for
+//!   every index of a key that has an index past `u32::MAX`;
+//! * the values: each result's reward, then its observation, then its
+//!   `info` values;
+//! * each distinct list of `info` names once. Simulators name their
+//!   values with literals, so a stored name is the literal itself, with
+//!   nothing to intern or allocate; a result with a name made at run
+//!   time keeps its whole [`Info`](crate::env::Info) in a side list
+//!   instead.
+//!
+//! Keys in flight sit in a small side list (one per simulating thread),
+//! whose key buffers are reused. So storing a miss allocates nothing
+//! once the vectors have grown, and dropping a cache frees a number of
+//! blocks that does not grow with its entries. A hit rebuilds the
+//! [`StepResult`] with the same bits and names as the simulator's, in
+//! two allocations (the observation and the info list). Counted with a
+//! tracking allocator over 100,000 stored DRAM-shaped results (10-index
+//! keys, four observation values, three info values), an entry takes
+//! 190 B of heap requested and 192 B once the allocator rounds each
+//! block, table and spare capacity included, against 277 B and 286 B by
+//! the same count with a boxed key and a boxed observation and info list
+//! per entry (a `Vec` key and a whole `StepResult` in a separate done
+//! map took 627 B). A shard's records, the table included, are append-only: an
+//! entry is never replaced, since every store of a key stores the same
+//! result. A result too large for a record (an observation or key of
+//! over 65,535 values, or a shard past `u32` offsets) is simulated
+//! again on every visit instead.
+//!
+//! Each shard also keeps its share of the hit, miss and insert
+//! counters, under its lock; [`EvalCache::stats`] sums them and the
+//! record counts, one lock per shard. A lookup that waits for an
+//! in-flight key counts itself as waiting on the shard, and a settle
+//! signals the shard's condition variable only if some lookup waits.
+//! A [`CachedEnv`] miss copies its key once, into the arena: the
+//! [`Fill`] borrows the looked-up action to settle it.
+//!
+//! The twin sets live in an arena of their own, with a copy of each
+//! registered result, so a lookup that holds its shard's lock never
+//! needs another shard's. The only lock order is shard, then twins.
 //!
 //! Caching is only sound for environments whose `step` is a pure
 //! function of the action — true for every bundled ArchGym cost model.
@@ -112,10 +134,10 @@ use crate::env::{Environment, Info, Observation, StepResult, TwinSet};
 use crate::space::{Action, ParamSpace};
 use crate::telemetry::{Counter, Phase, Recorder};
 use serde::{Deserialize, Serialize};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::ThreadId;
@@ -160,167 +182,146 @@ impl CacheStats {
     }
 }
 
-/// A stored [`StepResult`], packed: boxed slices in place of the `Vec`s.
-#[derive(Debug)]
-struct Packed {
-    observation: Box<[f64]>,
-    reward: f64,
-    done: bool,
-    feasible: bool,
-    info: PackedInfo,
+/// The end of a collision chain: no further record.
+const NONE: u32 = u32::MAX;
+
+/// [`Stored::flags`]: the result's `done` flag.
+const DONE: u8 = 1;
+/// [`Stored::flags`]: the result's `feasible` flag.
+const FEASIBLE: u8 = 2;
+/// [`Stored::flags`]: the info names are owned, kept whole in
+/// [`Results::owned`] rather than as a static name list and values.
+const OWNED_INFO: u8 = 4;
+
+/// A stored [`StepResult`]: where its values start in its [`Results`]
+/// arena, its info names, its observation's length and its flags.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    /// The reward, the observation and (unless owned) the info values
+    /// start here in [`Results::values`].
+    values: u32,
+    /// A list in [`Results::name_lists`], or with [`OWNED_INFO`] an
+    /// [`Info`] in [`Results::owned`].
+    names: u32,
+    observation_len: u16,
+    flags: u8,
 }
 
-/// A stored result's info. Simulators name their values with literals,
-/// so the usual form keeps each name as its `&'static str`: nothing is
-/// allocated or freed per name. A result with a name made at run time
-/// keeps its whole [`Info`] instead. Either form is 16 B.
-#[derive(Debug)]
-enum PackedInfo {
-    Static(Box<[(&'static str, f64)]>),
-    Owned(Box<Info>),
+/// The stored results of one shard (or of the twin index), end to end.
+#[derive(Debug, Default)]
+struct Results {
+    /// Each result's reward, then its observation, then its info values.
+    values: Vec<f64>,
+    /// Each distinct list of static info names stored, in name order.
+    name_lists: Vec<Box<[&'static str]>>,
+    /// The info of each result with a name made at run time.
+    owned: Vec<Info>,
 }
 
-impl Packed {
-    fn pack(result: &StepResult) -> Packed {
-        let names: Option<Box<[(&'static str, f64)]>> = result
-            .info
-            .entries()
+impl Results {
+    /// Append `result`; `None` if it does not fit a [`Stored`].
+    fn store(&mut self, result: &StepResult) -> Option<Stored> {
+        let observation = result.observation.as_slice();
+        let observation_len = u16::try_from(observation.len()).ok()?;
+        let values = u32::try_from(self.values.len()).ok()?;
+        let entries = result.info.entries();
+        let statics = entries
             .iter()
-            .map(|(name, value)| match name {
-                Cow::Borrowed(name) => Some((*name, *value)),
-                Cow::Owned(_) => None,
-            })
-            .collect();
-        Packed {
-            observation: result.observation.as_slice().into(),
-            reward: result.reward,
-            done: result.done,
-            feasible: result.feasible,
-            info: match names {
-                Some(names) => PackedInfo::Static(names),
-                None => PackedInfo::Owned(Box::new(result.info.clone())),
-            },
+            .all(|(name, _)| matches!(name, Cow::Borrowed(_)));
+        let mut flags = 0;
+        if result.done {
+            flags |= DONE;
         }
+        if result.feasible {
+            flags |= FEASIBLE;
+        }
+        let names = if statics {
+            self.name_list(entries)?
+        } else {
+            flags |= OWNED_INFO;
+            self.owned.push(result.info.clone());
+            u32::try_from(self.owned.len() - 1).ok()?
+        };
+        self.values.push(result.reward);
+        self.values.extend_from_slice(observation);
+        if statics {
+            self.values.extend(entries.iter().map(|&(_, value)| value));
+        }
+        Some(Stored {
+            values,
+            names,
+            observation_len,
+            flags,
+        })
+    }
+
+    /// The position of the name list of `entries`, all static, added if
+    /// new. Names match by address, so a stored name is the very literal
+    /// the simulator used.
+    fn name_list(&mut self, entries: &[(Cow<'static, str>, f64)]) -> Option<u32> {
+        let same = |list: &[&'static str]| {
+            list.len() == entries.len()
+                && list.iter().zip(entries).all(|(&stored, (name, _))| {
+                    matches!(name, Cow::Borrowed(name) if std::ptr::eq(stored, *name))
+                })
+        };
+        let at = match self.name_lists.iter().position(|list| same(list)) {
+            Some(at) => at,
+            None => {
+                let list = entries.iter().map(|(name, _)| match name {
+                    Cow::Borrowed(name) => *name,
+                    Cow::Owned(_) => unreachable!("only static names are listed"),
+                });
+                self.name_lists.push(list.collect());
+                self.name_lists.len() - 1
+            }
+        };
+        u32::try_from(at).ok()
     }
 
     /// The result as the simulator returned it: the same values, bits
     /// and names.
-    fn unpack(&self) -> StepResult {
+    fn load(&self, stored: &Stored) -> StepResult {
+        let start = stored.values as usize;
+        let end = start + 1 + usize::from(stored.observation_len);
+        let info = if stored.flags & OWNED_INFO != 0 {
+            self.owned[stored.names as usize].clone()
+        } else {
+            let names = &self.name_lists[stored.names as usize];
+            let values = &self.values[end..end + names.len()];
+            names.iter().copied().zip(values.iter().copied()).collect()
+        };
         StepResult {
-            observation: Observation::new(self.observation.to_vec()),
-            reward: self.reward,
-            done: self.done,
-            feasible: self.feasible,
-            info: match &self.info {
-                PackedInfo::Static(names) => names.iter().copied().collect(),
-                PackedInfo::Owned(info) => Info::clone(info),
-            },
+            observation: Observation::new(self.values[start + 1..end].to_vec()),
+            reward: self.values[start],
+            done: stored.flags & DONE != 0,
+            feasible: stored.flags & FEASIBLE != 0,
+            info,
         }
     }
 }
 
-/// A key's state: simulated now by the owning thread, or stored: on its
-/// own, or shared with the twin set its simulation registered.
+/// One stored entry of a shard.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    result: Stored,
+    /// Where the key starts in [`Shard::keys`].
+    key: u32,
+    /// The next older record filed under the same hash, or [`NONE`].
+    next: u32,
+    /// The key's length, in indices.
+    key_len: u16,
+    /// Whether each index takes two `u32`s (low, high) in the keys.
+    wide: bool,
+}
+
+/// A key being simulated now, by `owner`.
 #[derive(Debug)]
-enum Slot {
-    InFlight(ThreadId),
-    Done(Packed),
-    Shared(Arc<Packed>),
-}
-
-impl Slot {
-    /// The stored result, if the slot is done.
-    fn packed(&self) -> Option<&Packed> {
-        match self {
-            Slot::InFlight(_) => None,
-            Slot::Done(packed) => Some(packed),
-            Slot::Shared(packed) => Some(packed),
-        }
-    }
-}
-
-/// A stored key: the keyed hash it was filed under, then the index
-/// vector, in one boxed slice. Keeping the hash means no probe or
-/// resize hashes the indices again; keeping it in the key's block
-/// rather than beside it leaves each table bucket as small as a bare
-/// boxed key's.
-#[derive(Debug)]
-struct Key(Box<[usize]>);
-
-impl Key {
-    fn new(hash: usize, indices: &[usize]) -> Self {
-        Key(std::iter::once(hash)
-            .chain(indices.iter().copied())
-            .collect())
-    }
-}
-
-/// A looked-up key, borrowed from the action.
-struct Probe<'k> {
+struct InFlight {
     hash: usize,
-    indices: &'k [usize],
+    key: Vec<usize>,
+    owner: ThreadId,
 }
-
-/// What the table hashes and compares, for a stored [`Key`] and a
-/// borrowed [`Probe`] alike, so that a lookup needs no owned key.
-trait KeyView {
-    fn filed_hash(&self) -> usize;
-    fn indices(&self) -> &[usize];
-}
-
-impl KeyView for Key {
-    fn filed_hash(&self) -> usize {
-        self.0[0]
-    }
-    fn indices(&self) -> &[usize] {
-        &self.0[1..]
-    }
-}
-
-impl KeyView for Probe<'_> {
-    fn filed_hash(&self) -> usize {
-        self.hash
-    }
-    fn indices(&self) -> &[usize] {
-        self.indices
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.filed_hash());
-    }
-}
-
-/// Equal hashes are not enough: two keys match only if their indices
-/// do, so a hash collision costs a comparison, never a wrong result.
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.filed_hash() == other.filed_hash() && self.indices() == other.indices()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl<'k> Borrow<dyn KeyView + 'k> for Key {
-    fn borrow(&self) -> &(dyn KeyView + 'k) {
-        self
-    }
-}
-
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyView).hash(state);
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn KeyView) == (other as &dyn KeyView)
-    }
-}
-
-impl Eq for Key {}
 
 /// The table's hasher. Keys arrive hashed, so it passes their one
 /// word through.
@@ -339,11 +340,22 @@ impl Hasher for Prehashed {
     }
 }
 
-/// One lock stripe: every stored or in-flight key of the stripe, in one
-/// map, and the stripe's share of the counters.
+/// A map from a stored hash to the newest record filed under it.
+type Table = HashMap<usize, u32, BuildHasherDefault<Prehashed>>;
+
+/// One lock stripe: its stored entries, in an arena; its keys in flight;
+/// and the stripe's share of the counters.
 #[derive(Debug, Default)]
 struct Shard {
-    slots: HashMap<Key, Slot, BuildHasherDefault<Prehashed>>,
+    table: Table,
+    records: Vec<Record>,
+    /// Every record's key indices, end to end.
+    keys: Vec<u32>,
+    results: Results,
+    /// The keys in flight are the first `flying`; the rest keep their
+    /// key buffers for the next misses.
+    in_flight: Vec<InFlight>,
+    flying: usize,
     /// Lookups asleep on the stripe's condition variable, waiting for
     /// an in-flight key; a settle wakes them only if there are any.
     waiting: usize,
@@ -353,58 +365,191 @@ struct Shard {
     inserts: u64,
 }
 
+impl Shard {
+    /// The record stored under `key`, hashed to `hash`.
+    fn find(&self, hash: usize, key: &[usize]) -> Option<Record> {
+        let mut at = *self.table.get(&hash)?;
+        while at != NONE {
+            let record = self.records[at as usize];
+            if self.key_is(&record, key) {
+                return Some(record);
+            }
+            at = record.next;
+        }
+        None
+    }
+
+    /// Whether `record`'s key is `key`.
+    fn key_is(&self, record: &Record, key: &[usize]) -> bool {
+        if usize::from(record.key_len) != key.len() {
+            return false;
+        }
+        let start = record.key as usize;
+        if record.wide {
+            self.keys[start..start + 2 * key.len()]
+                .chunks_exact(2)
+                .zip(key)
+                .all(|(halves, &index)| {
+                    u64::from(halves[0]) | (u64::from(halves[1]) << 32) == index as u64
+                })
+        } else {
+            self.keys[start..start + key.len()]
+                .iter()
+                .zip(key)
+                .all(|(&stored, &index)| stored as usize == index)
+        }
+    }
+
+    /// Store `result` under `key` unless an entry holds it already;
+    /// whether one now does.
+    fn store(&mut self, hash: usize, key: &[usize], result: &StepResult) -> bool {
+        if self.find(hash, key).is_some() {
+            return true;
+        }
+        let (Ok(key_len), Ok(key_at), Some(at)) = (
+            u16::try_from(key.len()),
+            u32::try_from(self.keys.len()),
+            u32::try_from(self.records.len())
+                .ok()
+                .filter(|&at| at != NONE),
+        ) else {
+            return false;
+        };
+        let Some(result) = self.results.store(result) else {
+            return false;
+        };
+        let wide = key.iter().any(|&index| u32::try_from(index).is_err());
+        if wide {
+            for &index in key {
+                let index = index as u64;
+                self.keys.extend([index as u32, (index >> 32) as u32]);
+            }
+        } else {
+            self.keys.extend(key.iter().map(|&index| index as u32));
+        }
+        let next = self.table.insert(hash, at).unwrap_or(NONE);
+        self.records.push(Record {
+            result,
+            key: key_at,
+            next,
+            key_len,
+            wide,
+        });
+        true
+    }
+
+    /// The position of `key` among the keys in flight.
+    fn flying(&self, hash: usize, key: &[usize]) -> Option<usize> {
+        self.in_flight[..self.flying]
+            .iter()
+            .position(|f| f.hash == hash && f.key == key)
+    }
+
+    /// Mark `key` in flight, simulated by `owner`.
+    fn fly(&mut self, hash: usize, key: &[usize], owner: ThreadId) {
+        if self.flying == self.in_flight.len() {
+            self.in_flight.push(InFlight {
+                hash,
+                key: Vec::new(),
+                owner,
+            });
+        }
+        let mark = &mut self.in_flight[self.flying];
+        mark.hash = hash;
+        mark.key.clear();
+        mark.key.extend_from_slice(key);
+        mark.owner = owner;
+        self.flying += 1;
+    }
+
+    /// Clear the in-flight mark at `at`, keeping its buffer.
+    fn land(&mut self, at: usize) {
+        self.flying -= 1;
+        self.in_flight.swap(at, self.flying);
+    }
+}
+
 /// The stored twin sets, filed by the *bucket* of their stepped action:
-/// its indices outside the set's free dimensions, after the position of
-/// the free-dimension list in `free_lists`. A probe computes its own
+/// the position of their free-dimension list in `free_lists`, then the
+/// action's indices outside those dimensions. A probe hashes its own
 /// bucket under each list, so it scans only the sets that agree with it
-/// on every exact dimension.
+/// on every exact dimension. Sets and their results live in an arena,
+/// as a shard's entries do.
 #[derive(Debug, Default)]
 struct TwinIndex {
     /// Each distinct list of free dimensions registered, in first-seen
     /// order; one environment names one.
     free_lists: Vec<Box<[usize]>>,
-    buckets: HashMap<Key, Vec<TwinEntry>, BuildHasherDefault<Prehashed>>,
+    table: Table,
+    sets: Vec<TwinRecord>,
+    /// Every set's action's indices outside its free dimensions.
+    exact: Vec<usize>,
+    /// Every set's masks, one per free dimension of its list.
+    masks: Vec<u64>,
+    /// A copy of each set's result.
+    results: Results,
 }
 
-/// One stored twin set: a mask per free dimension, in its list's order,
-/// and the result it shares with its simulated key's slot.
-#[derive(Debug)]
-struct TwinEntry {
-    masks: Box<[u64]>,
-    result: Arc<Packed>,
+/// One stored twin set.
+#[derive(Debug, Clone, Copy)]
+struct TwinRecord {
+    result: Stored,
+    /// Its free-dimension list.
+    list: u32,
+    /// Where its exact indices start in [`TwinIndex::exact`], and how
+    /// many there are.
+    exact: u32,
+    exact_len: u32,
+    /// Where its masks start in [`TwinIndex::masks`].
+    masks: u32,
+    /// The next older set filed under the same hash, or [`NONE`].
+    next: u32,
 }
 
-impl TwinEntry {
-    /// Whether `action`, already in this entry's bucket, is a member.
-    fn admits(&self, free: &[usize], action: &[usize]) -> bool {
-        free.iter()
-            .zip(self.masks.iter())
-            .all(|(&dim, &mask)| action[dim] < 64 && mask >> action[dim] & 1 == 1)
+impl TwinIndex {
+    /// The set at `at`, if it lies in `action`'s bucket under the list
+    /// at `list`, with its masks.
+    fn in_bucket(&self, at: u32, list: usize, action: &[usize]) -> Option<(&TwinRecord, &[u64])> {
+        let set = &self.sets[at as usize];
+        let free = &self.free_lists[list];
+        let exact = &self.exact[set.exact as usize..][..set.exact_len as usize];
+        (set.list as usize == list && exact_indices(free, action).eq(exact.iter().copied()))
+            .then(|| (set, &self.masks[set.masks as usize..][..free.len()]))
     }
 
-    /// Whether every member of a set with `masks` is a member here.
-    fn covers(&self, masks: &[u64]) -> bool {
-        self.masks
-            .iter()
-            .zip(masks)
-            .all(|(&own, &other)| other & !own == 0)
+    /// The sets filed under `hash`, newest first, that lie in `action`'s
+    /// bucket under the list at `list`.
+    fn bucket<'t>(
+        &'t self,
+        hash: usize,
+        list: usize,
+        action: &'t [usize],
+    ) -> impl Iterator<Item = (&'t TwinRecord, &'t [u64])> + 't {
+        let head = self.table.get(&hash).copied().unwrap_or(NONE);
+        std::iter::successors((head != NONE).then_some(head), move |&at| {
+            let next = self.sets[at as usize].next;
+            (next != NONE).then_some(next)
+        })
+        .filter_map(move |at| self.in_bucket(at, list, action))
     }
 }
 
-/// `action`'s bucket under the free-dimension list at `list`: the list's
-/// position, then `action`'s indices outside `free`, or `None` if a free
-/// dimension is past the action's end.
-fn bucket(list: usize, free: &[usize], action: &[usize]) -> Option<Vec<usize>> {
-    if free.last().is_some_and(|&dim| dim >= action.len()) {
-        return None;
-    }
+/// `action`'s indices outside the dimensions `free` (increasing).
+fn exact_indices<'a>(free: &'a [usize], action: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
     let mut free = free.iter().peekable();
-    let exact = action
+    action
         .iter()
         .enumerate()
-        .filter(|&(dim, _)| free.next_if_eq(&&dim).is_none())
-        .map(|(_, &index)| index);
-    Some(std::iter::once(list).chain(exact).collect())
+        .filter(move |&(dim, _)| free.next_if_eq(&&dim).is_none())
+        .map(|(_, &index)| index)
+}
+
+/// Whether `action`, in a set's bucket, is a member of the set with
+/// these masks over the dimensions `free`.
+fn admits(free: &[usize], masks: &[u64], action: &[usize]) -> bool {
+    free.iter()
+        .zip(masks)
+        .all(|(&dim, &mask)| action[dim] < 64 && mask >> action[dim] & 1 == 1)
 }
 
 /// A sharded, lock-striped memo table: canonical action encoding →
@@ -468,6 +613,25 @@ impl EvalCache {
         self.hasher.hash_one(key) as usize
     }
 
+    /// The keyed hash of `action`'s bucket under the free-dimension list
+    /// at `list`, written index by index; `None` if a free dimension is
+    /// past the action's end.
+    fn bucket_hash(&self, list: usize, free: &[usize], action: &[usize]) -> Option<usize> {
+        if free.last().is_some_and(|&dim| dim >= action.len()) {
+            return None;
+        }
+        #[cfg(test)]
+        if self.colliding {
+            return Some(0x5eed);
+        }
+        let mut hasher = self.hasher.build_hasher();
+        hasher.write_usize(list);
+        for index in exact_indices(free, action) {
+            hasher.write_usize(index);
+        }
+        Some(hasher.finish() as usize)
+    }
+
     /// The shard of a key hashed to `hash`, picked by its middle bits:
     /// the table indexes buckets by the low bits and tags them with the
     /// top seven, so neither loses entropy within a shard.
@@ -500,26 +664,23 @@ impl EvalCache {
 
     /// [`EvalCache::lookup`] for a caller that keeps `action` alive until
     /// the fill settles, as [`CachedEnv`] does: the fill borrows the key
-    /// to find its slot again, so the table holds the only copy of a
-    /// missed key. `raw` is the action the caller will step, which is
+    /// to settle it. `raw` is the action the caller will step, which is
     /// what the twin sets are probed with; `action` is its canonical key.
     fn lookup_borrowed<'a>(&'a self, action: &'a Action, raw: &Action) -> Lookup<'a> {
         let key = action.as_slice();
         let hash = self.hash(key);
         let index = self.shard_index(hash);
-        let probe = Probe { hash, indices: key };
         let (lock, filled) = &self.shards[index];
         let mut shard = lock.lock().expect("cache shard poisoned");
         let me = std::thread::current().id();
         loop {
-            let slot = shard.slots.get(&probe as &dyn KeyView);
-            if let Some(packed) = slot.and_then(Slot::packed) {
-                let result = packed.unpack();
+            if let Some(record) = shard.find(hash, key) {
+                let result = shard.results.load(&record.result);
                 shard.hits += 1;
                 return Lookup::Hit(result);
             }
-            match slot {
-                Some(&Slot::InFlight(owner)) if owner != me => {
+            match shard.flying(hash, key).map(|at| shard.in_flight[at].owner) {
+                Some(owner) if owner != me => {
                     shard.waiting += 1;
                     shard = filled.wait(shard).expect("cache shard poisoned");
                     shard.waiting -= 1;
@@ -534,7 +695,7 @@ impl EvalCache {
                         shard.twin_hits += 1;
                         return Lookup::Hit(result);
                     }
-                    shard.slots.insert(Key::new(hash, key), Slot::InFlight(me));
+                    shard.fly(hash, key, me);
                     break;
                 }
             }
@@ -560,57 +721,79 @@ impl EvalCache {
             .iter()
             .enumerate()
             .find_map(|(list, free)| {
-                let bucket = bucket(list, free, action)?;
-                let probe = Probe {
-                    hash: self.hash(&bucket),
-                    indices: &bucket,
-                };
-                let entries = twins.buckets.get(&probe as &dyn KeyView)?;
-                let entry = entries.iter().find(|e| e.admits(free, action))?;
-                Some(entry.result.unpack())
+                let hash = self.bucket_hash(list, free, action)?;
+                let (set, _) = twins
+                    .bucket(hash, list, action)
+                    .find(|(_, masks)| admits(free, masks, action))?;
+                Some(twins.results.load(&set.result))
             })
     }
 
-    /// File `set` under its bucket, sharing `result`, unless a stored set
-    /// already holds every member.
-    fn register(&self, set: &TwinSet, result: Arc<Packed>) {
-        let free: Box<[usize]> = set.free().iter().map(|&(dim, _)| dim).collect();
-        let masks: Box<[u64]> = set.free().iter().map(|&(_, mask)| mask).collect();
+    /// File `set` under its bucket with a copy of `result`, unless a
+    /// stored set already holds every member.
+    fn register(&self, set: &TwinSet, result: &StepResult) {
+        let free = set.free();
+        let action = set.action().as_slice();
         // Never panic here: this runs from a settle.
-        let mut twins = self.twins.lock().unwrap_or_else(PoisonError::into_inner);
-        let list = match twins.free_lists.iter().position(|known| *known == free) {
+        let mut guard = self.twins.lock().unwrap_or_else(PoisonError::into_inner);
+        let twins = &mut *guard;
+        let dims = free.iter().map(|&(dim, _)| dim);
+        let list = match twins
+            .free_lists
+            .iter()
+            .position(|known| known.iter().copied().eq(dims.clone()))
+        {
             Some(list) => list,
             None => {
-                twins.free_lists.push(free.clone());
+                twins.free_lists.push(dims.collect());
                 twins.free_lists.len() - 1
             }
         };
-        let bucket = bucket(list, &free, set.action().as_slice())
+        let hash = self
+            .bucket_hash(list, &twins.free_lists[list], action)
             .expect("a twin set's free dimensions lie inside its action");
-        let hash = self.hash(&bucket);
-        let probe = Probe {
-            hash,
-            indices: &bucket,
-        };
-        let entry = TwinEntry { masks, result };
-        match twins.buckets.get_mut(&probe as &dyn KeyView) {
-            Some(entries) => {
-                if !entries.iter().any(|e| e.covers(&entry.masks)) {
-                    entries.push(entry);
-                }
-            }
-            None => {
-                twins.buckets.insert(Key::new(hash, &bucket), vec![entry]);
-            }
+        let covered = twins.bucket(hash, list, action).any(|(_, masks)| {
+            masks
+                .iter()
+                .zip(free)
+                .all(|(&own, &(_, other))| other & !own == 0)
+        });
+        if covered {
+            return;
         }
+        let (Ok(list_at), Ok(exact), Ok(masks), Some(at)) = (
+            u32::try_from(list),
+            u32::try_from(twins.exact.len()),
+            u32::try_from(twins.masks.len()),
+            u32::try_from(twins.sets.len())
+                .ok()
+                .filter(|&at| at != NONE),
+        ) else {
+            return;
+        };
+        let Some(result) = twins.results.store(result) else {
+            return;
+        };
+        twins
+            .exact
+            .extend(exact_indices(&twins.free_lists[list], action));
+        twins.masks.extend(free.iter().map(|&(_, mask)| mask));
+        let next = twins.table.insert(hash, at).unwrap_or(NONE);
+        twins.sets.push(TwinRecord {
+            result,
+            list: list_at,
+            exact,
+            exact_len: (twins.exact.len() - exact as usize) as u32,
+            masks,
+            next,
+        });
         self.has_twins.store(true, Ordering::Relaxed);
     }
 
-    /// Settle `key`'s in-flight slot: store `result` if there is one,
-    /// else clear the slot, and wake the lookups waiting on the shard,
-    /// if any; then register the result's twin set, if it has one. A
-    /// slot another fill of the same thread already stored is only ever
-    /// overwritten, never cleared.
+    /// Settle `key`'s in-flight mark: store `result` if there is one and
+    /// the key has no entry yet, clear the mark, and wake the lookups
+    /// waiting on the shard, if any; then register the result's twin
+    /// set, if it has one.
     fn settle(
         &self,
         index: usize,
@@ -618,43 +801,26 @@ impl EvalCache {
         key: &[usize],
         result: Option<(&StepResult, Option<&TwinSet>)>,
     ) {
-        let mut twins = None;
-        let packed = result.map(|(result, set)| match set {
-            Some(set) => {
-                let shared = Arc::new(Packed::pack(result));
-                twins = Some((set, Arc::clone(&shared)));
-                Slot::Shared(shared)
-            }
-            None => Slot::Done(Packed::pack(result)),
-        });
-        let probe = Probe { hash, indices: key };
         let (lock, filled) = &self.shards[index];
         // Never panic here: this runs from `Fill::drop`, on unwind too.
         let mut shard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        match packed {
-            Some(packed) => {
-                match shard.slots.get_mut(&probe as &dyn KeyView) {
-                    Some(slot) => *slot = packed,
-                    // A nested fill of this thread abandoned the key.
-                    None => {
-                        shard.slots.insert(Key::new(hash, key), packed);
-                    }
-                }
+        let mut twins = None;
+        if let Some((result, set)) = result {
+            if shard.store(hash, key, result) {
                 shard.inserts += 1;
+                twins = set.map(|set| (set, result));
             }
-            None => {
-                if let Some(Slot::InFlight(_)) = shard.slots.get(&probe as &dyn KeyView) {
-                    shard.slots.remove(&probe as &dyn KeyView);
-                }
-            }
+        }
+        if let Some(at) = shard.flying(hash, key) {
+            shard.land(at);
         }
         let wake = shard.waiting > 0;
         drop(shard);
         if wake {
             filled.notify_all();
         }
-        if let Some((set, shared)) = twins {
-            self.register(set, shared);
+        if let Some((set, result)) = twins {
+            self.register(set, result);
         }
     }
 
@@ -670,7 +836,8 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Snapshot the counters, summed over the shards.
+    /// Snapshot the counters, summed over the shards: one lock per
+    /// shard, whatever the number of entries.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         for (lock, _) in &self.shards {
@@ -679,11 +846,7 @@ impl EvalCache {
             stats.twin_hits += shard.twin_hits;
             stats.misses += shard.misses;
             stats.inserts += shard.inserts;
-            stats.entries += shard
-                .slots
-                .values()
-                .filter(|slot| slot.packed().is_some())
-                .count() as u64;
+            stats.entries += shard.records.len() as u64;
         }
         stats
     }
@@ -936,22 +1099,18 @@ impl EvalCache {
     /// stored and its names are static.
     fn stored_info_name(&self, action: &Action, name: &str) -> Option<&'static str> {
         let key = action.as_slice();
-        let probe = Probe {
-            hash: self.hash(key),
-            indices: key,
-        };
         let shard = self.shards[self.shard_of(key)]
             .0
             .lock()
             .expect("cache shard poisoned");
-        let packed = shard.slots.get(&probe as &dyn KeyView)?.packed()?;
-        let PackedInfo::Static(names) = &packed.info else {
+        let stored = shard.find(self.hash(key), key)?.result;
+        if stored.flags & OWNED_INFO != 0 {
             return None;
-        };
-        names
+        }
+        shard.results.name_lists[stored.names as usize]
             .iter()
-            .find(|(stored, _)| *stored == name)
-            .map(|&(stored, _)| stored)
+            .copied()
+            .find(|&stored| stored == name)
     }
 }
 
@@ -1211,9 +1370,10 @@ mod tests {
     }
 
     #[test]
-    fn a_packed_info_is_two_words_either_way() {
-        assert_eq!(std::mem::size_of::<PackedInfo>(), 16);
-        assert_eq!(std::mem::size_of::<&'static str>(), 16);
+    fn a_stored_entry_is_a_three_word_record() {
+        assert_eq!(std::mem::size_of::<Stored>(), 12);
+        assert_eq!(std::mem::size_of::<Record>(), 24);
+        assert_eq!(std::mem::size_of::<TwinRecord>(), 32);
     }
 
     #[test]
@@ -1470,6 +1630,45 @@ mod tests {
     }
 
     #[test]
+    fn entries_stay_exact_across_fills_abandons_uncacheable_results_and_twin_hits() {
+        use crate::fault::{FaultPlan, FaultyEnv};
+        let cache = Arc::new(EvalCache::with_shards(4));
+        let entries = || (cache.stats().entries, cache.len());
+        for i in 0..5 {
+            miss(&cache, i).complete(StepResult::terminal(Observation::new(vec![i as f64]), 0.0));
+        }
+        assert_eq!(entries(), (5, 5));
+        drop(miss(&cache, 9));
+        assert_eq!(entries(), (5, 5), "an abandoned fill stored an entry");
+        let mut corrupt = CachedEnv::new(
+            FaultyEnv::new(Twinned::new(), FaultPlan::new(3).corrupt(1.0)),
+            cache.clone(),
+        );
+        let _ = corrupt.try_step(&a([1, 0, 0])).unwrap();
+        assert_eq!(entries(), (5, 5), "an uncacheable result stored an entry");
+        let mut env = twinned(&cache);
+        env.try_step(&a([3, 0, 1])).unwrap();
+        assert_eq!(entries(), (6, 6));
+        for twin in [[3, 1, 0], [3, 2, 1]] {
+            env.try_step(&a(twin)).unwrap();
+        }
+        assert_eq!(entries(), (6, 6), "a twin hit stored an entry");
+        // One cache wrapped twice: the thread misses its own in-flight
+        // key again, and both fills store it. Each counts an insert; the
+        // second stores nothing new.
+        let (outer, inner) = (miss(&cache, 7), miss(&cache, 7));
+        let result = StepResult::terminal(Observation::new(vec![7.0]), 0.0);
+        inner.complete(result.clone());
+        outer.complete(result);
+        assert_eq!(entries(), (7, 7));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.twin_hits, stats.misses, stats.inserts, stats.entries),
+            (2, 10, 8, 7)
+        );
+    }
+
+    #[test]
     fn colliding_twin_buckets_still_serve_each_set_its_own_result() {
         let cache = Arc::new(EvalCache::colliding(2));
         let mut env = twinned(&cache);
@@ -1532,7 +1731,7 @@ mod tests {
         }
         let twins = cache.twins.lock().unwrap();
         assert_eq!(twins.free_lists.len(), 1);
-        assert_eq!(twins.buckets.values().map(Vec::len).sum::<usize>(), 1);
+        assert_eq!(twins.sets.len(), 1);
     }
 
     #[test]

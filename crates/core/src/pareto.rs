@@ -45,7 +45,7 @@ pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
 }
 
 /// The Pareto front of a dataset over selected observation metrics
-/// (all minimized). Returns indices into `dataset.transitions()`.
+/// (all minimized). Returns row indices (see [`Dataset::get`]).
 ///
 /// Infeasible transitions are excluded — their observations are
 /// placeholders, not real costs.

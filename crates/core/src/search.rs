@@ -24,7 +24,7 @@ use crate::pool::{BatchEvaluator, EnvPool};
 use crate::screen::{select_admitted, Screener};
 use crate::space::Action;
 use crate::telemetry::{Counter, Phase, Recorder, RunReport};
-use crate::trajectory::{Dataset, Transition};
+use crate::trajectory::Dataset;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -956,12 +956,7 @@ impl SearchLoop {
                 }
                 if self.config.record {
                     reward_history.push(result.reward);
-                    dataset.push(Transition::new(
-                        std::sync::Arc::clone(&env_label),
-                        std::sync::Arc::clone(&agent_label),
-                        action.clone(),
-                        &result,
-                    ));
+                    dataset.record(&env_label, &agent_label, &action, &result);
                 }
                 // Degraded samples never enter the proxy training set:
                 // their penalty reward is a retry-policy artifact, not
@@ -1085,10 +1080,10 @@ mod tests {
         let mut env = PeakEnv::new(&[6, 6], vec![2, 5]);
         let mut agent = RandomWalker::new(env.space().clone(), 4);
         let result = SearchLoop::new(RunConfig::with_budget(40)).run(&mut agent, &mut env);
-        let rows = result.dataset.transitions();
+        let rows: Vec<_> = result.dataset.iter().collect();
         assert_eq!(rows.len(), 40);
         assert_eq!((&*rows[0].env, &*rows[0].agent), ("peak", "rw"));
-        for row in rows {
+        for row in &rows {
             assert!(std::sync::Arc::ptr_eq(&row.env, &rows[0].env));
             assert!(std::sync::Arc::ptr_eq(&row.agent, &rows[0].agent));
         }
@@ -1529,7 +1524,7 @@ mod tests {
         assert_eq!(result.best_reward, -9.0);
         // Every sample: 1 initial failure + 1 retry failure, all charged.
         assert_eq!(result.eval_retries, 12);
-        assert!(result.dataset.transitions().iter().all(|t| !t.feasible));
+        assert!(result.dataset.iter().all(|t| !t.feasible));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::error::{ArchGymError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One finite parameter domain.
 ///
@@ -316,9 +317,13 @@ fn unit_coordinate(idx: usize, card: usize) -> f64 {
 }
 
 /// A finite Cartesian design space: an ordered list of named domains.
+///
+/// A space is immutable once built, so its clones share one list of
+/// dimensions: cloning a space (as every environment and agent clone
+/// does) costs a reference count, however many choices it has.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParamSpace {
-    params: Vec<ParamDef>,
+    params: Arc<[ParamDef]>,
 }
 
 impl ParamSpace {
@@ -394,7 +399,9 @@ impl ParamSpace {
             domain.validate(&name).map_err(|e| e.to_string())?;
             params.push(ParamDef { name, domain });
         }
-        Ok(ParamSpace { params })
+        Ok(ParamSpace {
+            params: params.into(),
+        })
     }
 
     /// Check that an action matches this space.
@@ -411,7 +418,7 @@ impl ParamSpace {
                 action.len()
             )));
         }
-        for (dim, (&idx, param)) in action.iter().zip(&self.params).enumerate() {
+        for (dim, (&idx, param)) in action.iter().zip(self.params.iter()).enumerate() {
             let card = param.domain.cardinality();
             if idx >= card {
                 return Err(ArchGymError::InvalidAction(format!(
@@ -662,7 +669,7 @@ impl SpaceBuilder {
             }
         }
         Ok(ParamSpace {
-            params: self.params,
+            params: self.params.into(),
         })
     }
 }
@@ -680,6 +687,17 @@ mod tests {
             .categorical("c", ["x", "y", "z"])
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn a_clone_shares_its_params() {
+        let space = small_space();
+        let copy = space.clone();
+        assert!(std::ptr::eq(space.params(), copy.params()));
+        assert_eq!(copy, space);
+        let read_back = ParamSpace::from_json(&space.to_json()).unwrap();
+        assert!(std::ptr::eq(read_back.params(), read_back.clone().params()));
+        assert_eq!(read_back, space);
     }
 
     #[test]

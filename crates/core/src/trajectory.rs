@@ -7,6 +7,16 @@
 //! agent (for *diversity*) and exported to JSON/CSV — the Rust stand-in for
 //! the paper's TFDS/RLDS artifacts. Section 7 trains random-forest proxy
 //! cost models directly from these datasets.
+//!
+//! A [`Dataset`] is stored by column, not by row: one table of distinct
+//! `(env, agent)` label pairs with a small index per row, every row's
+//! action indices end to end in one vector and its observation values in
+//! another (each with per-row end offsets, so rows of different widths
+//! still merge), and a reward and a feasibility column. Recording a sample
+//! appends to those vectors and allocates nothing of its own once they have
+//! grown, and dropping a dataset frees the same few blocks however many rows
+//! it holds. Reading goes through [`Row`], a borrowed view of one row;
+//! [`Transition`] is the owned row, for [`Dataset::push`] and read-back.
 
 use crate::codec::{parse_json, Json};
 use crate::env::StepResult;
@@ -17,13 +27,14 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// One recorded agent↔environment interaction.
+/// One recorded agent↔environment interaction, owned.
 ///
-/// The two labels are shared: a run allocates each once and every
-/// transition it records points at it. Each row still carries its own
-/// labels, so merged datasets keep their sources apart.
+/// A [`Dataset`] keeps its rows by column; this is the form a row takes
+/// on its own, to [`push`](Dataset::push) or to read back. Each row
+/// carries its own labels, so merged datasets keep their sources apart.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Transition {
     /// Environment identifier (e.g. `"dram"`).
@@ -60,6 +71,152 @@ impl Transition {
         }
     }
 
+    /// This transition as a borrowed [`Row`].
+    pub fn row(&self) -> Row<'_> {
+        Row {
+            env: Arc::clone(&self.env),
+            agent: Arc::clone(&self.agent),
+            action: Cells(self.action.as_slice()),
+            observation: Cells(&self.observation),
+            reward: self.reward,
+            feasible: self.feasible,
+        }
+    }
+
+    /// Encode as an offline-safe JSON value (see [`Row::to_json`]).
+    pub fn to_json(&self) -> Json {
+        self.row().to_json()
+    }
+
+    /// Decode a value produced by [`Transition::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message on schema mismatches.
+    pub fn from_json(value: &Json) -> std::result::Result<Self, String> {
+        Ok(Transition {
+            env: value.field("env")?.as_str()?.into(),
+            agent: value.field("agent")?.as_str()?.into(),
+            action: Action::new(
+                value
+                    .field("action")?
+                    .as_arr()?
+                    .iter()
+                    .map(Json::as_usize)
+                    .collect::<std::result::Result<Vec<_>, String>>()?,
+            ),
+            observation: value
+                .field("observation")?
+                .as_arr()?
+                .iter()
+                .map(Json::as_f64)
+                .collect::<std::result::Result<Vec<_>, String>>()?,
+            reward: value.field("reward")?.as_f64()?,
+            feasible: value.field("feasible")?.as_bool()?,
+        })
+    }
+
+    /// Encode as a single JSONL line (no trailing newline).
+    pub fn to_line(&self) -> String {
+        self.row().to_line()
+    }
+
+    /// Decode one JSONL line produced by [`Transition::to_line`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchGymError::Dataset`] on malformed lines.
+    pub fn from_line(line: &str) -> Result<Self> {
+        parse_json(line)
+            .and_then(|v| Self::from_json(&v))
+            .map_err(|e| ArchGymError::Dataset(format!("bad line: {e}")))
+    }
+}
+
+/// A borrowed run of one row's cells: its action indices or its
+/// observation values. It derefs to the slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cells<'a, T>(&'a [T]);
+
+impl<'a, T> Cells<'a, T> {
+    /// The cells as a slice.
+    pub fn as_slice(&self) -> &'a [T] {
+        self.0
+    }
+}
+
+impl Cells<'_, usize> {
+    /// The indices as an owned [`Action`].
+    pub fn to_action(&self) -> Action {
+        Action::new(self.0.to_vec())
+    }
+}
+
+impl<T> Deref for Cells<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.0
+    }
+}
+
+impl<'a, T> IntoIterator for Cells<'a, T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<'a, T> IntoIterator for &Cells<'a, T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq<Action> for Cells<'_, usize> {
+    fn eq(&self, other: &Action) -> bool {
+        self.0 == other.as_slice()
+    }
+}
+
+/// One row of a [`Dataset`], borrowed: the fields of a [`Transition`],
+/// with the action and observation as [`Cells`] and the labels shared
+/// with the dataset's. Two rows are equal when their label texts and
+/// values are.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row<'a> {
+    /// Environment identifier (e.g. `"dram"`).
+    pub env: Arc<str>,
+    /// Agent identifier (e.g. `"aco"`).
+    pub agent: Arc<str>,
+    /// Index-encoded design point.
+    pub action: Cells<'a, usize>,
+    /// Raw observation metrics.
+    pub observation: Cells<'a, f64>,
+    /// Scalar reward/fitness.
+    pub reward: f64,
+    /// Whether the design was feasible.
+    pub feasible: bool,
+}
+
+impl Row<'_> {
+    /// The row as an owned [`Transition`].
+    pub fn to_transition(&self) -> Transition {
+        Transition {
+            env: Arc::clone(&self.env),
+            agent: Arc::clone(&self.agent),
+            action: self.action.to_action(),
+            observation: self.observation.to_vec(),
+            reward: self.reward,
+            feasible: self.feasible,
+        }
+    }
+
     /// Encode as an offline-safe JSON value — bit-exact `f64`
     /// round-trips, quoted `"NaN"`/`"inf"`/`"-inf"` for non-finite
     /// values.
@@ -85,87 +242,37 @@ impl Transition {
         ])
     }
 
-    /// Decode a value produced by [`Transition::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on schema mismatches.
-    pub fn from_json(value: &Json) -> std::result::Result<Self, String> {
-        Self::from_json_sharing(value, &mut Labels::default())
-    }
-
-    /// [`Transition::from_json`], taking each label from `labels` when
-    /// its text matches the previous row's.
-    fn from_json_sharing(value: &Json, labels: &mut Labels) -> std::result::Result<Self, String> {
-        Ok(Transition {
-            env: Labels::share(&mut labels.env, value.field("env")?.as_str()?),
-            agent: Labels::share(&mut labels.agent, value.field("agent")?.as_str()?),
-            action: Action::new(
-                value
-                    .field("action")?
-                    .as_arr()?
-                    .iter()
-                    .map(Json::as_usize)
-                    .collect::<std::result::Result<Vec<_>, String>>()?,
-            ),
-            observation: value
-                .field("observation")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_f64)
-                .collect::<std::result::Result<Vec<_>, String>>()?,
-            reward: value.field("reward")?.as_f64()?,
-            feasible: value.field("feasible")?.as_bool()?,
-        })
-    }
-
     /// Encode as a single JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         self.to_json().encode()
     }
-
-    /// Decode one JSONL line produced by [`Transition::to_line`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchGymError::Dataset`] on malformed lines.
-    pub fn from_line(line: &str) -> Result<Self> {
-        Self::from_line_sharing(line, &mut Labels::default())
-    }
-
-    /// [`Transition::from_line`], sharing labels through `labels`.
-    fn from_line_sharing(line: &str, labels: &mut Labels) -> Result<Self> {
-        parse_json(line)
-            .and_then(|v| Self::from_json_sharing(&v, labels))
-            .map_err(|e| ArchGymError::Dataset(format!("bad line: {e}")))
-    }
 }
 
-/// The labels of the last row read back, so that a row with the same text
-/// shares them instead of allocating its own: a dataset read back from one
-/// run holds one copy of each label, as the run that wrote it did.
-#[derive(Debug, Default)]
-struct Labels {
-    env: Option<Arc<str>>,
-    agent: Option<Arc<str>>,
-}
-
-impl Labels {
-    /// The label in `last` if its text is `text`; otherwise a new one,
-    /// which replaces it.
-    fn share(last: &mut Option<Arc<str>>, text: &str) -> Arc<str> {
-        match last {
-            Some(label) if **label == *text => Arc::clone(label),
-            _ => Arc::clone(last.insert(text.into())),
-        }
-    }
-}
-
-/// An ordered collection of [`Transition`]s with merge/sample/export
-/// utilities — the "ArchGym Dataset" of Fig. 1.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// An ordered collection of transitions with merge/sample/export
+/// utilities — the "ArchGym Dataset" of Fig. 1 — stored by column (see
+/// the module docs).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Dataset {
-    transitions: Vec<Transition>,
+    /// Each distinct `(env, agent)` label pair, in first-seen order.
+    labels: Vec<(Arc<str>, Arc<str>)>,
+    /// Each row's position in `labels`.
+    label: Vec<u32>,
+    /// Every row's action indices, end to end.
+    actions: Vec<usize>,
+    /// Where each row's indices end in `actions`.
+    action_ends: Vec<usize>,
+    /// Every row's observation values, end to end.
+    observations: Vec<f64>,
+    /// Where each row's values end in `observations`.
+    observation_ends: Vec<usize>,
+    rewards: Vec<f64>,
+    feasible: Vec<bool>,
+}
+
+/// The span of row `i` in a column whose rows end at `ends`.
+fn span(ends: &[usize], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    start..ends[i]
 }
 
 impl Dataset {
@@ -176,40 +283,169 @@ impl Dataset {
 
     /// Number of transitions.
     pub fn len(&self) -> usize {
-        self.transitions.len()
+        self.rewards.len()
     }
 
     /// Whether the dataset holds no transitions.
     pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
+        self.rewards.is_empty()
+    }
+
+    /// The position of the label pair with these texts, added (made by
+    /// `owned`) if none has them. The last row's pair is tried first:
+    /// a run records one pair throughout.
+    fn label_of(
+        &mut self,
+        env: &str,
+        agent: &str,
+        owned: impl FnOnce() -> (Arc<str>, Arc<str>),
+    ) -> u32 {
+        let is = |&i: &u32| {
+            let (e, a) = &self.labels[i as usize];
+            **e == *env && **a == *agent
+        };
+        if let Some(last) = self.label.last().copied().filter(is) {
+            return last;
+        }
+        if let Some(found) = (0..self.labels.len() as u32).find(is) {
+            return found;
+        }
+        self.labels.push(owned());
+        (self.labels.len() - 1) as u32
+    }
+
+    /// Append one row from its parts.
+    fn push_parts(
+        &mut self,
+        label: u32,
+        action: &[usize],
+        observation: &[f64],
+        reward: f64,
+        feasible: bool,
+    ) {
+        self.label.push(label);
+        self.actions.extend_from_slice(action);
+        self.action_ends.push(self.actions.len());
+        self.observations.extend_from_slice(observation);
+        self.observation_ends.push(self.observations.len());
+        self.rewards.push(reward);
+        self.feasible.push(feasible);
     }
 
     /// Append one transition.
     pub fn push(&mut self, transition: Transition) {
-        self.transitions.push(transition);
+        let Transition {
+            env,
+            agent,
+            action,
+            observation,
+            reward,
+            feasible,
+        } = transition;
+        let label = self.label_of(&env, &agent, || (env.clone(), agent.clone()));
+        self.push_parts(label, action.as_slice(), &observation, reward, feasible);
     }
 
-    /// The transitions in insertion order.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+    /// Append a step outcome under the labels `env` and `agent`, which
+    /// the dataset shares rather than copies: the row's action and
+    /// observation go straight into the columns, with no owned row on
+    /// the way.
+    pub fn record(
+        &mut self,
+        env: &Arc<str>,
+        agent: &Arc<str>,
+        action: &Action,
+        result: &StepResult,
+    ) {
+        let label = self.label_of(env, agent, || (Arc::clone(env), Arc::clone(agent)));
+        self.push_parts(
+            label,
+            action.as_slice(),
+            result.observation.as_slice(),
+            result.reward,
+            result.feasible,
+        );
     }
 
-    /// Iterate over transitions.
-    pub fn iter(&self) -> std::slice::Iter<'_, Transition> {
-        self.transitions.iter()
+    /// Row `i`, if the dataset has one.
+    pub fn get(&self, i: usize) -> Option<Row<'_>> {
+        let &label = self.label.get(i)?;
+        let (env, agent) = &self.labels[label as usize];
+        Some(Row {
+            env: Arc::clone(env),
+            agent: Arc::clone(agent),
+            action: Cells(&self.actions[span(&self.action_ends, i)]),
+            observation: Cells(&self.observations[span(&self.observation_ends, i)]),
+            reward: self.rewards[i],
+            feasible: self.feasible[i],
+        })
     }
 
-    /// Merge another dataset into this one (the *size* axis of Fig. 10).
+    /// Iterate over the rows in insertion order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            dataset: self,
+            next: 0..self.len(),
+        }
+    }
+
+    /// Merge another dataset into this one (the *size* axis of Fig. 10):
+    /// its columns are appended, and its labels mapped onto this one's.
     pub fn merge(&mut self, other: Dataset) {
-        self.transitions.extend(other.transitions);
+        if self.labels.is_empty() {
+            *self = other;
+            return;
+        }
+        let labels: Vec<u32> = other
+            .labels
+            .iter()
+            .map(|(env, agent)| self.label_of(env, agent, || (env.clone(), agent.clone())))
+            .collect();
+        self.label
+            .extend(other.label.iter().map(|&l| labels[l as usize]));
+        let base = self.actions.len();
+        self.actions.extend_from_slice(&other.actions);
+        self.action_ends
+            .extend(other.action_ends.iter().map(|end| base + end));
+        let base = self.observations.len();
+        self.observations.extend_from_slice(&other.observations);
+        self.observation_ends
+            .extend(other.observation_ends.iter().map(|end| base + end));
+        self.rewards.extend_from_slice(&other.rewards);
+        self.feasible.extend_from_slice(&other.feasible);
+    }
+
+    /// A dataset of the rows at `rows`, in that order, with this one's
+    /// label table.
+    fn select(&self, rows: impl IntoIterator<Item = usize>) -> Dataset {
+        let mut picked = Dataset {
+            labels: self.labels.clone(),
+            ..Dataset::default()
+        };
+        for i in rows {
+            picked.push_parts(
+                self.label[i],
+                &self.actions[span(&self.action_ends, i)],
+                &self.observations[span(&self.observation_ends, i)],
+                self.rewards[i],
+                self.feasible[i],
+            );
+        }
+        picked
     }
 
     /// The set of distinct agent labels present, with per-agent counts —
     /// the *composition* reported in Fig. 10(a).
     pub fn composition(&self) -> BTreeMap<String, usize> {
+        let mut per_label = vec![0; self.labels.len()];
+        for &l in &self.label {
+            per_label[l as usize] += 1;
+        }
         let mut counts = BTreeMap::new();
-        for t in &self.transitions {
-            *counts.entry(t.agent.to_string()).or_insert(0) += 1;
+        for ((_, agent), n) in self.labels.iter().zip(per_label) {
+            if n > 0 {
+                *counts.entry(agent.to_string()).or_insert(0) += n;
+            }
         }
         counts
     }
@@ -217,38 +453,29 @@ impl Dataset {
     /// Keep only transitions produced by `agent` (the "single-source"
     /// datasets of Section 7.1).
     pub fn filter_agent(&self, agent: &str) -> Dataset {
-        Dataset {
-            transitions: self
-                .transitions
-                .iter()
-                .filter(|t| &*t.agent == agent)
-                .cloned()
-                .collect(),
-        }
+        self.select((0..self.len()).filter(|&i| &*self.labels[self.label[i] as usize].1 == agent))
     }
 
     /// Keep only feasible transitions.
     pub fn filter_feasible(&self) -> Dataset {
-        Dataset {
-            transitions: self
-                .transitions
-                .iter()
-                .filter(|t| t.feasible)
-                .cloned()
-                .collect(),
-        }
+        self.select((0..self.len()).filter(|&i| self.feasible[i]))
+    }
+
+    /// The row positions in an order shuffled by `rng`: the permutation
+    /// a shuffle of the rows themselves would draw.
+    fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.shuffle(rng);
+        order
     }
 
     /// Uniformly sample `n` transitions without replacement (clamped to the
     /// dataset size) — the pandas-style sampling used to build the
     /// fixed-size dataset tiers of Fig. 10.
     pub fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
-        let mut picked = self.transitions.clone();
-        picked.shuffle(rng);
-        picked.truncate(n);
-        Dataset {
-            transitions: picked,
-        }
+        let mut order = self.shuffled(rng);
+        order.truncate(n);
+        self.select(order)
     }
 
     /// Split into `(train, test)` with `train_frac` of the data (after a
@@ -262,15 +489,12 @@ impl Dataset {
             train_frac > 0.0 && train_frac < 1.0,
             "train_frac {train_frac} outside (0, 1)"
         );
-        let mut shuffled = self.transitions.clone();
-        shuffled.shuffle(rng);
-        let cut = ((shuffled.len() as f64) * train_frac).round() as usize;
-        let test = shuffled.split_off(cut.min(shuffled.len()));
+        let order = self.shuffled(rng);
+        let cut = ((order.len() as f64) * train_frac).round() as usize;
+        let (train, test) = order.split_at(cut.min(order.len()));
         (
-            Dataset {
-                transitions: shuffled,
-            },
-            Dataset { transitions: test },
+            self.select(train.iter().copied()),
+            self.select(test.iter().copied()),
         )
     }
 
@@ -281,7 +505,7 @@ impl Dataset {
     ///
     /// Propagates I/O failures.
     pub fn write_jsonl<W: Write>(&self, mut writer: W) -> Result<()> {
-        for t in &self.transitions {
+        for t in self {
             writeln!(writer, "{}", t.to_line())?;
         }
         Ok(())
@@ -324,12 +548,11 @@ impl Dataset {
         let lines: Vec<&str> = text.lines().collect();
         let mut dataset = Dataset::new();
         let mut skipped = 0;
-        let mut labels = Labels::default();
         for (i, line) in lines.iter().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            match Transition::from_line_sharing(line, &mut labels) {
+            match Transition::from_line(line) {
                 Ok(t) => dataset.push(t),
                 Err(_) if !complete_tail && i + 1 == lines.len() => skipped += 1,
                 Err(e) => return Err(e),
@@ -347,7 +570,7 @@ impl Dataset {
     /// Returns [`ArchGymError::Dataset`] if widths are inconsistent, and
     /// propagates I/O failures.
     pub fn write_csv<W: Write>(&self, mut writer: W) -> Result<()> {
-        let Some(first) = self.transitions.first() else {
+        let Some(first) = self.get(0) else {
             return Ok(());
         };
         let (ad, od) = (first.action.len(), first.observation.len());
@@ -357,7 +580,7 @@ impl Dataset {
         header.push("reward".into());
         header.push("feasible".into());
         writeln!(writer, "{}", header.join(","))?;
-        for t in &self.transitions {
+        for t in self {
             if t.action.len() != ad || t.observation.len() != od {
                 return Err(ArchGymError::Dataset(format!(
                     "inconsistent widths: expected {ad} action / {od} observation columns"
@@ -427,12 +650,11 @@ impl Dataset {
         let rows: Vec<&str> = lines.collect();
         let mut dataset = Dataset::new();
         let mut skipped = 0;
-        let mut labels = Labels::default();
         for (i, line) in rows.iter().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            match Self::parse_csv_row(line, i + 2, n_actions, n_obs, expected, &mut labels) {
+            match Self::parse_csv_row(line, i + 2, n_actions, n_obs, expected) {
                 Ok(t) => dataset.push(t),
                 Err(_) if !complete_tail && i + 1 == rows.len() => skipped += 1,
                 Err(e) => return Err(e),
@@ -441,15 +663,13 @@ impl Dataset {
         Ok((dataset, skipped))
     }
 
-    /// Parse one data row of a [`Dataset::write_csv`] stream, sharing its
-    /// labels through `labels`.
+    /// Parse one data row of a [`Dataset::write_csv`] stream.
     fn parse_csv_row(
         line: &str,
         lineno: usize,
         n_actions: usize,
         n_obs: usize,
         expected: usize,
-        labels: &mut Labels,
     ) -> Result<Transition> {
         let bad = |what: &str| ArchGymError::Dataset(format!("CSV row {lineno}: {what}"));
         let fields: Vec<&str> = line.split(',').collect();
@@ -471,8 +691,8 @@ impl Dataset {
             .parse()
             .map_err(|_| bad("bad feasible flag"))?;
         Ok(Transition {
-            env: Labels::share(&mut labels.env, fields[0]),
-            agent: Labels::share(&mut labels.agent, fields[1]),
+            env: fields[0].into(),
+            agent: fields[1].into(),
             action: Action::new(action),
             observation,
             reward,
@@ -489,12 +709,12 @@ impl Dataset {
     /// Returns [`ArchGymError::Dataset`] on an empty dataset or an
     /// out-of-range metric index.
     pub fn features_targets(&self, metric: usize) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
-        if self.transitions.is_empty() {
+        if self.is_empty() {
             return Err(ArchGymError::Dataset("empty dataset".into()));
         }
         let mut xs = Vec::with_capacity(self.len());
         let mut ys = Vec::with_capacity(self.len());
-        for t in &self.transitions {
+        for t in self {
             if metric >= t.observation.len() {
                 return Err(ArchGymError::Dataset(format!(
                     "metric index {metric} out of range ({} metrics)",
@@ -512,28 +732,74 @@ impl Dataset {
     /// [`SearchLoop`](crate::search::SearchLoop) applies when tracking
     /// its best sample, so on a dataset recorded by a run the two agree
     /// on the winning action, not just the winning reward.
-    pub fn best(&self) -> Option<&Transition> {
-        let mut best: Option<&Transition> = None;
-        for t in &self.transitions {
-            if best.map_or(!t.reward.is_nan(), |b| t.reward > b.reward) {
-                best = Some(t);
+    pub fn best(&self) -> Option<Row<'_>> {
+        let mut best: Option<usize> = None;
+        for (i, &reward) in self.rewards.iter().enumerate() {
+            if best.map_or(!reward.is_nan(), |b| reward > self.rewards[b]) {
+                best = Some(i);
             }
         }
-        best
+        self.get(best?)
+    }
+}
+
+/// Row by row, by label text and value: the label tables and the
+/// columns' spare capacity do not matter.
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+/// The rows of a [`Dataset`], in insertion order.
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    dataset: &'a Dataset,
+    next: Range<usize>,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = Row<'a>;
+
+    fn next(&mut self) -> Option<Row<'a>> {
+        self.next.next().and_then(|i| self.dataset.get(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.next.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Rows<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.next.next_back().and_then(|i| self.dataset.get(i))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl<'a> IntoIterator for &'a Dataset {
+    type Item = Row<'a>;
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
     }
 }
 
 impl FromIterator<Transition> for Dataset {
     fn from_iter<I: IntoIterator<Item = Transition>>(iter: I) -> Self {
-        Dataset {
-            transitions: iter.into_iter().collect(),
-        }
+        let mut dataset = Dataset::new();
+        dataset.extend(iter);
+        dataset
     }
 }
 
 impl Extend<Transition> for Dataset {
     fn extend<I: IntoIterator<Item = Transition>>(&mut self, iter: I) {
-        self.transitions.extend(iter);
+        for transition in iter {
+            self.push(transition);
+        }
     }
 }
 
@@ -572,6 +838,72 @@ mod tests {
         d.merge(other);
         assert_eq!(d.len(), 11);
         assert_eq!(d.composition()["bo"], 1);
+    }
+
+    #[test]
+    fn merged_rows_of_different_widths_and_labels_read_back_whole() {
+        let narrow = transition("aco", 1.0);
+        let wide = Transition::new(
+            "dram",
+            "ga",
+            Action::new(vec![4, 0, 9]),
+            &StepResult::terminal(Observation::new(vec![0.5]), -2.0),
+        );
+        let mut d: Dataset = [narrow.clone(), wide.clone()].into_iter().collect();
+        let other: Dataset = [wide.clone(), narrow.clone(), narrow.clone()]
+            .into_iter()
+            .collect();
+        d.merge(other);
+        let rows: Vec<Transition> = d.iter().map(|r| r.to_transition()).collect();
+        assert_eq!(
+            rows,
+            [&narrow, &wide, &wide, &narrow, &narrow].map(Clone::clone)
+        );
+        assert_eq!(d.get(2).unwrap().action, wide.action);
+        assert_eq!(d.get(2).unwrap().observation.as_slice(), &[0.5]);
+        assert!(d.get(5).is_none());
+        // The merged-in rows reuse this dataset's two label pairs.
+        assert_eq!(d.labels.len(), 2);
+    }
+
+    #[test]
+    fn equality_reads_label_text_not_the_label_table() {
+        let (a, b) = (transition("aco", 1.0), transition("ga", 2.0));
+        // A filtered dataset keeps its source's label table.
+        let first = [b, a.clone()]
+            .into_iter()
+            .collect::<Dataset>()
+            .filter_agent("aco");
+        let second: Dataset = [a].into_iter().collect();
+        assert_ne!(first.labels, second.labels);
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn sample_and_split_draw_the_permutation_a_row_shuffle_draws() {
+        let d = sample_dataset();
+        let rows: Vec<Transition> = d.iter().map(|r| r.to_transition()).collect();
+        let shuffled = |seed| {
+            let mut rows = rows.clone();
+            rows.shuffle(&mut seeded_rng(seed));
+            rows
+        };
+        let picked: Vec<Transition> = d
+            .sample(6, &mut seeded_rng(11))
+            .iter()
+            .map(|r| r.to_transition())
+            .collect();
+        assert_eq!(picked, shuffled(11)[..6]);
+        let (train, test) = d.split(0.7, &mut seeded_rng(12));
+        let order = shuffled(12);
+        assert!(train
+            .iter()
+            .map(|r| r.to_transition())
+            .eq(order[..7].iter().cloned()));
+        assert!(test
+            .iter()
+            .map(|r| r.to_transition())
+            .eq(order[7..].iter().cloned()));
     }
 
     #[test]
@@ -645,7 +977,7 @@ mod tests {
             Dataset::read_jsonl(jsonl.as_slice()).unwrap(),
         ] {
             assert_eq!(back, d);
-            let first = &back.transitions()[0];
+            let first = back.get(0).unwrap();
             for t in back.iter() {
                 assert!(Arc::ptr_eq(&t.env, &first.env));
                 assert!(Arc::ptr_eq(&t.agent, &first.agent));
@@ -685,7 +1017,7 @@ mod tests {
         let (back, skipped) = Dataset::read_jsonl_counting(&buf[..cut]).unwrap();
         assert_eq!(skipped, 1);
         assert_eq!(back.len(), d.len() - 1);
-        assert_eq!(back.transitions(), &d.transitions()[..d.len() - 1]);
+        assert!(back.iter().eq(d.iter().take(d.len() - 1)));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use archgym::agents::factory::{build_agent, AgentKind};
 use archgym::core::pareto::dataset_pareto_front;
 use archgym::core::prelude::*;
+use archgym::core::trajectory::Row;
 use archgym::soc::{SocEnv, SocWorkload};
 
 fn main() {
@@ -40,12 +41,12 @@ fn main() {
         "power mW", "latency ms", "area mm²"
     );
     let env = SocEnv::new(workload);
-    let mut rows: Vec<&Transition> = front.iter().map(|&i| &pool.transitions()[i]).collect();
+    let mut rows: Vec<Row> = front.iter().filter_map(|&i| pool.get(i)).collect();
     rows.sort_by(|a, b| a.observation[0].partial_cmp(&b.observation[0]).unwrap());
     for t in rows.iter().take(12) {
         let design = env
             .space()
-            .decode(&t.action)
+            .decode(&t.action.to_action())
             .unwrap()
             .iter()
             .filter(|(n, _)| ["PE_Type", "PE_Freq", "PE_Count", "Mem_Type"].contains(&n.as_str()))
